@@ -8,13 +8,13 @@ from .analytics import (AnalyticsError, DegenerateSolution, DomainViolation,
                         analytic_chirp, critical_lfc, degenerate_solution,
                         inversion_condition, linear_rates,
                         population_oscillation)
-from .basis import (BrightDarkDerivative, BrightDarkState, from_bright_dark,
-                    integrate_bright_dark, rhs_bright_dark, to_bright_dark)
+from .basis import (BrightDarkState, from_bright_dark, integrate_bright_dark,
+                    rhs_bright_dark, to_bright_dark)
 from .config import (ConfigError, InitialSpec, ScenarioConfig, SweepSpec,
                      load_physical, load_preset, load_scenario, parse_config)
-from .dynamics import (FieldSample, IntegrationError, IntegratorControl,
-                       InvariantDrift, StateDerivative, StepSizeUnderflow,
-                       Trajectory, field_of, integrate, rhs_original)
+from .dynamics import (IntegrationError, IntegratorControl, InvariantDrift,
+                       NonFiniteStep, StepSizeUnderflow, Trajectory, field_of,
+                       integrate, rhs_original)
 from .observables import (AnalysisError, Branching, FinalPopulations, NoPulse,
                           PhaseUnwrapFailure, PulseMetrics, branching_summary,
                           instantaneous_frequency, pulse_metrics,
@@ -36,12 +36,12 @@ __all__ = [
     "DensityState", "make_params", "derive_dimensionless",
     "estimate_timescales", "initial_state",
     # dynamics
-    "IntegrationError", "StepSizeUnderflow", "InvariantDrift",
-    "StateDerivative", "FieldSample", "IntegratorControl", "Trajectory",
-    "rhs_original", "field_of", "integrate",
+    "IntegrationError", "StepSizeUnderflow", "NonFiniteStep",
+    "InvariantDrift", "IntegratorControl", "Trajectory", "rhs_original",
+    "field_of", "integrate",
     # basis
-    "BrightDarkState", "BrightDarkDerivative", "to_bright_dark",
-    "from_bright_dark", "rhs_bright_dark", "integrate_bright_dark",
+    "BrightDarkState", "to_bright_dark", "from_bright_dark",
+    "rhs_bright_dark", "integrate_bright_dark",
     # analytics
     "AnalyticsError", "NoInversion", "DomainViolation", "DegenerateSolution",
     "LinearRates", "inversion_condition", "degenerate_solution",

@@ -20,24 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (IntegratorControl, Trajectory, _initial_step,
-                       _integrate_core, _Monitors)
+from .dynamics import IntegratorControl, Trajectory, _drive, _pack, _unpack
 from .params import (POSITIVITY_TOL, DensityState, PositivityViolation,
                      SystemParams, TraceViolation)
 
 __all__ = [
     "BrightDarkState",
-    "BrightDarkDerivative",
     "to_bright_dark",
     "from_bright_dark",
     "rhs_bright_dark",
     "integrate_bright_dark",
 ]
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class BrightDarkState:
-    """Density-matrix amplitudes in the bright/dark doublet basis."""
+    """Density-matrix amplitudes in the bright/dark doublet basis.
+
+    Also carries time derivatives (see :func:`rhs_bright_dark`); only
+    states are meant to pass :meth:`validate`.
+    """
 
     R_plus1: complex
     R_minus1: complex
@@ -59,56 +63,51 @@ class BrightDarkState:
         return self
 
 
-@dataclass(frozen=True)
-class BrightDarkDerivative:
-    """Time derivative of a :class:`BrightDarkState` (units 1/tau_R)."""
+def _bare_to_bd(y, params: SystemParams) -> np.ndarray:
+    """Rotate packed bare states, shape (6,) or (6, N), to bright/dark."""
+    m21, m31 = params.mu21, params.mu31
+    r22, r33, r32 = y[4].real, y[5].real, y[2]
+    out = np.empty(np.shape(y), dtype=complex)
+    out[0] = (m21 * y[1] + m31 * y[0]) * _INV_SQRT2
+    out[1] = (m21 * y[0] - m31 * y[1]) * _INV_SQRT2
+    out[2] = 0.5 * (m21 * m31 * (r33 - r22)
+                    + m21 ** 2 * r32.conjugate() - m31 ** 2 * r32)
+    out[3] = y[3].real
+    out[4] = 0.5 * (m21 ** 2 * r22 + m31 ** 2 * r33
+                    + 2.0 * m21 * m31 * r32.real)
+    out[5] = 0.5 * (m21 ** 2 * r33 + m31 ** 2 * r22
+                    - 2.0 * m21 * m31 * r32.real)
+    return out
 
-    R_plus1: complex
-    R_minus1: complex
-    rho_pm: complex
-    rho_11: float
-    rho_pp: float
-    rho_mm: float
+
+def _bd_to_bare(y, params: SystemParams) -> np.ndarray:
+    """Exact inverse of :func:`_bare_to_bd`, on (6,) or (6, N) arrays."""
+    m21, m31 = params.mu21, params.mu31
+    a = m21 * m31
+    b = 0.5 * (m21 ** 2 - m31 ** 2)
+    rpp, rmm, rpm = y[4].real, y[5].real, y[2]
+    s = rpp + rmm
+    d1 = rpp - rmm
+    u = b * d1 - 2.0 * a * rpm.real        # rho22 - rho33
+    out = np.empty(np.shape(y), dtype=complex)
+    out[0] = (m31 * y[0] + m21 * y[1]) * _INV_SQRT2
+    out[1] = (m21 * y[0] - m31 * y[1]) * _INV_SQRT2
+    out.real[2] = 0.5 * a * d1 + b * rpm.real
+    out.imag[2] = -rpm.imag
+    out[3] = y[3].real
+    out[4] = 0.5 * (s + u)
+    out[5] = 0.5 * (s - u)
+    return out
 
 
 def to_bright_dark(state: DensityState, params: SystemParams) -> BrightDarkState:
-    """Rotate a bare-basis state into the bright/dark basis."""
-    m21, m31 = params.mu21, params.mu31
-    r22, r33, r32 = state.rho22, state.rho33, state.rho32
-    rho_pp = 0.5 * (m21 ** 2 * r22 + m31 ** 2 * r33 + 2.0 * m21 * m31 * r32.real)
-    rho_mm = 0.5 * (m21 ** 2 * r33 + m31 ** 2 * r22 - 2.0 * m21 * m31 * r32.real)
-    rho_pm = 0.5 * (m21 * m31 * (r33 - r22)
-                    + m21 ** 2 * r32.conjugate() - m31 ** 2 * r32)
-    inv_s2 = 1.0 / np.sqrt(2.0)
-    return BrightDarkState(
-        R_plus1=(m21 * state.R21 + m31 * state.R31) * inv_s2,
-        R_minus1=(m21 * state.R31 - m31 * state.R21) * inv_s2,
-        rho_pm=rho_pm,
-        rho_11=state.rho11,
-        rho_pp=rho_pp,
-        rho_mm=rho_mm,
-    )
+    """Rotate a bare-basis state (or derivative) into the bright/dark basis."""
+    return _unpack(_bare_to_bd(_pack(state), params), BrightDarkState)
 
 
 def from_bright_dark(bd: BrightDarkState, params: SystemParams) -> DensityState:
     """Rotate back to the bare basis (exact inverse of :func:`to_bright_dark`)."""
-    m21, m31 = params.mu21, params.mu31
-    a = m21 * m31
-    b = 0.5 * (m21 ** 2 - m31 ** 2)
-    s = bd.rho_pp + bd.rho_mm
-    d1 = bd.rho_pp - bd.rho_mm
-    d2 = bd.rho_pm.real
-    u = b * d1 - 2.0 * a * d2          # rho22 - rho33
-    re32 = 0.5 * a * d1 + b * d2
-    inv_s2 = 1.0 / np.sqrt(2.0)
-    return DensityState(
-        R31=(m31 * bd.R_plus1 + m21 * bd.R_minus1) * inv_s2,
-        R21=(m21 * bd.R_plus1 - m31 * bd.R_minus1) * inv_s2,
-        rho32=complex(re32, -bd.rho_pm.imag),
-        rho11=bd.rho_11,
-        rho22=0.5 * (s + u),
-        rho33=0.5 * (s - u),
-    )
+    return _unpack(_bd_to_bare(_pack(bd), params))
 
 
 def _rhs_bd(y, omega32, delta_L, mu21, mu31):
@@ -136,19 +135,23 @@ def _rhs_bd(y, omega32, delta_L, mu21, mu31):
     return np.array([dRp, dRm, drpm, dr11, drpp, drmm], dtype=complex)
 
 
-def rhs_bright_dark(bd: BrightDarkState, params: SystemParams) -> BrightDarkDerivative:
+def _bright_rate(y, mu21, mu31) -> float:
+    """d(rho11)/dt = 4|R_plus1|^2 of a packed bright/dark state."""
+    return 4.0 * (complex(y[0]) * complex(y[0]).conjugate()).real
+
+
+def rhs_bright_dark(bd: BrightDarkState,
+                    params: SystemParams) -> BrightDarkState:
     """Equations of motion expressed directly in the bright/dark basis.
 
-    The bright channel pumps the ground state at rate 4|R_plus1|^2; the
+    The time derivative comes back in the state's own fields.  The
+    bright channel pumps the ground state at rate 4|R_plus1|^2; the
     dark channel only moves via the omega32 mixing term and (for
     unbalanced moments) the coherence rho_pm.  This is the pushforward of
     the bare-basis vector field under the basis rotation.
     """
-    y = np.array([bd.R_plus1, bd.R_minus1, bd.rho_pm,
-                  bd.rho_11, bd.rho_pp, bd.rho_mm], dtype=complex)
-    d = _rhs_bd(y, params.omega32, params.delta_L, params.mu21, params.mu31)
-    return BrightDarkDerivative(d[0], d[1], d[2],
-                                d[3].real, d[4].real, d[5].real)
+    return _unpack(_rhs_bd(_pack(bd), params.omega32, params.delta_L,
+                           params.mu21, params.mu31), BrightDarkState)
 
 
 def integrate_bright_dark(state0: DensityState, params: SystemParams,
@@ -161,35 +164,5 @@ def integrate_bright_dark(state0: DensityState, params: SystemParams,
     returned :class:`Trajectory` is already rotated back to the bare
     basis.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-    ctrl = (ctrl or IntegratorControl()).validated()
-    state0.validate()
-    bd0 = to_bright_dark(state0, params)
-    y0 = np.array([bd0.R_plus1, bd0.R_minus1, bd0.rho_pm,
-                   bd0.rho_11, bd0.rho_pp, bd0.rho_mm], dtype=complex)
-    m21, m31 = params.mu21, params.mu31
-    om, dl = params.omega32, params.delta_L
-
-    def fun(t, y):
-        return _rhs_bd(y, om, dl, m21, m31)
-
-    def rate_of(y):
-        return 4.0 * (complex(y[0]) * complex(y[0]).conjugate()).real
-
-    # trace and the quadratic invariant are basis independent, so the
-    # bare-state monitors apply verbatim to the packed bright/dark vector
-    monitors = _Monitors(ctrl, y0, rate_of)
-    t, y, acc, rej, stopped = _integrate_core(
-        fun, y0, t_end, ctrl, _initial_step(om), monitors)
-
-    bare = np.empty_like(y)
-    for i in range(y.shape[1]):
-        st = from_bright_dark(
-            BrightDarkState(complex(y[0, i]), complex(y[1, i]),
-                            complex(y[2, i]), y[3, i].real,
-                            y[4, i].real, y[5, i].real), params)
-        bare[:, i] = [st.R31, st.R21, st.rho32,
-                      st.rho11, st.rho22, st.rho33]
-    return Trajectory(t, bare, params, ctrl, acc, rej,
-                      monitors.end_time if stopped else None)
+    return _drive(state0, params, t_end, ctrl, _rhs_bd, _bright_rate,
+                  (_bare_to_bd, _bd_to_bare))

@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parameter to vary")
     sweep.add_argument("--values", required=True,
                        help="comma-separated list of values")
-    sweep.add_argument("--threads", type=int, default=None,
-                       help="parallel runs (capped by SR_THREADS)")
     _add_run_flags(sweep)
 
     preset = commands.add_parser("preset", help="run a shipped scenario")
@@ -119,8 +117,7 @@ def _cmd_sweep(args) -> int:
         values = tuple(float(v) for v in args.values.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse --values: {exc}") from exc
-    spec = SweepSpec(base=cfg, param=args.param, values=values,
-                     threads=args.threads)
+    spec = SweepSpec(base=cfg, param=args.param, values=values)
     out_dir = args.out_dir if args.out_dir is not None else (cfg.out_dir or ".")
     rows = run_sweep(spec, out_dir)
     print(f"wrote {out_dir}/summary.csv ({len(rows)} rows)")

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
+from .basis import to_bright_dark
 from .dynamics import IntegratorControl
 from .params import (DensityState, ParameterError, PhysicalInputs,
                      SystemParams, initial_state, make_params)
@@ -93,9 +94,10 @@ class ScenarioConfig:
         except (ParameterError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         # phase-unwrap safety: the grid must beat both the doublet
-        # splitting and the maximum local-field chirp 4*Z0*delta_L
-        from .analytics import inversion_condition
-        z0 = inversion_condition(state, self.params)["Z0"]
+        # splitting and the maximum local-field chirp 4*Z0*delta_L, with
+        # the bright-channel inversion Z0 = (rho_pp - rho_11)/2
+        bd = to_bright_dark(state, self.params)
+        z0 = 0.5 * (bd.rho_pp - bd.rho_11)
         fastest = max(abs(self.params.omega32),
                       4.0 * max(z0, 0.0) * self.params.delta_L, 1.0)
         bound = _GRID_SAFETY * 2.0 * math.pi / fastest
@@ -113,7 +115,6 @@ class SweepSpec:
     base: ScenarioConfig
     param: str
     values: tuple[float, ...]
-    threads: int | None = None
 
     def validated(self) -> "SweepSpec":
         if self.param not in SWEEPABLE:
@@ -124,8 +125,6 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one value")
         if not all(math.isfinite(v) for v in self.values):
             raise ConfigError(f"sweep values must be finite: {self.values}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads!r}")
         self.base.validated()
         for v in self.values:
             try:

@@ -15,18 +15,17 @@ Time is in units of tau_R throughout (tau_R = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .params import DensityState, SystemParams, TraceViolation
+from .params import DensityState, SystemParams
 
 __all__ = [
     "IntegrationError",
     "StepSizeUnderflow",
+    "NonFiniteStep",
     "InvariantDrift",
-    "StateDerivative",
-    "FieldSample",
     "IntegratorControl",
     "Trajectory",
     "rhs_original",
@@ -43,35 +42,12 @@ class StepSizeUnderflow(IntegrationError):
     """The controller pushed the step below the resolvable floor."""
 
 
+class NonFiniteStep(IntegrationError):
+    """Two trial steps in a row from the same state gave non-finite values."""
+
+
 class InvariantDrift(IntegrationError):
     """Trace or quadratic invariant drifted beyond the configured bound."""
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of a :class:`DensityState` (units 1/tau_R)."""
-
-    R31: complex
-    R21: complex
-    rho32: complex
-    rho11: float
-    rho22: float
-    rho33: float
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Radiated and acting field envelopes at one instant.
-
-    emitted_amp  mu21*R21 + mu31*R31, the slowly varying envelope of the
-                 field emitted by the film
-    acting_amp   (i + delta_L) * emitted_amp, the envelope of the field
-                 acting on an emitter (Maxwell field plus the Lorentz
-                 local-field term)
-    """
-
-    emitted_amp: complex
-    acting_amp: complex
 
 
 @dataclass(frozen=True)
@@ -133,32 +109,61 @@ def _rhs(y, omega32, delta_L, mu21, mu31):
     return np.array([dR31, dR21, dr32, dr11, dr22, dr33], dtype=complex)
 
 
-def rhs_original(state: DensityState, params: SystemParams) -> StateDerivative:
+def _pack(state) -> np.ndarray:
+    """Packed complex 6-vector of a DensityState or BrightDarkState."""
+    return np.array(astuple(state), dtype=complex)
+
+
+def _unpack(y, cls=DensityState):
+    """State dataclass ``cls`` (bare or bright/dark) of a packed 6-vector."""
+    return cls(complex(y[0]), complex(y[1]), complex(y[2]),
+               float(y[3].real), float(y[4].real), float(y[5].real))
+
+
+def _trace(y):
+    """rho11 + rho22 + rho33 of a packed (6,) state or (6, N) trajectory."""
+    return y[3].real + y[4].real + y[5].real
+
+
+def _quadratic(y):
+    """rho11^2 + rho22^2 + rho33^2 + 2(|rho32|^2 + |R31|^2 + |R21|^2).
+
+    Sum of squared density-matrix elements of a packed (6,) state or
+    (6, N) trajectory; basis independent, and 1 for a pure state.
+    """
+    return (y[3].real ** 2 + y[4].real ** 2 + y[5].real ** 2
+            + 2.0 * (abs(y[2]) ** 2 + abs(y[0]) ** 2 + abs(y[1]) ** 2))
+
+
+def _emitted(y, params: SystemParams):
+    """Emitted-field envelope mu21*R21 + mu31*R31 of packed bare states."""
+    return params.mu21 * y[1] + params.mu31 * y[0]
+
+
+def rhs_original(state: DensityState, params: SystemParams) -> DensityState:
     """Right-hand side of the RWA equations in the bare basis.
 
-    The ground-state filling rate is a modulus squared,
+    The time derivative comes back in the state's own fields (units
+    1/tau_R; it is not a density state and is never validated).  The
+    ground-state filling rate is a modulus squared,
     d(rho11)/dt = 2 |mu21 R21 + mu31 R31|**2 >= 0, so rho11 never
     decreases; the population derivatives add to zero exactly.
     """
-    y = _pack(state)
-    d = _rhs(y, params.omega32, params.delta_L, params.mu21, params.mu31)
-    return StateDerivative(d[0], d[1], d[2], d[3].real, d[4].real, d[5].real)
+    return _unpack(_rhs(_pack(state), params.omega32, params.delta_L,
+                        params.mu21, params.mu31))
 
 
-def field_of(state: DensityState, params: SystemParams) -> FieldSample:
-    """Emitted and acting field envelopes for one state."""
-    emitted = params.mu21 * state.R21 + params.mu31 * state.R31
-    return FieldSample(emitted, (1j + params.delta_L) * emitted)
+def field_of(state: DensityState,
+             params: SystemParams) -> tuple[complex, complex]:
+    """Emitted and acting field envelopes ``(emitted, acting)`` of a state.
 
-
-def _pack(state: DensityState) -> np.ndarray:
-    return np.array([state.R31, state.R21, state.rho32,
-                     state.rho11, state.rho22, state.rho33], dtype=complex)
-
-
-def _unpack(y) -> DensityState:
-    return DensityState(complex(y[0]), complex(y[1]), complex(y[2]),
-                        y[3].real, y[4].real, y[5].real)
+    emitted  mu21*R21 + mu31*R31, the slowly varying envelope of the
+             field emitted by the film
+    acting   (i + delta_L) * emitted, the envelope of the field acting on
+             an emitter (Maxwell field plus the Lorentz local-field term)
+    """
+    emitted = complex(_emitted(_pack(state), params))
+    return emitted, (1j + params.delta_L) * emitted
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,7 @@ class Trajectory:
 
     @property
     def emitted_amp(self):
-        return self.params.mu21 * self.y[1] + self.params.mu31 * self.y[0]
+        return _emitted(self.y, self.params)
 
     @property
     def acting_amp(self):
@@ -219,9 +224,6 @@ class Trajectory:
 
     def state_at(self, i: int) -> DensityState:
         return _unpack(self.y[:, i])
-
-    def field_at(self, i: int) -> FieldSample:
-        return field_of(self.state_at(i), self.params)
 
     def sample(self, time: float) -> DensityState:
         """Dense output: linear interpolation between stored samples."""
@@ -237,24 +239,19 @@ class Trajectory:
     def validate(self) -> "Trajectory":
         """Structural checks over all samples; returns self.
 
-        Times strictly increasing, trace within 1e-9 everywhere, and
-        every sample a valid density state (positivity included).
+        Times strictly increasing and every sample a valid density state
+        (trace within 1e-9, positivity included).
         """
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
-        trace = self.rho11 + self.rho22 + self.rho33
-        err = np.max(np.abs(trace - 1.0))
-        if err > 1e-9:
-            raise TraceViolation(
-                f"trace deviates from 1 by {err:.3e} along the trajectory")
         for i in range(self.t.size):
             self.state_at(i).validate()
         return self
 
 
 # Dormand-Prince 5(4) coefficients.  The pair is FSAL: the last stage of
-# an accepted step is the first stage of the next one.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# an accepted step is the first stage of the next one.  The equations are
+# autonomous, so the stage nodes c_i are not needed.
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -278,13 +275,19 @@ def _initial_step(omega32: float) -> float:
     return 1e-3 * min(2.0 * math.pi / max(abs(omega32), 1.0), 1.0)
 
 
-def _integrate_core(fun, y0, t_end, ctrl: IntegratorControl, h0: float,
-                    sample_hook=None):
+def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
+                    h0: float, sample_hook=None):
     """Adaptive DP5(4) driver producing samples on the regular dt grid.
 
-    ``fun(t, y) -> dy`` works on packed complex vectors.  Steps are
-    clamped so they end exactly on the next grid point whenever they
-    would cross it; every stored sample is therefore an integration node.
+    ``rhs(y, *args) -> dy`` is the autonomous vector field on packed
+    complex vectors.  Steps are clamped so they end exactly on the next
+    grid point whenever they would cross it; every stored sample is
+    therefore an integration node.
+
+    A trial step whose new state or error estimate is not finite is
+    rejected and retried from the same state with the smallest step
+    factor; a second non-finite trial in a row raises
+    :class:`NonFiniteStep`.
 
     ``sample_hook(t, y) -> bool`` is called at each grid sample (not at
     t=0); returning True ends the run at that sample.  Invariant
@@ -306,10 +309,10 @@ def _integrate_core(fun, y0, t_end, ctrl: IntegratorControl, h0: float,
     ys = [np.array(y0, dtype=complex)]
     t = 0.0
     y = np.array(y0, dtype=complex)
-    k1 = fun(t, y)
+    k1 = rhs(y, *args)
     h = min(h0, grid[0])
     accepted = rejected = 0
-    stopped = False
+    stopped = nonfinite = False
     K = np.empty((7, y.size), dtype=complex)
 
     for target in grid:
@@ -323,21 +326,36 @@ def _integrate_core(fun, y0, t_end, ctrl: IntegratorControl, h0: float,
 
             K[0] = k1
             for i in range(1, 7):
-                yi = y + h * (_A[i] @ K[:i])
-                K[i] = fun(t + _C[i] * h, yi)
+                K[i] = rhs(y + h * (_A[i] @ K[:i]), *args)
             y_new = y + h * (_B5 @ K)
-            # K[6] was evaluated at (t+h, y_new): FSAL
-            err_vec = h * (_E @ K)
-            scale = ctrl.abs_tol + ctrl.rel_tol * np.maximum(np.abs(y),
-                                                             np.abs(y_new))
-            err = math.sqrt(float(np.mean(np.abs(err_vec / scale) ** 2)))
+            if np.isfinite(y_new).all():
+                # K[6] is f(y_new): FSAL
+                err_vec = h * (_E @ K)
+                scale = ctrl.abs_tol + ctrl.rel_tol * np.maximum(
+                    np.abs(y), np.abs(y_new))
+                err = math.sqrt(float(np.mean(np.abs(err_vec / scale) ** 2)))
+            else:
+                err = math.nan
 
+            if not math.isfinite(err):
+                if nonfinite:
+                    raise NonFiniteStep(
+                        f"two trial steps in a row from t={t:.6g} gave a "
+                        f"non-finite state or error estimate (last step "
+                        f"{h:.3e}): the vector field is not finite there")
+                nonfinite = True
+                rejected += 1
+                h *= _MIN_FACTOR
+                continue
+            nonfinite = False
             if err <= 1.0:
                 t_new = t + h
                 # land exactly on the grid point when this step reaches it
                 if t_new >= target - 1e-12 * max(1.0, target):
                     t_new = target
-                t, y, k1 = t_new, y_new, K[6]
+                # copy: K is overwritten by the next trial, which may be
+                # rejected and must restart from f(t, y)
+                t, y, k1 = t_new, y_new, K[6].copy()
                 accepted += 1
                 factor = (_MAX_FACTOR if err == 0.0
                           else min(_MAX_FACTOR, _SAFETY * err ** -0.2))
@@ -355,18 +373,16 @@ def _integrate_core(fun, y0, t_end, ctrl: IntegratorControl, h0: float,
     return (np.array(ts), np.array(ys).T, accepted, rejected, stopped)
 
 
-def _quadratic(y) -> float:
-    """rho11^2 + rho22^2 + rho33^2 + 2(|rho32|^2 + |R31|^2 + |R21|^2)."""
-    return (y[3].real ** 2 + y[4].real ** 2 + y[5].real ** 2
-            + 2.0 * (abs(y[2]) ** 2 + abs(y[0]) ** 2 + abs(y[1]) ** 2))
-
-
 class _Monitors:
-    """Per-sample invariant check and quiescence detector (packed bare state)."""
+    """Per-sample invariant check and quiescence detector.
+
+    Trace and the quadratic invariant are basis independent, so the same
+    checks apply to packed bare and bright/dark states.
+    """
 
     def __init__(self, ctrl, y0, rate_of):
         self.ctrl = ctrl
-        self.trace0 = y0[3].real + y0[4].real + y0[5].real
+        self.trace0 = _trace(y0)
         self.quad0 = _quadratic(y0)
         self.rate_of = rate_of
         self.armed = False
@@ -375,7 +391,7 @@ class _Monitors:
 
     def __call__(self, t, y) -> bool:
         ctrl = self.ctrl
-        trace = y[3].real + y[4].real + y[5].real
+        trace = _trace(y)
         if abs(trace - self.trace0) > ctrl.invariant_tol:
             raise InvariantDrift(
                 f"trace drifted by {abs(trace - self.trace0):.3e} at t={t:.4g} "
@@ -396,6 +412,40 @@ class _Monitors:
         return False
 
 
+def _drive(state0: DensityState, params: SystemParams, t_end: float,
+           ctrl: IntegratorControl | None, rhs, rate_of,
+           frame=None) -> Trajectory:
+    """Validate, step and sample; shared by both integration paths.
+
+    ``rhs(y, omega32, delta_L, mu21, mu31)`` is the packed vector field
+    the stepper advances and ``rate_of(y, mu21, mu31)`` its ground-state
+    filling rate d(rho11)/dt.  ``frame = (into, back)`` rotates the packed
+    initial state into the frame of ``rhs`` and the sampled (6, N)
+    trajectory back to the bare basis; None means the bare basis.
+    """
+    if t_end <= 0:
+        raise ValueError(f"t_end must be > 0, got {t_end}")
+    ctrl = (ctrl or IntegratorControl()).validated()
+    y0 = _pack(state0.validate())
+    if frame is not None:
+        y0 = frame[0](y0, params)
+    mu21, mu31 = params.mu21, params.mu31
+    monitors = _Monitors(ctrl, y0, lambda y: rate_of(y, mu21, mu31))
+    t, y, acc, rej, stopped = _integrate_core(
+        rhs, (params.omega32, params.delta_L, mu21, mu31), y0, t_end, ctrl,
+        _initial_step(params.omega32), monitors)
+    if frame is not None:
+        y = frame[1](y, params)
+    return Trajectory(t, y, params, ctrl, acc, rej,
+                      monitors.end_time if stopped else None)
+
+
+def _ground_rate(y, mu21, mu31) -> float:
+    """d(rho11)/dt = 2|mu21 R21 + mu31 R31|^2 of a packed bare state."""
+    s = mu21 * complex(y[1]) + mu31 * complex(y[0])
+    return 2.0 * (s * s.conjugate()).real
+
+
 def integrate(state0: DensityState, params: SystemParams, t_end: float,
               ctrl: IntegratorControl | None = None) -> Trajectory:
     """Advance the RWA equations from ``state0`` to ``t_end``.
@@ -408,23 +458,4 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     once d(rho11)/dt has stayed below 1e-8 for 10 tau_R after emission
     developed, which is what "final" populations refer to.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-    ctrl = (ctrl or IntegratorControl()).validated()
-    state0.validate()
-    y0 = _pack(state0)
-    mu21, mu31 = params.mu21, params.mu31
-    om, dl = params.omega32, params.delta_L
-
-    def fun(t, y):
-        return _rhs(y, om, dl, mu21, mu31)
-
-    def rate_of(y):
-        s = mu21 * complex(y[1]) + mu31 * complex(y[0])
-        return 2.0 * (s * s.conjugate()).real
-
-    monitors = _Monitors(ctrl, y0, rate_of)
-    t, y, acc, rej, stopped = _integrate_core(
-        fun, y0, t_end, ctrl, _initial_step(om), monitors)
-    return Trajectory(t, y, params, ctrl, acc, rej,
-                      monitors.end_time if stopped else None)
+    return _drive(state0, params, t_end, ctrl, _rhs, _ground_rate)

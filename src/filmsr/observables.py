@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import to_bright_dark
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _pack, _quadratic, _trace
 from .params import DensityState
 
 __all__ = [
@@ -53,18 +53,17 @@ class PhaseUnwrapFailure(AnalysisError):
 
 def trace_of(state: DensityState) -> float:
     """Population sum rho11 + rho22 + rho33 (conserved, = 1)."""
-    return state.rho11 + state.rho22 + state.rho33
+    return float(_trace(_pack(state)))
 
 
 def quadratic_invariant(state: DensityState) -> float:
     """Sum of squared density-matrix elements (purity-like, conserved).
 
     rho11^2 + rho22^2 + rho33^2 + 2(|rho32|^2 + |R31|^2 + |R21|^2);
-    equals 1 for a pure state.
+    equals 1 for a pure state.  The integrator's monitor checks the same
+    quantity at every sample.
     """
-    return (state.rho11 ** 2 + state.rho22 ** 2 + state.rho33 ** 2
-            + 2.0 * (abs(state.rho32) ** 2 + abs(state.R31) ** 2
-                     + abs(state.R21) ** 2))
+    return float(_quadratic(_pack(state)))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
 """Run scenarios and sweeps, and write their outputs to flat files.
 
 All serialization is deterministic: floats are written as their shortest
-round-trip decimal (Python ``repr``), nothing depends on wall clock,
-thread timing or iteration order of anything unordered.  Re-running the
-same configuration reproduces every output byte.
+round-trip decimal (Python ``repr``), nothing depends on wall clock or
+iteration order of anything unordered.  Re-running the same
+configuration reproduces every output byte.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,19 +186,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None,
     return RunResult(traj, metrics, error, paths)
 
 
-def _thread_budget(spec: SweepSpec) -> int:
-    requested = spec.threads if spec.threads is not None else len(spec.values)
-    cap = os.environ.get("SR_THREADS")
-    if cap:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, min(requested, len(spec.values)))
-
-
-def _sweep_one(args):
-    cfg, value, run_dir = args
+def _sweep_one(cfg: ScenarioConfig, value: float, run_dir) -> SweepRow:
     try:
         result = run_scenario(cfg, out_dir=run_dir)
         return SweepRow(value, result.metrics, result.error)
@@ -232,22 +218,15 @@ def _summary_cell(row: SweepRow, name: str) -> str:
 def run_sweep(spec: SweepSpec, out_dir=".") -> list[SweepRow]:
     """Run the family, one subdirectory per value, plus summary.csv.
 
-    Rows keep the input order of ``spec.values`` regardless of thread
-    completion order; a failing run is recorded in its row and does not
-    stop the sweep.  ``SR_THREADS`` caps parallelism.
+    Members run one after another in the order of ``spec.values``; a
+    failing run is recorded in its row and does not stop the sweep.
     """
     spec = spec.validated()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(apply_sweep_value(spec.base, spec.param, v), v,
-             out / f"run_{i:03d}")
+    rows = [_sweep_one(apply_sweep_value(spec.base, spec.param, v), v,
+                       out / f"run_{i:03d}")
             for i, v in enumerate(spec.values)]
-    workers = _thread_budget(spec)
-    if workers == 1:
-        rows = [_sweep_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, jobs))
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_SUMMARY_COLUMNS) + "\n")

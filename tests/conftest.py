@@ -74,6 +74,25 @@ def fine_grid_fig2_run(preset_configs):
     return integrate(cfg.initial_state(), cfg.params, cfg.t_end, ctrl)
 
 
+def poison_rhs(monkeypatch, from_call, until_call=None):
+    """Make ``dynamics._rhs`` return NaN in one slot on calls
+    ``from_call`` to ``until_call`` (for ever when None)."""
+    from filmsr import dynamics
+
+    real = dynamics._rhs
+    calls = [0]
+
+    def poisoned(y, *args):
+        calls[0] += 1
+        d = real(y, *args)
+        if calls[0] >= from_call and (until_call is None
+                                      or calls[0] <= until_call):
+            d[0] = np.nan
+        return d
+
+    monkeypatch.setattr(dynamics, "_rhs", poisoned)
+
+
 def random_pure_state(rng):
     """Density-matrix entries of a normalized single-emitter pure state.
 

@@ -13,6 +13,8 @@ from filmsr import (BrightDarkState, DensityState, TraceViolation,
                     PositivityViolation, from_bright_dark, initial_state,
                     integrate, make_params, rhs_bright_dark, rhs_original,
                     to_bright_dark)
+from filmsr.basis import _bare_to_bd, _bd_to_bare
+from filmsr.dynamics import _pack
 from conftest import random_pure_state
 
 RNG = np.random.default_rng(11)
@@ -71,6 +73,22 @@ class TestFromBrightDark:
                 assert abs(back.rho11 - s.rho11) < 1e-14
                 assert abs(back.rho22 - s.rho22) < 1e-14
                 assert abs(back.rho33 - s.rho33) < 1e-14
+
+
+class TestArrayRotation:
+    def test_batch_matches_per_state_rotation_exactly(self):
+        """A (6, N) batch rotates column by column exactly as the
+        dataclass functions rotate single states, in both directions."""
+        for params in (BALANCED, UNBALANCED):
+            states = [random_pure_state(RNG) for _ in range(50)]
+            y = np.stack([_pack(s) for s in states], axis=1)
+            bd = _bare_to_bd(y, params)
+            back = _bd_to_bare(bd, params)
+            for i, s in enumerate(states):
+                one = to_bright_dark(s, params)
+                np.testing.assert_array_equal(bd[:, i], _pack(one))
+                np.testing.assert_array_equal(
+                    back[:, i], _pack(from_bright_dark(one, params)))
 
 
 class TestPushforward:

@@ -7,6 +7,7 @@ import subprocess
 import pytest
 
 from filmsr.cli import EXIT_INTEGRATION, EXIT_OK, EXIT_VALIDATION, main
+from conftest import poison_rhs
 
 SCENARIO = """\
 # coherent doublet, no local-field correction
@@ -103,6 +104,17 @@ class TestIntegrationFailure:
                      encoding="utf-8")
         assert main(["run", str(p), "--out-dir",
                      str(tmp_path)]) == EXIT_INTEGRATION
+
+    def test_non_finite_field_is_named(self, scenario_file, tmp_path,
+                                       monkeypatch, capsys):
+        """A vector field that turns non-finite fails with exit code 3 and
+        says so, instead of shrinking the step until it underflows."""
+        poison_rhs(monkeypatch, 1000)
+        assert main(["run", str(scenario_file), "--out-dir",
+                     str(tmp_path)]) == EXIT_INTEGRATION
+        err = capsys.readouterr().err
+        assert "integration failed" in err
+        assert "non-finite" in err and "underflow" not in err
 
 
 class TestSweep:

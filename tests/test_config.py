@@ -158,10 +158,6 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec(self.BASE, "delta_L", (0.0, np.nan)).validated()
 
-    def test_bad_thread_count(self):
-        with pytest.raises(ConfigError):
-            SweepSpec(self.BASE, "delta_L", (0.0,), threads=0).validated()
-
     def test_value_breaking_base_rejected_up_front(self):
         with pytest.raises(ConfigError):
             SweepSpec(self.BASE, "delta_L", (0.0, -1.0)).validated()

@@ -8,10 +8,10 @@ failure modes of the stepper.
 import numpy as np
 import pytest
 
-from filmsr import (DensityState, FieldSample, IntegratorControl,
-                    InvariantDrift, field_of, initial_state, integrate,
-                    make_params, rhs_original)
-from conftest import random_pure_state
+from filmsr import (DensityState, IntegratorControl, InvariantDrift,
+                    NonFiniteStep, dynamics, field_of, initial_state,
+                    integrate, make_params, rhs_original)
+from conftest import poison_rhs, random_pure_state
 
 RNG = np.random.default_rng(3)
 
@@ -49,25 +49,47 @@ class TestRhs:
         for _ in range(100):
             assert rhs_original(random_pure_state(RNG), params).rho11 >= 0.0
 
+    def test_matches_mean_field_commutator(self):
+        """The packed field is -i[H(rho), rho] for the 3x3 density matrix,
+        H = diag(0, -omega32/2, omega32/2) plus the acting field
+        E = -(i + delta_L) S on both optical transitions (S the emitted
+        envelope): an oracle independent of the bright/dark field."""
+        om, dl, m21 = 5.0, 0.7, 1.2
+        m31 = np.sqrt(2.0 - m21 ** 2)
+        slots = [(2, 0), (1, 0), (2, 1), (0, 0), (1, 1), (2, 2)]
+        for _ in range(500):
+            v = RNG.normal(size=3) + 1j * RNG.normal(size=3)
+            v /= np.linalg.norm(v)
+            rho = np.outer(v, v.conj())
+            E = -(1j + dl) * (m21 * rho[1, 0] + m31 * rho[2, 0])
+            H = np.diag([0.0, -om / 2, om / 2]).astype(complex)
+            H[1, 0], H[2, 0] = m21 * E, m31 * E
+            H[0, 1], H[0, 2] = np.conj(H[1, 0]), np.conj(H[2, 0])
+            drho = -1j * (H @ rho - rho @ H)
+            d = dynamics._rhs(np.array([rho[k] for k in slots]),
+                              om, dl, m21, m31)
+            expected = np.array([drho[k] for k in slots])
+            assert np.max(np.abs(d - expected)) < 1e-14
+
 
 class TestFieldOf:
     def test_emitted_and_acting_no_lfc(self):
         s = DensityState(1e-8 + 0j, 1e-8 + 0j, 0j, 1.0, 0.0, 0.0)
         f = field_of(s, make_params(5.0, 0.0))
-        assert f == FieldSample(2e-8 + 0j, 2e-8j)
+        assert f == (2e-8 + 0j, 2e-8j)
 
     def test_dark_coherence_radiates_nothing(self):
         s = DensityState(1e-3 + 0j, -1e-3 + 0j, 0j, 1.0, 0.0, 0.0)
-        f = field_of(s, make_params(5.0, 1.0))
-        assert f.emitted_amp == 0.0 and f.acting_amp == 0.0
+        emitted, acting = field_of(s, make_params(5.0, 1.0))
+        assert emitted == 0.0 and acting == 0.0
 
     def test_acting_modulus_identity(self):
         """|acting| = sqrt(1 + delta_L**2) |emitted| for any state."""
         params = make_params(2.0, 1.0)
         for _ in range(20):
-            f = field_of(random_pure_state(RNG), params)
-            np.testing.assert_allclose(abs(f.acting_amp),
-                                       np.sqrt(2.0) * abs(f.emitted_amp),
+            emitted, acting = field_of(random_pure_state(RNG), params)
+            np.testing.assert_allclose(abs(acting),
+                                       np.sqrt(2.0) * abs(emitted),
                                        rtol=1e-14)
 
 
@@ -141,6 +163,29 @@ class TestIntegrate:
         assert traj.steps_rejected >= 0
 
 
+class TestRejectedSteps:
+    STATE = initial_state(0.5, 0.5, 0.5)
+    PARAMS = make_params(5.0, 1.0)
+
+    def test_rejection_after_accepted_step_recovers(self, monkeypatch):
+        """One non-finite stage mid-run is rejected and retried from
+        f(t, y); the run then matches a clean run.  A retry that reused
+        the rejected trial's last stage (FSAL aliasing) would never
+        recover and end in StepSizeUnderflow."""
+        clean = integrate(self.STATE, self.PARAMS, 3.0)
+        assert clean.steps_rejected == 0
+        poison_rhs(monkeypatch, 1500, 1500)
+        faulty = integrate(self.STATE, self.PARAMS, 3.0)
+        assert faulty.steps_rejected == 1
+        np.testing.assert_array_equal(faulty.t, clean.t)
+        assert np.max(np.abs(faulty.y - clean.y)) < 1e-12
+
+    def test_persistent_non_finite_field_is_named(self, monkeypatch):
+        poison_rhs(monkeypatch, 1500)
+        with pytest.raises(NonFiniteStep, match="non-finite"):
+            integrate(self.STATE, self.PARAMS, 3.0)
+
+
 class TestAgainstScipy:
     def test_matches_independent_integrator(self):
         """Pin the stepper against scipy's DOP853 on the coherent pulse."""
@@ -190,5 +235,6 @@ class TestTrajectory:
 
     def test_state_and_field_accessors_agree(self, preset_runs):
         traj = preset_runs["fig2"]
-        f = traj.field_at(777)
-        assert f.emitted_amp == traj.emitted_amp[777]
+        emitted, acting = field_of(traj.state_at(777), traj.params)
+        assert emitted == traj.emitted_amp[777]
+        assert acting == traj.acting_amp[777]

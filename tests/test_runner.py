@@ -133,19 +133,17 @@ class TestRunSweep:
         assert ((tmp_path / "sweep" / "run_000" / "trajectory.csv").read_bytes()
                 == (tmp_path / "direct" / "trajectory.csv").read_bytes())
 
-    def test_parallelism_does_not_change_bytes(self, tmp_path, monkeypatch):
-        values = (0.3, 0.5, 0.8)
-        spec = SweepSpec(FAST, "delta_L", values, threads=3)
-        monkeypatch.delenv("SR_THREADS", raising=False)
-        run_sweep(spec, tmp_path / "par")
-        monkeypatch.setenv("SR_THREADS", "1")
-        run_sweep(spec, tmp_path / "ser")
-        assert ((tmp_path / "par" / "summary.csv").read_bytes()
-                == (tmp_path / "ser" / "summary.csv").read_bytes())
+    def test_repeated_sweep_writes_identical_bytes(self, tmp_path):
+        spec = SweepSpec(FAST, "delta_L", (0.3, 0.5, 0.8))
+        run_sweep(spec, tmp_path / "first")
+        run_sweep(spec, tmp_path / "second")
+        assert ((tmp_path / "first" / "summary.csv").read_bytes()
+                == (tmp_path / "second" / "summary.csv").read_bytes())
         for i in range(3):
             name = f"run_{i:03d}"
-            assert ((tmp_path / "par" / name / "trajectory.csv").read_bytes()
-                    == (tmp_path / "ser" / name / "trajectory.csv").read_bytes())
+            assert ((tmp_path / "first" / name / "trajectory.csv").read_bytes()
+                    == (tmp_path / "second" / name
+                        / "trajectory.csv").read_bytes())
 
     def test_failed_run_recorded_in_row(self, tmp_path):
         from dataclasses import replace
