@@ -111,13 +111,14 @@ def from_bright_dark(bd: BrightDarkState, params: SystemParams) -> DensityState:
 
 
 def _rhs_bd(y, omega32, delta_L, mu21, mu31):
-    """Packed bright/dark vector field: [R+1, R-1, rho_pm, rho11, rho_pp, rho_mm]."""
-    Rp = complex(y[0])
-    Rm = complex(y[1])
-    rpm = complex(y[2])
-    r11 = y[3].real
-    rpp = y[4].real
-    rmm = y[5].real
+    """Packed bright/dark vector field: [R+1, R-1, rho_pm, rho11, rho_pp, rho_mm].
+
+    The same hot-path conventions as :func:`dynamics._rhs`: one
+    ``y.tolist()`` unpacks the state into Python complex numbers, the
+    arithmetic runs on those, and a new (6,) complex array comes back.
+    """
+    Rp, Rm, rpm, r11, rpp, rmm = y.tolist()
+    r11, rpp, rmm = r11.real, rpp.real, rmm.real
     b2 = mu21 ** 2 - mu31 ** 2
     a = mu21 * mu31
     g = complex(1.0, -delta_L)
@@ -136,8 +137,9 @@ def _rhs_bd(y, omega32, delta_L, mu21, mu31):
 
 
 def _bright_rate(y, mu21, mu31) -> float:
-    """d(rho11)/dt = 4|R_plus1|^2 of a packed bright/dark state."""
-    return 4.0 * (complex(y[0]) * complex(y[0]).conjugate()).real
+    """d(rho11)/dt = 4|R_plus1|^2 of a packed bright/dark state given as
+    a list of Python complex numbers."""
+    return 4.0 * (y[0] * y[0].conjugate()).real
 
 
 def rhs_bright_dark(bd: BrightDarkState,

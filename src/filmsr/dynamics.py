@@ -66,6 +66,8 @@ class IntegratorControl:
                          after the rate has exceeded the threshold at
                          least once (otherwise an undeveloped pulse
                          would stop the run during its quiet rise)
+    max_steps            budget of trial steps, accepted plus rejected
+                         (>= 1); the run fails once it is spent
     """
 
     rel_tol: float = 1e-10
@@ -83,17 +85,25 @@ class IntegratorControl:
                 f"rel_tol must lie in [1e-13, 1e-6], got {self.rel_tol!r}")
         if self.abs_tol <= 0 or self.dt <= 0 or self.invariant_tol <= 0:
             raise ValueError("abs_tol, dt and invariant_tol must be > 0")
+        if self.max_steps < 1:
+            raise ValueError(
+                f"max_steps must be >= 1, got {self.max_steps!r}")
         return self
 
 
 def _rhs(y, omega32, delta_L, mu21, mu31):
-    """Vector field for the packed state; plain-complex arithmetic for speed."""
-    R31 = complex(y[0])
-    R21 = complex(y[1])
-    r32 = complex(y[2])
-    r11 = y[3].real
-    r22 = y[4].real
-    r33 = y[5].real
+    """Vector field of the packed bare state; returns a new (6,) complex array.
+
+    This is the stepper's hot path, six calls per step, so it avoids numpy
+    scalars: ``y.tolist()`` unpacks the state into Python complex numbers
+    in one call and all arithmetic runs on those.  The result is bit for
+    bit what the same expressions give on numpy scalars.  The returned
+    array is fresh and writable, so callers may modify it.  The stepper
+    around it (:func:`_dp5_step`) keeps the Butcher rows as complex128 and
+    takes the moduli of its error norm with numpy's ``abs``.
+    """
+    R31, R21, r32, r11, r22, r33 = y.tolist()
+    r11, r22, r33 = r11.real, r22.real, r33.real
     g = complex(1.0, -delta_L)           # 1/tau_R - i*delta_L
     S = mu21 * R21 + mu31 * R31          # emitted-field envelope
     Sc = S.conjugate()
@@ -251,19 +261,22 @@ class Trajectory:
 
 # Dormand-Prince 5(4) coefficients.  The pair is FSAL: the last stage of
 # an accepted step is the first stage of the next one.  The equations are
-# autonomous, so the stage nodes c_i are not needed.
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# autonomous, so the stage nodes c_i are not needed.  The rows are stored
+# as complex128: the cast from float is exact, and numpy would otherwise
+# repeat it in every stage product with the complex stage buffer.
+_A = [np.array(row, dtype=complex) for row in (
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
+                0.0], dtype=complex)
 _E = _B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                     -92097 / 339200, 187 / 2100, 1 / 40])
+                     -92097 / 339200, 187 / 2100, 1 / 40], dtype=complex)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -275,6 +288,33 @@ def _initial_step(omega32: float) -> float:
     return 1e-3 * min(2.0 * math.pi / max(abs(omega32), 1.0), 1.0)
 
 
+def _dp5_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
+    """One DP5(4) trial step of size ``h`` from ``y``, where ``k1 = f(y)``
+    and ``abs_y = |y|``.
+
+    Returns ``(y_new, k7, abs_new, err)``.  ``k7 = f(y_new)`` is the first
+    stage of the next step (FSAL) and ``abs_new = |y_new|`` the next
+    ``abs_y``; both are None when ``y_new`` is not finite, and ``err`` is
+    then nan.  ``err`` is the RMS over the six components of the embedded
+    error estimate divided by ``abs_tol + rel_tol * max(|y|, |y_new|)``.
+    The moduli are numpy's complex abs, not Python's ``abs`` (libm
+    ``hypot``), which can differ in the last bit and would move the step
+    sizes.  A fresh stage buffer per trial means a rejected retry can
+    never see stages of the trial it replaces.
+    """
+    K = np.empty((7, y.size), dtype=complex)
+    K[0] = k1
+    for i in range(1, 7):
+        K[i] = rhs(y + h * (_A[i] @ K[:i]), *args)
+    y_new = y + h * (_B5 @ K)
+    if not np.isfinite(y_new).all():
+        return y_new, None, None, math.nan
+    abs_new = np.abs(y_new)
+    scale = ctrl.abs_tol + ctrl.rel_tol * np.maximum(abs_y, abs_new)
+    q = np.abs(h * (_E @ K) / scale) ** 2
+    return y_new, K[6], abs_new, math.sqrt(float(np.add.reduce(q)) / q.size)
+
+
 def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                     h0: float, sample_hook=None):
     """Adaptive DP5(4) driver producing samples on the regular dt grid.
@@ -282,7 +322,8 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     ``rhs(y, *args) -> dy`` is the autonomous vector field on packed
     complex vectors.  Steps are clamped so they end exactly on the next
     grid point whenever they would cross it; every stored sample is
-    therefore an integration node.
+    therefore an integration node.  At most ``ctrl.max_steps`` trial
+    steps (accepted plus rejected) are taken.
 
     A trial step whose new state or error estimate is not finite is
     rejected and retried from the same state with the smallest step
@@ -305,15 +346,14 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     if n_grid == 0 or grid[-1] < t_end - 1e-12:
         grid = np.append(grid, t_end)
 
-    ts = [0.0]
-    ys = [np.array(y0, dtype=complex)]
     t = 0.0
     y = np.array(y0, dtype=complex)
+    ts, ys = [t], [y]
+    abs_y = np.abs(y)
     k1 = rhs(y, *args)
     h = min(h0, grid[0])
     accepted = rejected = 0
     stopped = nonfinite = False
-    K = np.empty((7, y.size), dtype=complex)
 
     for target in grid:
         while t < target - 1e-12 * max(1.0, target):
@@ -321,22 +361,13 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
             if h < 1e-14 * max(1.0, t):
                 raise StepSizeUnderflow(
                     f"step {h:.3e} underflowed at t={t:.6g}")
-            if accepted + rejected > ctrl.max_steps:
-                raise IntegrationError("step budget exhausted")
+            if accepted + rejected >= ctrl.max_steps:
+                raise IntegrationError(
+                    f"step budget of {ctrl.max_steps} trial steps exhausted "
+                    f"at t={t:.6g}")
 
-            K[0] = k1
-            for i in range(1, 7):
-                K[i] = rhs(y + h * (_A[i] @ K[:i]), *args)
-            y_new = y + h * (_B5 @ K)
-            if np.isfinite(y_new).all():
-                # K[6] is f(y_new): FSAL
-                err_vec = h * (_E @ K)
-                scale = ctrl.abs_tol + ctrl.rel_tol * np.maximum(
-                    np.abs(y), np.abs(y_new))
-                err = math.sqrt(float(np.mean(np.abs(err_vec / scale) ** 2)))
-            else:
-                err = math.nan
-
+            y_new, k7, abs_new, err = _dp5_step(rhs, args, y, k1, abs_y, h,
+                                                ctrl)
             if not math.isfinite(err):
                 if nonfinite:
                     raise NonFiniteStep(
@@ -353,9 +384,7 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                 # land exactly on the grid point when this step reaches it
                 if t_new >= target - 1e-12 * max(1.0, target):
                     t_new = target
-                # copy: K is overwritten by the next trial, which may be
-                # rejected and must restart from f(t, y)
-                t, y, k1 = t_new, y_new, K[6].copy()
+                t, y, k1, abs_y = t_new, y_new, k7, abs_new
                 accepted += 1
                 factor = (_MAX_FACTOR if err == 0.0
                           else min(_MAX_FACTOR, _SAFETY * err ** -0.2))
@@ -365,7 +394,7 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                 h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
 
         ts.append(t)
-        ys.append(y.copy())
+        ys.append(y)        # never written in place: each step makes a new y
         if sample_hook is not None and sample_hook(t, y):
             stopped = True
             break
@@ -377,10 +406,13 @@ class _Monitors:
     """Per-sample invariant check and quiescence detector.
 
     Trace and the quadratic invariant are basis independent, so the same
-    checks apply to packed bare and bright/dark states.
+    checks apply to packed bare and bright/dark states.  Each sample is
+    read once with ``y.tolist()`` and checked in Python complex
+    arithmetic, which is cheaper than numpy scalars on six entries.
     """
 
     def __init__(self, ctrl, y0, rate_of):
+        y0 = y0.tolist()
         self.ctrl = ctrl
         self.trace0 = _trace(y0)
         self.quad0 = _quadratic(y0)
@@ -391,6 +423,7 @@ class _Monitors:
 
     def __call__(self, t, y) -> bool:
         ctrl = self.ctrl
+        y = y.tolist()
         trace = _trace(y)
         if abs(trace - self.trace0) > ctrl.invariant_tol:
             raise InvariantDrift(
@@ -419,9 +452,10 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
 
     ``rhs(y, omega32, delta_L, mu21, mu31)`` is the packed vector field
     the stepper advances and ``rate_of(y, mu21, mu31)`` its ground-state
-    filling rate d(rho11)/dt.  ``frame = (into, back)`` rotates the packed
-    initial state into the frame of ``rhs`` and the sampled (6, N)
-    trajectory back to the bare basis; None means the bare basis.
+    filling rate d(rho11)/dt, called with the packed state as a list.
+    ``frame = (into, back)`` rotates the packed initial state into the
+    frame of ``rhs`` and the sampled (6, N) trajectory back to the bare
+    basis; None means the bare basis.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be > 0, got {t_end}")
@@ -441,8 +475,9 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
 
 
 def _ground_rate(y, mu21, mu31) -> float:
-    """d(rho11)/dt = 2|mu21 R21 + mu31 R31|^2 of a packed bare state."""
-    s = mu21 * complex(y[1]) + mu31 * complex(y[0])
+    """d(rho11)/dt = 2|mu21 R21 + mu31 R31|^2 of a packed bare state
+    given as a list of Python complex numbers."""
+    s = mu21 * y[1] + mu31 * y[0]
     return 2.0 * (s * s.conjugate()).real
 
 

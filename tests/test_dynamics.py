@@ -5,12 +5,15 @@ field; the trajectory checks exercise sampling, early stopping and the
 failure modes of the stepper.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from filmsr import (DensityState, IntegratorControl, InvariantDrift,
-                    NonFiniteStep, dynamics, field_of, initial_state,
-                    integrate, make_params, rhs_original)
+from filmsr import (DensityState, IntegrationError, IntegratorControl,
+                    InvariantDrift, NonFiniteStep, dynamics, field_of,
+                    initial_state, integrate, make_params, rhs_original)
+from filmsr.basis import _rhs_bd
 from conftest import poison_rhs, random_pure_state
 
 RNG = np.random.default_rng(3)
@@ -105,6 +108,12 @@ class TestIntegratorControl:
     def test_accepts_bounds(self):
         IntegratorControl(rel_tol=1e-13).validated()
         IntegratorControl(rel_tol=1e-6).validated()
+        IntegratorControl(max_steps=1).validated()
+
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_rejects_empty_step_budget(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            IntegratorControl(max_steps=max_steps).validated()
 
 
 class TestIntegrate:
@@ -127,15 +136,27 @@ class TestIntegrate:
         np.testing.assert_allclose(np.diff(t), 0.01, atol=1e-9)
 
     def test_tolerance_halving_converged(self):
-        """Halving the tolerance moves populations by less than the tolerance."""
+        """Halving the tolerance moves populations by less than the tolerance.
+
+        At dt = 0.01 the grid clamp, not error control, sets the step for
+        both tolerances of the first pair; at dt = 0.1 error control sets
+        it, so the second pair takes different steps and really checks
+        convergence."""
         state = initial_state(0.5, 0.5, 0.5)
         params = make_params(5.0, 0.0)
-        pops = []
-        for rel in (1e-8, 5e-9):
+
+        def run(rel, dt):
             traj = integrate(state, params, 14.0,
-                             IntegratorControl(rel_tol=rel, abs_tol=1e-12))
-            pops.append(np.vstack([traj.rho11, traj.rho22, traj.rho33]))
-        assert np.max(np.abs(pops[0] - pops[1])) < 1e-8
+                             IntegratorControl(rel_tol=rel, abs_tol=1e-12,
+                                               dt=dt))
+            return (np.vstack([traj.rho11, traj.rho22, traj.rho33]),
+                    traj.steps_accepted + traj.steps_rejected)
+
+        (p0, _), (p1, _) = run(1e-8, 0.01), run(5e-9, 0.01)
+        assert np.max(np.abs(p0 - p1)) < 1e-8
+        (p0, n0), (p1, n1) = run(1e-10, 0.1), run(5e-11, 0.1)
+        assert n0 != n1
+        assert np.max(np.abs(p0 - p1)) < 1e-10
 
     def test_invariant_monitor_triggers(self):
         """An unreachable drift bound must abort the run, not warp it."""
@@ -184,6 +205,156 @@ class TestRejectedSteps:
         poison_rhs(monkeypatch, 1500)
         with pytest.raises(NonFiniteStep, match="non-finite"):
             integrate(self.STATE, self.PARAMS, 3.0)
+
+
+class TestStepBudget:
+    """``max_steps`` bounds the trial steps, accepted plus rejected; each
+    trial costs six field evaluations after the initial f(y0)."""
+
+    STATE = initial_state(0.5, 0.5, 0.5)
+    PARAMS = make_params(5.0, 1.0)
+    T_END = 0.05
+
+    def count_rhs(self, monkeypatch, poison_call=None):
+        """Count ``dynamics._rhs`` calls; the call numbered ``poison_call``
+        returns a NaN, which rejects that trial.  Reset ``calls[0] = 0``
+        between runs."""
+        real = dynamics._rhs
+        calls = [0]
+
+        def counted(y, *args):
+            calls[0] += 1
+            d = real(y, *args)
+            if calls[0] == poison_call:
+                d[0] = np.nan
+            return d
+
+        monkeypatch.setattr(dynamics, "_rhs", counted)
+        return calls
+
+    def run(self, max_steps):
+        return integrate(self.STATE, self.PARAMS, self.T_END,
+                         IntegratorControl(max_steps=max_steps))
+
+    def test_budget_stops_after_exactly_max_steps_trials(self, monkeypatch):
+        calls = self.count_rhs(monkeypatch)
+        with pytest.raises(IntegrationError,
+                           match=r"budget of 5 trial steps exhausted at t=0\.0"):
+            self.run(5)
+        assert calls[0] == 1 + 6 * 5
+
+    @pytest.mark.parametrize("rejected", [0, 1])
+    def test_run_needing_exactly_the_budget_completes(self, monkeypatch,
+                                                      rejected):
+        calls = self.count_rhs(monkeypatch, 20 if rejected else None)
+        full = self.run(1000)
+        assert full.steps_rejected == rejected
+        n = full.steps_accepted + full.steps_rejected
+        assert n > 5
+        calls[0] = 0
+        exact = self.run(n)
+        assert calls[0] == 1 + 6 * n
+        np.testing.assert_array_equal(exact.y, full.y)
+        calls[0] = 0
+        with pytest.raises(IntegrationError, match=f"budget of {n - 1} "):
+            self.run(n - 1)
+        assert calls[0] == 1 + 6 * (n - 1)
+
+
+# Reference arithmetic in its plain numpy form: float Butcher rows, np.mean
+# in the RMS norm and fields unpacked with complex(y[k]).  The stepper's
+# hot path must reproduce it bit for bit, so outputs stay byte-identical.
+_A_REF = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_B5_REF = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
+                    11 / 84, 0.0])
+_E_REF = _B5_REF - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                             -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def _rhs_reference(y, omega32, delta_L, mu21, mu31):
+    R31, R21, r32 = complex(y[0]), complex(y[1]), complex(y[2])
+    r11, r22, r33 = y[3].real, y[4].real, y[5].real
+    g = complex(1.0, -delta_L)
+    S = mu21 * R21 + mu31 * R31
+    Sc = S.conjugate()
+    dR31 = -0.5j * omega32 * R31 + g * (mu31 * (r33 - r11) + mu21 * r32) * S
+    dR21 = (0.5j * omega32 * R21
+            + g * (mu21 * (r22 - r11) + mu31 * r32.conjugate()) * S)
+    dr32 = (-1j * omega32 * r32
+            - (g.conjugate() * mu21 * R31 * Sc
+               + g * mu31 * R21.conjugate() * S))
+    dr33 = 2.0 * mu31 * ((-1.0 + 1j * delta_L) * S * R31.conjugate()).real
+    dr22 = 2.0 * mu21 * ((-1.0 + 1j * delta_L) * S * R21.conjugate()).real
+    dr11 = 2.0 * (S * Sc).real
+    return np.array([dR31, dR21, dr32, dr11, dr22, dr33], dtype=complex)
+
+
+def _rhs_bd_reference(y, omega32, delta_L, mu21, mu31):
+    Rp, Rm, rpm = complex(y[0]), complex(y[1]), complex(y[2])
+    r11, rpp, rmm = y[3].real, y[4].real, y[5].real
+    b2 = mu21 ** 2 - mu31 ** 2
+    a = mu21 * mu31
+    g = complex(1.0, -delta_L)
+    dRp = (-0.25j * omega32 * (-b2 * Rp + 2.0 * a * Rm)
+           + 2.0 * g * (rpp - r11) * Rp)
+    dRm = (-0.25j * omega32 * (b2 * Rm + 2.0 * a * Rp)
+           + 2.0 * g * Rp * rpm.conjugate())
+    drpm = (0.5j * omega32 * (b2 * rpm + a * (rpp - rmm))
+            + 2.0 * (-1.0 + 1j * delta_L) * Rp * Rm.conjugate())
+    pump = 4.0 * (Rp * Rp.conjugate()).real
+    mix = omega32 * a * rpm.imag
+    return np.array([dRp, dRm, drpm, pump, -mix - pump, mix], dtype=complex)
+
+
+def _reference_trial(rhs, args, y, h, ctrl):
+    K = np.empty((7, y.size), dtype=complex)
+    K[0] = rhs(y, *args)
+    for i in range(1, 7):
+        K[i] = rhs(y + h * (_A_REF[i] @ K[:i]), *args)
+    y_new = y + h * (_B5_REF @ K)
+    err_vec = h * (_E_REF @ K)
+    scale = ctrl.abs_tol + ctrl.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+    err = math.sqrt(float(np.mean(np.abs(err_vec / scale) ** 2)))
+    return y_new, K[6], err
+
+
+class TestTrialStepBitIdentity:
+    @pytest.mark.parametrize("rhs, reference", [
+        (dynamics._rhs, _rhs_reference),
+        (_rhs_bd, _rhs_bd_reference),
+    ], ids=["bare", "bright_dark"])
+    def test_matches_reference_arithmetic(self, rhs, reference):
+        """On random states, parameters and step sizes, the fields and
+        one trial step equal the reference bit for bit."""
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            s = random_pure_state(rng)
+            seed = 10.0 ** rng.uniform(-9.0, 0.0)   # seed-like coherences
+            y = np.array([s.R31 * seed, s.R21 * seed, s.rho32,
+                          s.rho11, s.rho22, s.rho33], dtype=complex)
+            mu21 = rng.uniform(0.2, 1.35)
+            args = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
+                    mu21, math.sqrt(2.0 - mu21 ** 2))
+            h = 10.0 ** rng.uniform(-4.0, -0.5)
+            ctrl = IntegratorControl(rel_tol=10.0 ** rng.uniform(-13, -6))
+            k1 = rhs(y, *args)
+            assert k1.tobytes() == reference(y, *args).tobytes()
+            y_new, k7, abs_new, err = dynamics._dp5_step(
+                rhs, args, y, k1, np.abs(y), h, ctrl)
+            ref_y, ref_k7, ref_err = _reference_trial(reference, args, y, h,
+                                                      ctrl)
+            assert y_new.tobytes() == ref_y.tobytes()
+            assert k7.tobytes() == ref_k7.tobytes()
+            assert abs_new.tobytes() == np.abs(ref_y).tobytes()
+            assert err == ref_err
 
 
 class TestAgainstScipy:
