@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import IntegratorControl, Trajectory, _drive, _pack, _unpack
 from .params import (POSITIVITY_TOL, DensityState, PositivityViolation,
-                     SystemParams, TraceViolation)
+                     SystemParams, TraceViolation, _require_finite_fields)
 
 __all__ = [
     "BrightDarkState",
@@ -51,7 +51,8 @@ class BrightDarkState:
     rho_mm: float
 
     def validate(self, tol: float = POSITIVITY_TOL) -> "BrightDarkState":
-        """Trace and doublet positivity; returns self."""
+        """Finiteness, trace and doublet positivity; returns self."""
+        _require_finite_fields(self)
         trace = self.rho_11 + self.rho_pp + self.rho_mm
         if abs(trace - 1.0) > 1e-9:
             raise TraceViolation(
@@ -136,12 +137,6 @@ def _rhs_bd(y, omega32, delta_L, mu21, mu31):
     return np.array([dRp, dRm, drpm, dr11, drpp, drmm], dtype=complex)
 
 
-def _bright_rate(y, mu21, mu31) -> float:
-    """d(rho11)/dt = 4|R_plus1|^2 of a packed bright/dark state given as
-    a list of Python complex numbers."""
-    return 4.0 * (y[0] * y[0].conjugate()).real
-
-
 def rhs_bright_dark(bd: BrightDarkState,
                     params: SystemParams) -> BrightDarkState:
     """Equations of motion expressed directly in the bright/dark basis.
@@ -166,5 +161,5 @@ def integrate_bright_dark(state0: DensityState, params: SystemParams,
     returned :class:`Trajectory` is already rotated back to the bare
     basis.
     """
-    return _drive(state0, params, t_end, ctrl, _rhs_bd, _bright_rate,
+    return _drive(state0, params, t_end, ctrl, _rhs_bd,
                   (_bare_to_bd, _bd_to_bare))

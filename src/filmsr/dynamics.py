@@ -50,6 +50,11 @@ class InvariantDrift(IntegrationError):
     """Trace or quadratic invariant drifted beyond the configured bound."""
 
 
+# emission is over once d(rho11)/dt stays below this rate for this long
+_QUIESCENCE_RATE = 1e-8
+_QUIESCENCE_WINDOW = 10.0
+
+
 @dataclass(frozen=True)
 class IntegratorControl:
     """Knobs of the adaptive stepper.
@@ -61,11 +66,11 @@ class IntegratorControl:
                          grid samples are integration nodes and linear
                          interpolation between samples is exact there
     stop_on_quiescence   end the run early once emission is over:
-                         d(rho11)/dt < quiescence_rate sustained over a
-                         window of quiescence_window, evaluated only
-                         after the rate has exceeded the threshold at
-                         least once (otherwise an undeveloped pulse
-                         would stop the run during its quiet rise)
+                         d(rho11)/dt < 1e-8 sustained over a window of
+                         10 tau_R, evaluated only after the rate has
+                         reached 1e-8 at least once (otherwise an
+                         undeveloped pulse would stop the run during its
+                         quiet rise)
     max_steps            budget of trial steps, accepted plus rejected
                          (>= 1); the run fails once it is spent
     """
@@ -75,16 +80,17 @@ class IntegratorControl:
     invariant_tol: float = 1e-8
     dt: float = 0.01
     stop_on_quiescence: bool = True
-    quiescence_rate: float = 1e-8
-    quiescence_window: float = 10.0
     max_steps: int = 20_000_000
 
     def validated(self) -> "IntegratorControl":
         if not 1e-13 <= self.rel_tol <= 1e-6:
             raise ValueError(
                 f"rel_tol must lie in [1e-13, 1e-6], got {self.rel_tol!r}")
-        if self.abs_tol <= 0 or self.dt <= 0 or self.invariant_tol <= 0:
-            raise ValueError("abs_tol, dt and invariant_tol must be > 0")
+        for name in ("abs_tol", "dt", "invariant_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:    # nan fails every comparison
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}")
         if self.max_steps < 1:
             raise ValueError(
                 f"max_steps must be >= 1, got {self.max_steps!r}")
@@ -236,7 +242,7 @@ class Trajectory:
         return _unpack(self.y[:, i])
 
     def sample(self, time: float) -> DensityState:
-        """Dense output: linear interpolation between stored samples."""
+        """Linear interpolation between grid samples; exact at the samples."""
         t = self.t
         if not t[0] <= time <= t[-1]:
             raise ValueError(f"t={time} outside [{t[0]}, {t[-1]}]")
@@ -330,8 +336,9 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     factor; a second non-finite trial in a row raises
     :class:`NonFiniteStep`.
 
-    ``sample_hook(t, y) -> bool`` is called at each grid sample (not at
-    t=0); returning True ends the run at that sample.  Invariant
+    ``sample_hook(t, y, k1) -> bool`` is called at each grid sample (not
+    at t=0) with ``k1 = rhs(y)``, the FSAL stage the stepper already
+    holds; returning True ends the run at that sample.  Invariant
     monitoring and quiescence detection are implemented as hooks by the
     callers.
 
@@ -395,7 +402,7 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
 
         ts.append(t)
         ys.append(y)        # never written in place: each step makes a new y
-        if sample_hook is not None and sample_hook(t, y):
+        if sample_hook is not None and sample_hook(t, y, k1):
             stopped = True
             break
 
@@ -408,20 +415,21 @@ class _Monitors:
     Trace and the quadratic invariant are basis independent, so the same
     checks apply to packed bare and bright/dark states.  Each sample is
     read once with ``y.tolist()`` and checked in Python complex
-    arithmetic, which is cheaper than numpy scalars on six entries.
+    arithmetic, which is cheaper than numpy scalars on six entries.  The
+    ground-state filling rate d(rho11)/dt is slot 3 of the stage
+    ``k1 = rhs(y)`` in either basis.
     """
 
-    def __init__(self, ctrl, y0, rate_of):
+    def __init__(self, ctrl, y0):
         y0 = y0.tolist()
         self.ctrl = ctrl
         self.trace0 = _trace(y0)
         self.quad0 = _quadratic(y0)
-        self.rate_of = rate_of
         self.armed = False
         self.last_loud = 0.0
         self.end_time = None
 
-    def __call__(self, t, y) -> bool:
+    def __call__(self, t, y, k1) -> bool:
         ctrl = self.ctrl
         y = y.tolist()
         trace = _trace(y)
@@ -436,49 +444,41 @@ class _Monitors:
                 f"at t={t:.4g} (limit {ctrl.invariant_tol:g})")
         if not ctrl.stop_on_quiescence:
             return False
-        if self.rate_of(y) >= ctrl.quiescence_rate:
+        if k1[3].real >= _QUIESCENCE_RATE:
             self.armed = True
             self.last_loud = t
-        elif self.armed and t - self.last_loud >= ctrl.quiescence_window:
+        elif self.armed and t - self.last_loud >= _QUIESCENCE_WINDOW:
             self.end_time = t
             return True
         return False
 
 
 def _drive(state0: DensityState, params: SystemParams, t_end: float,
-           ctrl: IntegratorControl | None, rhs, rate_of,
+           ctrl: IntegratorControl | None, rhs,
            frame=None) -> Trajectory:
     """Validate, step and sample; shared by both integration paths.
 
     ``rhs(y, omega32, delta_L, mu21, mu31)`` is the packed vector field
-    the stepper advances and ``rate_of(y, mu21, mu31)`` its ground-state
-    filling rate d(rho11)/dt, called with the packed state as a list.
+    the stepper advances; its slot 3 is d(rho11)/dt, which the
+    quiescence detector reads from the stage handed to each sample.
     ``frame = (into, back)`` rotates the packed initial state into the
     frame of ``rhs`` and the sampled (6, N) trajectory back to the bare
     basis; None means the bare basis.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     ctrl = (ctrl or IntegratorControl()).validated()
     y0 = _pack(state0.validate())
     if frame is not None:
         y0 = frame[0](y0, params)
-    mu21, mu31 = params.mu21, params.mu31
-    monitors = _Monitors(ctrl, y0, lambda y: rate_of(y, mu21, mu31))
+    monitors = _Monitors(ctrl, y0)
     t, y, acc, rej, stopped = _integrate_core(
-        rhs, (params.omega32, params.delta_L, mu21, mu31), y0, t_end, ctrl,
-        _initial_step(params.omega32), monitors)
+        rhs, (params.omega32, params.delta_L, params.mu21, params.mu31), y0,
+        t_end, ctrl, _initial_step(params.omega32), monitors)
     if frame is not None:
         y = frame[1](y, params)
     return Trajectory(t, y, params, ctrl, acc, rej,
                       monitors.end_time if stopped else None)
-
-
-def _ground_rate(y, mu21, mu31) -> float:
-    """d(rho11)/dt = 2|mu21 R21 + mu31 R31|^2 of a packed bare state
-    given as a list of Python complex numbers."""
-    s = mu21 * y[1] + mu31 * y[0]
-    return 2.0 * (s * s.conjugate()).real
 
 
 def integrate(state0: DensityState, params: SystemParams, t_end: float,
@@ -493,4 +493,4 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     once d(rho11)/dt has stayed below 1e-8 for 10 tau_R after emission
     developed, which is what "final" populations refer to.
     """
-    return _drive(state0, params, t_end, ctrl, _rhs, _ground_rate)
+    return _drive(state0, params, t_end, ctrl, _rhs)

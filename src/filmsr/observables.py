@@ -101,19 +101,21 @@ class PulseMetrics:
     fwhm              full width at half maximum of the smoothed
                       intensity (envelope squared)
     peak_amp          smoothed envelope at the peak
-    final_pops        populations at end-of-run
-    branching         per-channel transferred population
     oscillation_freq  dominant modulation frequency of the post-peak
                       envelope, or None when no single line carries
                       more than 5% of the modulation power
+    final_pops        populations at end-of-run
+    branching         per-channel transferred population
+
+    The field order is the key order of ``metrics.json``.
     """
 
     t_peak: float
     fwhm: float
     peak_amp: float
+    oscillation_freq: float | None
     final_pops: FinalPopulations
     branching: Branching
-    oscillation_freq: float | None
 
 
 def smoothed_envelope(traj: Trajectory) -> np.ndarray:
@@ -238,11 +240,11 @@ def pulse_metrics(traj: Trajectory) -> PulseMetrics:
         t_peak=t_peak,
         fwhm=_fwhm(traj.t, env, i_peak),
         peak_amp=peak_amp,
+        oscillation_freq=_modulation_line(traj.t, np.abs(traj.emitted_amp),
+                                          env, i_peak),
         final_pops=FinalPopulations(final.rho11, final.rho22, final.rho33,
                                     bd.rho_pp, bd.rho_mm),
         branching=branching_summary(traj),
-        oscillation_freq=_modulation_line(traj.t, np.abs(traj.emitted_amp),
-                                          env, i_peak),
     )
 
 

@@ -9,8 +9,9 @@ no other part of the package knows about seconds or centimetres.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ParameterError",
@@ -64,7 +65,7 @@ class PositivityViolation(ParameterError):
 
 
 def _require_finite(name, value):
-    if not math.isfinite(value):
+    if not cmath.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
@@ -219,11 +220,14 @@ class DensityState:
     rho33: float
 
     def validate(self, tol: float = POSITIVITY_TOL) -> "DensityState":
-        """Check trace, population bounds and positivity; return self.
+        """Check finiteness, trace, population bounds and positivity;
+        return self.
 
-        Safe to call repeatedly (idempotent).  Raises TraceViolation or
+        Safe to call repeatedly (idempotent).  Raises ParameterError
+        naming the first non-finite field, TraceViolation or
         PositivityViolation.
         """
+        _require_finite_fields(self)
         trace = self.rho11 + self.rho22 + self.rho33
         if abs(trace - 1.0) > 1e-9:
             raise TraceViolation(
@@ -250,6 +254,13 @@ class DensityState:
     @property
     def trace(self) -> float:
         return self.rho11 + self.rho22 + self.rho33
+
+
+def _require_finite_fields(state) -> None:
+    """Raise ParameterError naming the first non-finite field of a state;
+    every comparison with nan is False, so the bounds alone pass it."""
+    for field in fields(state):
+        _require_finite(field.name, getattr(state, field.name))
 
 
 def initial_state(rho22, rho33, rho32, R21_0=1e-8, R31_0=1e-8) -> DensityState:

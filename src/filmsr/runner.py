@@ -9,7 +9,7 @@ configuration reproduces every output byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,8 @@ __all__ = [
     "TRAJECTORY_COLUMNS",
 ]
 
+# The written file contracts.  A summary.csv row is the swept value, the
+# PulseMetrics fields flattened (final_pops.x as x_end), and the error.
 TRAJECTORY_COLUMNS = (
     "t", "rho11", "rho22", "rho33", "re_rho32", "im_rho32",
     "re_R21", "im_R21", "re_R31", "im_R31",
@@ -60,50 +62,53 @@ class SweepRow:
     error: str | None
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal of a float; empty string for None."""
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
-def _trajectory_rows(traj: Trajectory):
+def _trajectory_table(traj: Trajectory) -> np.ndarray:
+    """The TRAJECTORY_COLUMNS of every sample, one row per sample."""
     emitted = traj.emitted_amp
-    acting = traj.acting_amp
-    phase = np.unwrap(np.angle(emitted))
-    columns = (traj.t, traj.rho11, traj.rho22, traj.rho33,
-               traj.rho32.real, traj.rho32.imag,
-               traj.R21.real, traj.R21.imag,
-               traj.R31.real, traj.R31.imag,
-               np.abs(emitted), np.abs(acting), phase)
-    for i in range(traj.t.size):
-        yield [col[i] for col in columns]
+    return np.column_stack((
+        traj.t, traj.rho11, traj.rho22, traj.rho33,
+        traj.rho32.real, traj.rho32.imag,
+        traj.R21.real, traj.R21.imag,
+        traj.R31.real, traj.R31.imag,
+        np.abs(emitted), np.abs(traj.acting_amp),
+        np.unwrap(np.angle(emitted))))
 
 
 def _metrics_payload(traj: Trajectory, metrics: PulseMetrics | None,
                      error: str | None) -> dict:
-    payload: dict = {}
-    if error is not None:
-        payload["error"] = error
+    payload = {} if error is None else {"error": error}
     if metrics is not None:
-        fp = metrics.final_pops
-        br = metrics.branching
-        payload.update({
-            "t_peak": metrics.t_peak,
-            "fwhm": metrics.fwhm,
-            "peak_amp": metrics.peak_amp,
-            "oscillation_freq": metrics.oscillation_freq,
-            "final_pops": {"rho11": fp.rho11, "rho22": fp.rho22,
-                           "rho33": fp.rho33, "rho_pp": fp.rho_pp,
-                           "rho_mm": fp.rho_mm},
-            "branching": {"delta33": br.delta33, "delta22": br.delta22,
-                          "blocked_31": br.blocked_31,
-                          "blocked_21": br.blocked_21},
-        })
-    payload["end_of_run_time"] = traj.end_of_run_time
-    payload["steps_accepted"] = traj.steps_accepted
-    payload["steps_rejected"] = traj.steps_rejected
+        payload.update(asdict(metrics))
+    payload.update(end_of_run_time=traj.end_of_run_time,
+                   steps_accepted=traj.steps_accepted,
+                   steps_rejected=traj.steps_rejected)
     return payload
+
+
+def _summary_record(row: SweepRow) -> dict:
+    """The summary.csv cells of a row by column name, before formatting."""
+    record = {"value": row.value, "error": row.error}
+    if row.metrics is not None:
+        for key, value in asdict(row.metrics).items():
+            if key == "final_pops":
+                record.update((f"{k}_end", v) for k, v in value.items())
+            elif isinstance(value, dict):
+                record.update(value)
+            else:
+                record[key] = value
+    return record
+
+
+def _cell(value) -> str:
+    """One summary.csv cell: a float as its shortest round-trip decimal,
+    a flag as true/false, text with ';' for ',', and None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, str):
+        return value.replace(",", ";")
+    return repr(float(value))
 
 
 _PLOT_SCRIPT = """\
@@ -135,31 +140,28 @@ print("wrote", here / "run.png")
 
 
 def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
-                 error: str | None = None,
-                 plot_script: bool = True) -> tuple[str, ...]:
-    """Write trajectory.csv, metrics.json and (optionally) plot.py."""
+                 error: str | None = None) -> tuple[str, ...]:
+    """Write trajectory.csv, metrics.json and plot.py; return their paths.
+
+    Floats are written as their shortest round-trip decimal (``repr``).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
 
     csv_path = out / "trajectory.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for row in _trajectory_rows(traj):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    paths.append(str(csv_path))
+        for row in _trajectory_table(traj):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
     json_path = out / "metrics.json"
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(_metrics_payload(traj, metrics, error), fh, indent=2)
         fh.write("\n")
-    paths.append(str(json_path))
 
-    if plot_script:
-        plot_path = out / "plot.py"
-        plot_path.write_text(_PLOT_SCRIPT, encoding="utf-8")
-        paths.append(str(plot_path))
-    return tuple(paths)
+    plot_path = out / "plot.py"
+    plot_path.write_text(_PLOT_SCRIPT, encoding="utf-8")
+    return str(csv_path), str(json_path), str(plot_path)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None,
@@ -194,27 +196,6 @@ def _sweep_one(cfg: ScenarioConfig, value: float, run_dir) -> SweepRow:
         return SweepRow(value, None, f"{type(exc).__name__}: {exc}")
 
 
-def _summary_cell(row: SweepRow, name: str) -> str:
-    if name == "value":
-        return _fmt(row.value)
-    if name == "error":
-        return "" if row.error is None else row.error.replace(",", ";")
-    if row.metrics is None:
-        return ""
-    m = row.metrics
-    lookup = {
-        "t_peak": m.t_peak, "fwhm": m.fwhm, "peak_amp": m.peak_amp,
-        "oscillation_freq": m.oscillation_freq,
-        "rho11_end": m.final_pops.rho11, "rho22_end": m.final_pops.rho22,
-        "rho33_end": m.final_pops.rho33, "rho_pp_end": m.final_pops.rho_pp,
-        "rho_mm_end": m.final_pops.rho_mm,
-        "delta33": m.branching.delta33, "delta22": m.branching.delta22,
-    }
-    if name in ("blocked_31", "blocked_21"):
-        return str(getattr(m.branching, name)).lower()
-    return _fmt(lookup[name])
-
-
 def run_sweep(spec: SweepSpec, out_dir=".") -> list[SweepRow]:
     """Run the family, one subdirectory per value, plus summary.csv.
 
@@ -231,6 +212,7 @@ def run_sweep(spec: SweepSpec, out_dir=".") -> list[SweepRow]:
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_SUMMARY_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(_summary_cell(row, c)
+            record = _summary_record(row)
+            fh.write(",".join(_cell(record.get(c))
                               for c in _SUMMARY_COLUMNS) + "\n")
     return rows

@@ -15,6 +15,7 @@ from filmsr import (BrightDarkState, DensityState, TraceViolation,
                     to_bright_dark)
 from filmsr.basis import _bare_to_bd, _bd_to_bare
 from filmsr.dynamics import _pack
+from filmsr.params import ParameterError
 from conftest import random_pure_state
 
 RNG = np.random.default_rng(11)
@@ -144,6 +145,11 @@ class TestValidate:
     def test_catches_coherence_bound(self):
         with pytest.raises(PositivityViolation):
             BrightDarkState(0j, 0j, 0.5 + 0j, 0.0, 1.0, 0.0).validate()
+
+    def test_rejects_non_finite_field(self):
+        with pytest.raises(ParameterError, match="^rho_pm must be finite"):
+            BrightDarkState(0j, 0j, complex(np.nan), 0.0, 0.5,
+                            0.5).validate()
 
     def test_accepts_balanced_coherent_doublet(self):
         BrightDarkState(0j, 0j, 0.5 + 0j, 0.0, 0.5, 0.5).validate()

@@ -93,6 +93,21 @@ class TestValidationFailures:
                      "--values", "0.1,zap", "--out-dir",
                      str(tmp_path)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("line, field", [("init.rho32 = nan", "rho32"),
+                                             ("init.R21 = nanj", "R21")])
+    def test_non_finite_initial_value_is_named(self, tmp_path, capsys, line,
+                                               field):
+        """A nan initial coherence fails validation (exit 2, naming the
+        field) instead of reaching the stepper."""
+        p = tmp_path / "nan.cfg"
+        p.write_text(SCENARIO.replace("init.rho32 = 0.5\n", line + "\n"),
+                     encoding="utf-8")
+        assert main(["run", str(p), "--out-dir",
+                     str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_unknown_preset_name_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["preset", "fig9"])

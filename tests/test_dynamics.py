@@ -13,7 +13,7 @@ import pytest
 from filmsr import (DensityState, IntegrationError, IntegratorControl,
                     InvariantDrift, NonFiniteStep, dynamics, field_of,
                     initial_state, integrate, make_params, rhs_original)
-from filmsr.basis import _rhs_bd
+from filmsr.basis import _rhs_bd, integrate_bright_dark
 from conftest import poison_rhs, random_pure_state
 
 RNG = np.random.default_rng(3)
@@ -110,6 +110,15 @@ class TestIntegratorControl:
         IntegratorControl(rel_tol=1e-6).validated()
         IntegratorControl(max_steps=1).validated()
 
+    @pytest.mark.parametrize("name", ["abs_tol", "dt", "invariant_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite(self, name, value):
+        """A nan tolerance or grid spacing would otherwise pass and then
+        crash the grid set-up, fail as a non-finite vector field, or turn
+        the invariant monitor off."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            IntegratorControl(**{name: value}).validated()
+
     @pytest.mark.parametrize("max_steps", [0, -3])
     def test_rejects_empty_step_budget(self, max_steps):
         with pytest.raises(ValueError, match="max_steps"):
@@ -120,6 +129,12 @@ class TestIntegrate:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             integrate(initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            integrate(initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.0),
+                      t_end)
 
     def test_zero_trigger_keeps_populations_frozen(self):
         """Without seed coherence only rho32 rotates; nothing radiates."""
@@ -177,6 +192,31 @@ class TestIntegrate:
         assert traj.end_of_run_time < 55.0
         # the pulse (t_D ~ 29) is long over at the stopping time
         assert traj.end_of_run_time > 30.0
+
+    @pytest.mark.parametrize("integrator", [integrate, integrate_bright_dark],
+                             ids=["bare", "bright_dark"])
+    def test_sample_hook_gets_the_stage_of_the_sample(self, monkeypatch,
+                                                      preset_configs,
+                                                      integrator):
+        """The stage handed to the sample hook, from which the quiescence
+        detector reads d(rho11)/dt, is the vector field at the sample, bit
+        for bit."""
+        real_core = dynamics._integrate_core
+        same = []
+
+        def core(rhs, args, y0, t_end, ctrl, h0, sample_hook=None):
+            def hook(t, y, k1):
+                same.append(k1.tobytes() == rhs(y, *args).tobytes())
+                return sample_hook(t, y, k1)
+            return real_core(rhs, args, y0, t_end, ctrl, h0, hook)
+
+        monkeypatch.setattr(dynamics, "_integrate_core", core)
+        cfg = preset_configs["fig5"]
+        traj = integrator(cfg.initial_state(), cfg.params, cfg.t_end,
+                          cfg.control)
+        assert traj.end_of_run_time is not None
+        assert len(same) == traj.t.size - 1
+        assert all(same)
 
     def test_step_accounting(self, preset_runs):
         traj = preset_runs["fig2"]
@@ -381,6 +421,36 @@ class TestAgainstScipy:
         np.testing.assert_allclose(traj.rho11[-1], ref.y[3, -1].real,
                                    atol=1e-8)
         np.testing.assert_allclose(traj.R21[-1], ref.y[1, -1], atol=1e-7)
+
+
+@pytest.fixture(scope="module")
+def dop853_reference(preset_runs):
+    """scipy DOP853 (rtol 1e-13, atol 1e-20) on each preset's sample grid."""
+    from scipy.integrate import solve_ivp
+
+    refs = {}
+    for name, traj in preset_runs.items():
+        p = traj.params
+        args = (p.omega32, p.delta_L, p.mu21, p.mu31)
+        ref = solve_ivp(lambda t, y: dynamics._rhs(y, *args),
+                        (0.0, traj.t[-1]), traj.y[:, 0], method="DOP853",
+                        rtol=1e-13, atol=1e-20, t_eval=traj.t)
+        assert ref.success
+        refs[name] = ref.y
+    return refs
+
+
+class TestAccuracyGate:
+    @pytest.mark.parametrize("path", ["bare", "bright_dark"])
+    def test_every_sample_matches_reference(self, path, preset_runs,
+                                            preset_bd_runs, dop853_reference):
+        """Every component at every grid sample of every preset lies within
+        an absolute 1e-8 of an independent high-accuracy solution."""
+        runs = preset_runs if path == "bare" else preset_bd_runs
+        for name, traj in runs.items():
+            assert np.array_equal(traj.t, preset_runs[name].t), name
+            err = float(np.max(np.abs(traj.y - dop853_reference[name])))
+            assert err < 1e-8, (name, err)
 
 
 class TestTrajectory:

@@ -15,7 +15,7 @@ from filmsr import (DensityState, FilmTooThick, NegativeLfc,
                     PositivityViolation, TraceViolation,
                     derive_dimensionless, estimate_timescales, initial_state,
                     make_params)
-from filmsr.params import HBAR_CGS
+from filmsr.params import HBAR_CGS, ParameterError
 
 
 def film(thickness=5e-6, concentration=1e21):
@@ -134,6 +134,18 @@ class TestDensityStateValidate:
         s = DensityState(0.5 + 0j, 0j, 0j, 0.9, 0.1, 0.0)
         with pytest.raises(PositivityViolation):
             s.validate()
+
+    @pytest.mark.parametrize("field, state", [
+        ("rho11", DensityState(0j, 0j, 0j, math.nan, math.nan, math.nan)),
+        ("R21", DensityState(0j, complex(math.nan), 0j, 1.0, 0.0, 0.0)),
+        ("rho32", DensityState(0j, 0j, complex(0.0, math.inf), 0.0, 0.5,
+                               0.5)),
+    ])
+    def test_rejects_non_finite_field(self, field, state):
+        """Every comparison with nan is False, so without its own check a
+        nan state would pass the trace and positivity bounds."""
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            state.validate()
 
     def test_random_pure_states_pass(self):
         from conftest import random_pure_state

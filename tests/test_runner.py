@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from filmsr import IntegratorControl, make_params, pulse_metrics
+from filmsr import IntegratorControl, make_params, pulse_metrics, runner
 from filmsr.config import (InitialSpec, ScenarioConfig, SweepSpec,
                            scenario_from_mapping)
-from filmsr.runner import (TRAJECTORY_COLUMNS, emit_outputs, run_scenario,
-                           run_sweep)
+from filmsr.dynamics import Trajectory
+from filmsr.observables import Branching, FinalPopulations, PulseMetrics
+from filmsr.runner import (TRAJECTORY_COLUMNS, SweepRow, emit_outputs,
+                           run_scenario, run_sweep)
 
 # small coherent scenario: full pulse by t = 14, ~1400 output samples
 FAST = ScenarioConfig(
@@ -61,13 +63,10 @@ class TestEmitOutputs:
         assert isinstance(payload["branching"]["blocked_31"], bool)
         assert payload["final_pops"]["rho11"] == pytest.approx(1.0, abs=1e-3)
 
-    def test_plot_script_optional(self, preset_runs, tmp_path):
+    def test_plot_script_written(self, preset_runs, tmp_path):
         traj = preset_runs["fig2"]
-        paths = emit_outputs(traj, None, tmp_path / "a", plot_script=False)
-        assert not (tmp_path / "a" / "plot.py").exists()
-        assert len(paths) == 2
-        paths = emit_outputs(traj, None, tmp_path / "b")
-        assert (tmp_path / "b" / "plot.py").exists()
+        paths = emit_outputs(traj, None, tmp_path)
+        assert (tmp_path / "plot.py").exists()
         assert len(paths) == 3
 
 
@@ -157,3 +156,133 @@ class TestRunSweep:
         err = body[0][header.index("error")]
         assert "InvariantDrift" in err
         assert "," not in err
+
+
+class TestGoldenBytes:
+    """Exact text of the three output formats, from hand-built records.
+
+    No integration runs: the trajectory, metrics and sweep rows are
+    written by hand, so these bytes change only when a writer changes.
+    """
+
+    TRAJ = Trajectory(
+        t=np.array([0.0, 0.5, 1.0]),
+        y=np.array([[0.25, 0.0, 0.0],
+                    [0.5, 0.5j, -0.5],
+                    [0.125 - 0.375j, 0.0, 1e-08j],
+                    [0.0, 0.5, 1.0],
+                    [0.5, 0.25, 0.0],
+                    [0.5, 0.25, 0.0]]),
+        params=make_params(0.0, 0.0),
+        control=IntegratorControl(),
+        steps_accepted=7,
+        steps_rejected=2,
+    )
+    QUIET = PulseMetrics(
+        t_peak=9.25,
+        fwhm=1.5,
+        peak_amp=0.4263227820914982,
+        oscillation_freq=None,
+        final_pops=FinalPopulations(
+            rho11=0.999999998927068, rho22=0.5, rho33=1e-09, rho_pp=0.25,
+            rho_mm=-9.936199939839151e-12),
+        branching=Branching(delta33=0.0625, delta22=-1e-12,
+                            blocked_31=True, blocked_21=False),
+    )
+    BEATING = PulseMetrics(
+        t_peak=18.145534246057146,
+        fwhm=2.1119820713925996,
+        peak_amp=0.5,
+        oscillation_freq=4.9755198491185215,
+        final_pops=FinalPopulations(
+            rho11=1.0, rho22=0.0, rho33=5.489627627394504e-10, rho_pp=0.0,
+            rho_mm=0.0),
+        branching=Branching(delta33=0.4999999994510372, delta22=0.0,
+                            blocked_31=False, blocked_21=True),
+    )
+    NO_PULSE = ("NoPulse: envelope peaked at 1.000e-08, seed 1.000e-08: "
+                "emission never developed")
+
+    def test_trajectory_csv(self, tmp_path):
+        emit_outputs(self.TRAJ, self.QUIET, tmp_path)
+        assert (tmp_path / "trajectory.csv").read_text(encoding="utf-8") == (
+            "t,rho11,rho22,rho33,re_rho32,im_rho32,re_R21,im_R21,re_R31,"
+            "im_R31,abs_emitted,abs_acting,phase_unwrapped\n"
+            "0.0,0.0,0.5,0.5,0.125,-0.375,0.5,0.0,0.25,0.0,0.75,0.75,0.0\n"
+            "0.5,0.5,0.25,0.25,0.0,0.0,0.0,0.5,0.0,0.0,0.5,0.5,"
+            "1.5707963267948966\n"
+            "1.0,1.0,0.0,0.0,0.0,1e-08,-0.5,0.0,0.0,0.0,0.5,0.5,"
+            "3.141592653589793\n")
+
+    def test_metrics_json_of_a_pulse(self, tmp_path):
+        emit_outputs(self.TRAJ, self.QUIET, tmp_path)
+        assert (tmp_path / "metrics.json").read_text(encoding="utf-8") == """\
+{
+  "t_peak": 9.25,
+  "fwhm": 1.5,
+  "peak_amp": 0.4263227820914982,
+  "oscillation_freq": null,
+  "final_pops": {
+    "rho11": 0.999999998927068,
+    "rho22": 0.5,
+    "rho33": 1e-09,
+    "rho_pp": 0.25,
+    "rho_mm": -9.936199939839151e-12
+  },
+  "branching": {
+    "delta33": 0.0625,
+    "delta22": -1e-12,
+    "blocked_31": true,
+    "blocked_21": false
+  },
+  "end_of_run_time": null,
+  "steps_accepted": 7,
+  "steps_rejected": 2
+}
+"""
+
+    def test_metrics_json_without_a_pulse(self, tmp_path):
+        from dataclasses import replace
+        traj = replace(self.TRAJ, end_of_run_time=12.5, steps_rejected=0)
+        emit_outputs(traj, None, tmp_path, error=self.NO_PULSE)
+        assert (tmp_path / "metrics.json").read_text(encoding="utf-8") == """\
+{
+  "error": "NoPulse: envelope peaked at 1.000e-08, seed 1.000e-08: \
+emission never developed",
+  "end_of_run_time": 12.5,
+  "steps_accepted": 7,
+  "steps_rejected": 0
+}
+"""
+
+    def test_summary_columns_are_the_flattened_metrics(self):
+        """Every PulseMetrics field has a summary.csv column and every
+        column a value, so a field added to the record cannot be dropped
+        from the file unnoticed."""
+        record = runner._summary_record(SweepRow(0.5, self.BEATING, None))
+        assert sorted(record) == sorted(runner._SUMMARY_COLUMNS)
+
+    def test_summary_csv(self, tmp_path, monkeypatch):
+        rows = {
+            0.0: SweepRow(0.0, self.QUIET, None),
+            0.25: SweepRow(0.25, self.BEATING, None),
+            1.0 / 3.0: SweepRow(1.0 / 3.0, None, "InvariantDrift: trace "
+                                "drifted by 1.000e-07 at t=3, limit 1e-08"),
+            1.0: SweepRow(1.0, None, self.NO_PULSE),
+        }
+        monkeypatch.setattr(runner, "_sweep_one",
+                            lambda cfg, value, run_dir: rows[value])
+        run_sweep(SweepSpec(FAST, "delta_L", tuple(rows)), tmp_path)
+        assert (tmp_path / "summary.csv").read_text(encoding="utf-8") == (
+            "value,t_peak,fwhm,peak_amp,oscillation_freq,rho11_end,rho22_end,"
+            "rho33_end,rho_pp_end,rho_mm_end,delta33,delta22,blocked_31,"
+            "blocked_21,error\n"
+            "0.0,9.25,1.5,0.4263227820914982,,0.999999998927068,0.5,1e-09,"
+            "0.25,-9.936199939839151e-12,0.0625,-1e-12,true,false,\n"
+            "0.25,18.145534246057146,2.1119820713925996,0.5,"
+            "4.9755198491185215,1.0,0.0,5.489627627394504e-10,0.0,0.0,"
+            "0.4999999994510372,0.0,false,true,\n"
+            "0.3333333333333333,,,,,,,,,,,,,,InvariantDrift: trace drifted "
+            "by 1.000e-07 at t=3; limit 1e-08\n"
+            "1.0,,,,,,,,,,,,,,NoPulse: envelope peaked at 1.000e-08; seed "
+            "1.000e-08: emission never developed\n")
