@@ -15,6 +15,7 @@ Time is in units of tau_R throughout (tau_R = 1).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -59,12 +60,18 @@ _QUIESCENCE_WINDOW = 10.0
 class IntegratorControl:
     """Knobs of the adaptive stepper.
 
-    rel_tol / abs_tol    embedded-pair error control (per component)
+    rel_tol / abs_tol    error control per component: a step is accepted
+                         when its error estimate, weighed against
+                         abs_tol + rel_tol * |y|, is at most 1.  rel_tol
+                         must lie in [1e-13, 1e-9]; looser values let the
+                         quadratic invariant drift past invariant_tol.
+                         The default abs_tol lies far below rel_tol times
+                         the 1e-8 seed coherences, so error control
+                         follows their growth from the start
     invariant_tol        allowed drift of trace and quadratic invariant
-    dt                   output grid spacing (time units of tau_R);
-                         accepted steps never straddle a grid point, so
-                         grid samples are integration nodes and linear
-                         interpolation between samples is exact there
+    dt                   output grid spacing (time units of tau_R); error
+                         control alone sets the steps, and samples inside
+                         a step come from its continuous extension
     stop_on_quiescence   end the run early once emission is over:
                          d(rho11)/dt < 1e-8 sustained over a window of
                          10 tau_R, evaluated only after the rate has
@@ -76,16 +83,16 @@ class IntegratorControl:
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    abs_tol: float = 1e-18
     invariant_tol: float = 1e-8
     dt: float = 0.01
     stop_on_quiescence: bool = True
     max_steps: int = 20_000_000
 
     def validated(self) -> "IntegratorControl":
-        if not 1e-13 <= self.rel_tol <= 1e-6:
+        if not 1e-13 <= self.rel_tol <= 1e-9:
             raise ValueError(
-                f"rel_tol must lie in [1e-13, 1e-6], got {self.rel_tol!r}")
+                f"rel_tol must lie in [1e-13, 1e-9], got {self.rel_tol!r}")
         for name in ("abs_tol", "dt", "invariant_tol"):
             value = getattr(self, name)
             if not 0 < value < math.inf:    # nan fails every comparison
@@ -100,13 +107,14 @@ class IntegratorControl:
 def _rhs(y, omega32, delta_L, mu21, mu31):
     """Vector field of the packed bare state; returns a new (6,) complex array.
 
-    This is the stepper's hot path, six calls per step, so it avoids numpy
-    scalars: ``y.tolist()`` unpacks the state into Python complex numbers
-    in one call and all arithmetic runs on those.  The result is bit for
-    bit what the same expressions give on numpy scalars.  The returned
-    array is fresh and writable, so callers may modify it.  The stepper
-    around it (:func:`_dp5_step`) keeps the Butcher rows as complex128 and
-    takes the moduli of its error norm with numpy's ``abs``.
+    This is the stepper's hot path, twelve calls per trial step, so it avoids
+    numpy scalars: ``y.tolist()`` unpacks the state into Python complex
+    numbers in one call and all arithmetic runs on those.  The result is
+    bit for bit what the same expressions give on numpy scalars.  The
+    returned array is fresh and writable, so callers may modify it.  The
+    stepper around it (:func:`_dop853_step`) keeps the Butcher rows as
+    complex128 and takes the moduli of its error norm with numpy's
+    ``abs``.
     """
     R31, R21, r32, r11, r22, r33 = y.tolist()
     r11, r22, r33 = r11.real, r22.real, r33.real
@@ -190,8 +198,9 @@ class Trajectory:
     y        complex array of shape (6, len(t)) in packed order
     params   the :class:`SystemParams` the run used
     control  the :class:`IntegratorControl` the run used
-    steps_accepted / steps_rejected
-             adaptive-stepper bookkeeping
+    steps_accepted / steps_rejected / rhs_evals
+             adaptive-stepper bookkeeping; rhs_evals counts every
+             evaluation of the vector field, the machine-independent cost
     end_of_run_time
              time at which the quiescence detector ended the run, or
              None when the run reached t_end
@@ -203,6 +212,7 @@ class Trajectory:
     control: IntegratorControl
     steps_accepted: int
     steps_rejected: int
+    rhs_evals: int
     end_of_run_time: float | None = None
 
     # -- component views -------------------------------------------------
@@ -265,28 +275,127 @@ class Trajectory:
         return self
 
 
-# Dormand-Prince 5(4) coefficients.  The pair is FSAL: the last stage of
-# an accepted step is the first stage of the next one.  The equations are
-# autonomous, so the stage nodes c_i are not needed.  The rows are stored
-# as complex128: the cast from float is exact, and numpy would otherwise
-# repeat it in every stage product with the complex stage buffer.
+# Dormand-Prince 8(5,3) coefficients (DOP853; Hairer, Norsett & Wanner,
+# Solving ODEs I, section II.10), in the digits of the published table.
+# Row i of _A makes stage i from the stages before it: rows 1 to 11 are
+# the stages of a step, row 12 holds the 8th-order weights of the new
+# state, whose field is the first stage of the next step (FSAL), and rows
+# 13 to 15 are the extra stages of the continuous extension.  The
+# equations are autonomous, so the stage nodes c_i are not needed.  The
+# rows are complex128: the cast from float is exact, and numpy would
+# otherwise repeat it in every stage product with the complex stage buffer.
 _A = [np.array(row, dtype=complex) for row in (
     [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0,
+     8.87627564304205475450678981324e-2],
+    [2.41365134159266685502369798665e-1, 0,
+     -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1],
+    [3.7037037037037037037037037037e-2, 0, 0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1],
+    [3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2],
+    [3.70920001185047927108779319836e-2, 0, 0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3],
+    [6.24110958716075717114429577812e-1, 0, 0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1],
+    [4.77662536438264365890433908527e-1, 0, 0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2],
+    [-9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022],
+    [2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1],
+    [5.42937341165687622380535766363e-2, 0, 0, 0, 0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2],
+    [5.61675022830479523392909219681e-2, 0, 0, 0, 0, 0,
+     2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+     -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+     8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3,
+     -8.298e-3],
+    [3.18346481635021405060768473261e-2, 0, 0, 0, 0,
+     2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+     -5.49237485713909884646569340306e-2, 0, 0,
+     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1],
+    [-4.28896301583791923408573538692e-1, 0, 0, 0, 0,
+     -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+     4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0, 0,
+     0, -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
+     -9.15095847217987001081870187138],
 )]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
-                0.0], dtype=complex)
-_E = _B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                     -92097 / 339200, 187 / 2100, 1 / 40], dtype=complex)
+_B = _A[12]
+# the 5th- and 3rd-order error estimators of the combined error norm
+_E5 = np.array([0.1312004499419488073250102996e-1, 0, 0, 0, 0,
+                -0.1225156446376204440720569753e+1,
+                -0.4957589496572501915214079952,
+                0.1664377182454986536961530415e+1,
+                -0.3503288487499736816886487290,
+                0.3341791187130174790297318841,
+                0.8192320648511571246570742613e-1,
+                -0.2235530786388629525884427845e-1], dtype=complex)
+_E3 = _B - np.array([0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
+                     0.733846688281611857341361741547, 0, 0,
+                     0.220588235294117647058823529412e-1], dtype=complex)
+# Continuous extension of order 7: the state at t + theta*h is
+# y + h * (p(theta) @ _DENSE @ K) over the 16 stages K, with
+# p(theta) = (theta, theta(1-theta), theta^2(1-theta), ...,
+# theta^4(1-theta)^3).  The first three rows of _DENSE weigh y_new - y,
+# h k1 - (y_new - y) and 2 (y_new - y) - h (k1 + k12); the last four are
+# the published table:
+_D = np.array([
+    [-0.84289382761090128651353491142e+1, 0, 0, 0, 0,
+     0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
+     0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
+     -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
+     0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+     0.18148505520854727256656404962e+2, -0.91946323924783554000451984436e+1,
+     -0.44360363875948939664310572000e+1],
+    [0.10427508642579134603413151009e+2, 0, 0, 0, 0,
+     0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
+     -0.37454675472269020279518312152e+3, -0.22113666853125306036270938578e+2,
+     0.77334326684722638389603898808e+1, -0.30674084731089398182061213626e+2,
+     -0.93321305264302278729567221706e+1, 0.15697238121770843886131091075e+2,
+     -0.31139403219565177677282850411e+2, -0.93529243588444783865713862664e+1,
+     0.35816841486394083752465898540e+2],
+    [0.19985053242002433820987653617e+2, 0, 0, 0, 0,
+     -0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
+     0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
+     0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
+     0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
+     -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
+     0.11992291136182789328035130030e+2],
+    [-0.25693933462703749003312586129e+2, 0, 0, 0, 0,
+     -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+     0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+     -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+     0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+     0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+     -0.14972683625798562581422125276e+3],
+], dtype=complex)
+_B16 = np.concatenate((_B, np.zeros(4)))
+_UNIT = np.eye(16, dtype=complex)
+_DENSE = np.vstack((_B16, _UNIT[0] - _B16, 2.0 * _B16 - _UNIT[0] - _UNIT[12],
+                    _D))
+del _B16, _UNIT
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
+_MAX_FACTOR = 10.0
+_EXPONENT = -1.0 / 8.0     # the error estimate is of order 7
 
 
 def _initial_step(omega32: float) -> float:
@@ -294,55 +403,85 @@ def _initial_step(omega32: float) -> float:
     return 1e-3 * min(2.0 * math.pi / max(abs(omega32), 1.0), 1.0)
 
 
-def _dp5_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
-    """One DP5(4) trial step of size ``h`` from ``y``, where ``k1 = f(y)``
+def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
+    """One DOP853 trial step of size ``h`` from ``y``, where ``k1 = f(y)``
     and ``abs_y = |y|``.
 
-    Returns ``(y_new, k7, abs_new, err)``.  ``k7 = f(y_new)`` is the first
-    stage of the next step (FSAL) and ``abs_new = |y_new|`` the next
-    ``abs_y``; both are None when ``y_new`` is not finite, and ``err`` is
-    then nan.  ``err`` is the RMS over the six components of the embedded
-    error estimate divided by ``abs_tol + rel_tol * max(|y|, |y_new|)``.
-    The moduli are numpy's complex abs, not Python's ``abs`` (libm
-    ``hypot``), which can differ in the last bit and would move the step
-    sizes.  A fresh stage buffer per trial means a rejected retry can
-    never see stages of the trial it replaces.
+    Returns ``(y_new, K, abs_new, err)``.  ``K`` is a fresh (16, n) stage
+    buffer: rows 0 to 11 hold the stages, row 12 ``f(y_new)``, the first
+    stage of the next step (FSAL), and rows 13 to 15 are left for
+    :func:`_dense_samples`.  ``abs_new = |y_new|`` is the next ``abs_y``.
+    When ``y_new`` or ``f(y_new)`` is not finite, ``abs_new`` is None and
+    ``err`` nan.  Otherwise ``err`` is the DOP853 error norm: with e5 and
+    e3 the sums of squares of the 5th- and 3rd-order error estimates,
+    each divided by ``abs_tol + rel_tol * max(|y|, |y_new|)``,
+    ``err = h e5 / sqrt((e5 + 0.01 e3) * n)``.  The moduli are numpy's
+    complex abs, not Python's ``abs`` (libm ``hypot``), which can differ
+    in the last bit.  A fresh stage buffer per trial means a rejected
+    retry can never see stages of the trial it replaces.
     """
-    K = np.empty((7, y.size), dtype=complex)
+    K = np.empty((16, y.size), dtype=complex)
     K[0] = k1
-    for i in range(1, 7):
+    for i in range(1, 12):
         K[i] = rhs(y + h * (_A[i] @ K[:i]), *args)
-    y_new = y + h * (_B5 @ K)
-    if not np.isfinite(y_new).all():
-        return y_new, None, None, math.nan
+    y_new = y + h * (_B @ K[:12])
+    K[12] = rhs(y_new, *args)
+    if not (np.isfinite(y_new).all() and np.isfinite(K[12]).all()):
+        return y_new, K, None, math.nan
     abs_new = np.abs(y_new)
     scale = ctrl.abs_tol + ctrl.rel_tol * np.maximum(abs_y, abs_new)
-    q = np.abs(h * (_E @ K) / scale) ** 2
-    return y_new, K[6], abs_new, math.sqrt(float(np.add.reduce(q)) / q.size)
+    e5 = float(np.add.reduce(np.abs((_E5 @ K[:12]) / scale) ** 2))
+    e3 = float(np.add.reduce(np.abs((_E3 @ K[:12]) / scale) ** 2))
+    if e5 == 0.0 and e3 == 0.0:
+        return y_new, K, abs_new, 0.0
+    return y_new, K, abs_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
+
+
+def _dense_samples(rhs, args, y, K, h, theta):
+    """States at ``t + theta * h`` inside an accepted step from ``y``.
+
+    ``K`` is the step's stage buffer from :func:`_dop853_step`; its three
+    extra stages are computed here, once, into rows 13 to 15.  ``theta``
+    is an array of fractions in (0, 1); the result has one row per
+    fraction and is evaluated in one array expression.
+    """
+    for i in range(13, 16):
+        K[i] = rhs(y + h * (_A[i] @ K[:i]), *args)
+    p = np.empty((theta.size, 7))
+    p[:, 0::2] = theta[:, None]
+    p[:, 1::2] = (1.0 - theta)[:, None]
+    return y + h * (np.cumprod(p, axis=1) @ (_DENSE @ K))
 
 
 def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                     h0: float, sample_hook=None):
-    """Adaptive DP5(4) driver producing samples on the regular dt grid.
+    """Adaptive DOP853 driver producing samples on the regular dt grid.
 
     ``rhs(y, *args) -> dy`` is the autonomous vector field on packed
-    complex vectors.  Steps are clamped so they end exactly on the next
-    grid point whenever they would cross it; every stored sample is
-    therefore an integration node.  At most ``ctrl.max_steps`` trial
-    steps (accepted plus rejected) are taken.
+    complex vectors.  Error control alone sets the step; only the last
+    step is shortened to end on the last sample.  A sample inside an
+    accepted step is read from the step's continuous extension, so only
+    steps that contain a sample before their end pay for its three extra
+    stages.  At most ``ctrl.max_steps`` trial steps (accepted plus
+    rejected) are taken.
 
-    A trial step whose new state or error estimate is not finite is
-    rejected and retried from the same state with the smallest step
-    factor; a second non-finite trial in a row raises
-    :class:`NonFiniteStep`.
+    A trial step is rejected when anything it produced is not finite: the
+    new state, the field there, an extra stage, a sample or the field at
+    a sample.  It is retried once, from the same state with the same
+    step: the field is a polynomial, so a shorter step cannot step around
+    a non-finite value, and only a transient fault passes on a retry,
+    which then leaves the run exactly as if the fault had not happened.
+    A second non-finite trial in a row raises :class:`NonFiniteStep`, so
+    no stored sample is ever non-finite.
 
-    ``sample_hook(t, y, k1) -> bool`` is called at each grid sample (not
-    at t=0) with ``k1 = rhs(y)``, the FSAL stage the stepper already
-    holds; returning True ends the run at that sample.  Invariant
-    monitoring and quiescence detection are implemented as hooks by the
-    callers.
+    ``sample_hook(t, y, k1) -> bool`` is called at each sample (not at
+    t=0) with ``k1 = rhs(y)``: the FSAL stage when the sample ends a
+    step, else one more evaluation of the field.  Returning True ends the
+    run at that sample.  Invariant monitoring and quiescence detection
+    are implemented as hooks by the callers.
 
-    Returns (t_array, y_array, accepted, rejected, stopped_early).
+    Returns (t_array, y_array, accepted, rejected, rhs_evals,
+    stopped_early); ``rhs_evals`` counts every call of ``rhs``.
     """
     dt = ctrl.dt
     n_grid = int(round(t_end / dt))
@@ -352,61 +491,85 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     grid = dt * np.arange(1, n_grid + 1)
     if n_grid == 0 or grid[-1] < t_end - 1e-12:
         grid = np.append(grid, t_end)
+    times = grid.tolist()
+    t_last = times[-1]
 
-    t = 0.0
-    y = np.array(y0, dtype=complex)
-    ts, ys = [t], [y]
+    ys = np.empty((grid.size + 1, np.size(y0)), dtype=complex)
+    ys[0] = y0
+    t, y = 0.0, ys[0]
     abs_y = np.abs(y)
     k1 = rhs(y, *args)
-    h = min(h0, grid[0])
+    evals = 1
+    h = h0
+    n = 0                   # samples stored after t = 0
     accepted = rejected = 0
-    stopped = nonfinite = False
+    nonfinite = retried = False
 
-    for target in grid:
-        while t < target - 1e-12 * max(1.0, target):
-            h = min(h, target - t)
-            if h < 1e-14 * max(1.0, t):
-                raise StepSizeUnderflow(
-                    f"step {h:.3e} underflowed at t={t:.6g}")
-            if accepted + rejected >= ctrl.max_steps:
-                raise IntegrationError(
-                    f"step budget of {ctrl.max_steps} trial steps exhausted "
-                    f"at t={t:.6g}")
+    while n < grid.size:
+        last = t + h >= t_last - 1e-12 * max(1.0, t_last)
+        if last:
+            h = t_last - t
+        if h < 1e-14 * max(1.0, t):
+            raise StepSizeUnderflow(
+                f"step {h:.3e} underflowed at t={t:.6g}")
+        if accepted + rejected >= ctrl.max_steps:
+            raise IntegrationError(
+                f"step budget of {ctrl.max_steps} trial steps exhausted "
+                f"at t={t:.6g}")
 
-            y_new, k7, abs_new, err = _dp5_step(rhs, args, y, k1, abs_y, h,
-                                                ctrl)
-            if not math.isfinite(err):
-                if nonfinite:
-                    raise NonFiniteStep(
-                        f"two trial steps in a row from t={t:.6g} gave a "
-                        f"non-finite state or error estimate (last step "
-                        f"{h:.3e}): the vector field is not finite there")
-                nonfinite = True
-                rejected += 1
-                h *= _MIN_FACTOR
-                continue
-            nonfinite = False
-            if err <= 1.0:
-                t_new = t + h
-                # land exactly on the grid point when this step reaches it
-                if t_new >= target - 1e-12 * max(1.0, target):
-                    t_new = target
-                t, y, k1, abs_y = t_new, y_new, k7, abs_new
-                accepted += 1
-                factor = (_MAX_FACTOR if err == 0.0
-                          else min(_MAX_FACTOR, _SAFETY * err ** -0.2))
-                h *= max(_MIN_FACTOR, factor)
-            else:
-                rejected += 1
-                h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+        y_new, K, abs_new, err = _dop853_step(rhs, args, y, k1, abs_y, h,
+                                              ctrl)
+        evals += 12
+        if err <= 1.0:
+            t_new = t_last if last else t + h
+            # samples n .. end-1 lie in (t, t_new]; one at t_new is a node
+            end = bisect_right(times, t_new, n)
+            inner = end - n - (end > n and times[end - 1] == t_new)
+            if inner:
+                block = _dense_samples(rhs, args, y, K, h,
+                                       (grid[n:n + inner] - t) / h)
+                rates = [rhs(row, *args) for row in block]
+                evals += 3 + inner
+                if not (np.isfinite(K[13:]).all()
+                        and np.isfinite(block).all()
+                        and np.isfinite(rates).all()):
+                    err = math.nan
+        if not math.isfinite(err):
+            if nonfinite:
+                raise NonFiniteStep(
+                    f"two trial steps in a row from t={t:.6g} gave a "
+                    f"non-finite state, stage or error estimate (last step "
+                    f"{h:.3e}): the vector field is not finite there")
+            nonfinite = True
+            rejected += 1
+            continue
+        nonfinite = False
+        if err > 1.0:
+            retried = True
+            rejected += 1
+            h *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            continue
 
-        ts.append(t)
-        ys.append(y)        # never written in place: each step makes a new y
-        if sample_hook is not None and sample_hook(t, y, k1):
-            stopped = True
-            break
+        accepted += 1
+        if inner:
+            ys[n + 1:n + 1 + inner] = block
+        if end > n + inner:
+            ys[end] = y_new
+        t, y, k1, abs_y = t_new, y_new, K[12], abs_new
+        factor = (_MAX_FACTOR if err == 0.0
+                  else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+        # no growth straight after a rejection
+        h *= min(1.0, factor) if retried else factor
+        retried = False
+        if sample_hook is not None:
+            for i in range(n, end):
+                stage = rates[i - n] if i - n < inner else k1
+                if sample_hook(times[i], ys[i + 1], stage):
+                    return (np.append(0.0, grid[:i + 1]), ys[:i + 2].T,
+                            accepted, rejected, evals, True)
+        n = end
 
-    return (np.array(ts), np.array(ys).T, accepted, rejected, stopped)
+    return np.append(0.0, grid), ys.T, accepted, rejected, evals, False
 
 
 class _Monitors:
@@ -472,12 +635,12 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     if frame is not None:
         y0 = frame[0](y0, params)
     monitors = _Monitors(ctrl, y0)
-    t, y, acc, rej, stopped = _integrate_core(
+    t, y, acc, rej, evals, stopped = _integrate_core(
         rhs, (params.omega32, params.delta_L, params.mu21, params.mu31), y0,
         t_end, ctrl, _initial_step(params.omega32), monitors)
     if frame is not None:
         y = frame[1](y, params)
-    return Trajectory(t, y, params, ctrl, acc, rej,
+    return Trajectory(t, y, params, ctrl, acc, rej, evals,
                       monitors.end_time if stopped else None)
 
 
@@ -485,8 +648,9 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
               ctrl: IntegratorControl | None = None) -> Trajectory:
     """Advance the RWA equations from ``state0`` to ``t_end``.
 
-    Adaptive embedded Runge-Kutta 4(5); the trajectory is sampled on the
-    regular grid ``ctrl.dt`` and each sample is an integration node (see
+    Adaptive Runge-Kutta 8(5,3) (DOP853) with error control alone setting
+    the step; the trajectory is sampled on the regular grid ``ctrl.dt``
+    from the 7th-order continuous extension of each step (see
     :class:`IntegratorControl`).  Trace and the quadratic invariant are
     monitored at every sample; drift beyond ``ctrl.invariant_tol`` raises
     :class:`InvariantDrift`.  With ``stop_on_quiescence`` the run ends

@@ -81,7 +81,8 @@ def _metrics_payload(traj: Trajectory, metrics: PulseMetrics | None,
         payload.update(asdict(metrics))
     payload.update(end_of_run_time=traj.end_of_run_time,
                    steps_accepted=traj.steps_accepted,
-                   steps_rejected=traj.steps_rejected)
+                   steps_rejected=traj.steps_rejected,
+                   rhs_evals=traj.rhs_evals)
     return payload
 
 

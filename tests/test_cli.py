@@ -182,3 +182,21 @@ class TestTimescales:
                               timeout=60, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "tau_R_femtoseconds" in proc.stdout
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self, tmp_path):
+        """The runtime needs numpy alone: scipy, a test dependency, is
+        never imported by the command-line entry point, so the DOP853
+        table and every other numeric routine live in the package."""
+        root = Path(__file__).resolve().parents[1]
+        path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        code = ("import sys, filmsr.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

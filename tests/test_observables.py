@@ -26,7 +26,7 @@ def synthetic_trajectory(t, s):
     y[3] = 0.5
     y[4] = 0.5
     return Trajectory(t, y, make_params(5.0, 0.0), IntegratorControl(),
-                      n - 1, 0, None)
+                      n - 1, 0, 1 + 12 * (n - 1), None)
 
 
 class TestInvariants:

@@ -59,7 +59,7 @@ class TestEmitOutputs:
         assert set(payload) == {"t_peak", "fwhm", "peak_amp",
                                 "oscillation_freq", "final_pops", "branching",
                                 "end_of_run_time", "steps_accepted",
-                                "steps_rejected"}
+                                "steps_rejected", "rhs_evals"}
         assert isinstance(payload["branching"]["blocked_31"], bool)
         assert payload["final_pops"]["rho11"] == pytest.approx(1.0, abs=1e-3)
 
@@ -177,6 +177,7 @@ class TestGoldenBytes:
         control=IntegratorControl(),
         steps_accepted=7,
         steps_rejected=2,
+        rhs_evals=109,
     )
     QUIET = PulseMetrics(
         t_peak=9.25,
@@ -237,7 +238,8 @@ class TestGoldenBytes:
   },
   "end_of_run_time": null,
   "steps_accepted": 7,
-  "steps_rejected": 2
+  "steps_rejected": 2,
+  "rhs_evals": 109
 }
 """
 
@@ -251,7 +253,8 @@ class TestGoldenBytes:
 emission never developed",
   "end_of_run_time": 12.5,
   "steps_accepted": 7,
-  "steps_rejected": 0
+  "steps_rejected": 0,
+  "rhs_evals": 109
 }
 """
 
