@@ -137,6 +137,12 @@ def _rhs_bd(y, omega32, delta_L, mu21, mu31):
     return np.array([dRp, dRm, drpm, dr11, drpp, drmm], dtype=complex)
 
 
+def _rate_bd(y, omega32, delta_L, mu21, mu31):
+    """d(rho11)/dt of ``y.tolist()``, slot 3 of :func:`_rhs_bd` bit for bit."""
+    Rp = y[0]
+    return 4.0 * (Rp * Rp.conjugate()).real
+
+
 def rhs_bright_dark(bd: BrightDarkState,
                     params: SystemParams) -> BrightDarkState:
     """Equations of motion expressed directly in the bright/dark basis.
@@ -161,5 +167,5 @@ def integrate_bright_dark(state0: DensityState, params: SystemParams,
     returned :class:`Trajectory` is already rotated back to the bare
     basis.
     """
-    return _drive(state0, params, t_end, ctrl, _rhs_bd,
+    return _drive(state0, params, t_end, ctrl, _rhs_bd, _rate_bd,
                   (_bare_to_bd, _bd_to_bare))

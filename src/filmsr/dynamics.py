@@ -133,6 +133,12 @@ def _rhs(y, omega32, delta_L, mu21, mu31):
     return np.array([dR31, dR21, dr32, dr11, dr22, dr33], dtype=complex)
 
 
+def _rate(y, omega32, delta_L, mu21, mu31):
+    """d(rho11)/dt of ``y.tolist()``, slot 3 of :func:`_rhs` bit for bit."""
+    S = mu21 * y[1] + mu31 * y[0]
+    return 2.0 * (S * S.conjugate()).real
+
+
 def _pack(state) -> np.ndarray:
     """Packed complex 6-vector of a DensityState or BrightDarkState."""
     return np.array(astuple(state), dtype=complex)
@@ -250,17 +256,6 @@ class Trajectory:
 
     def state_at(self, i: int) -> DensityState:
         return _unpack(self.y[:, i])
-
-    def sample(self, time: float) -> DensityState:
-        """Linear interpolation between grid samples; exact at the samples."""
-        t = self.t
-        if not t[0] <= time <= t[-1]:
-            raise ValueError(f"t={time} outside [{t[0]}, {t[-1]}]")
-        i = int(np.searchsorted(t, time, side="right")) - 1
-        if i >= len(t) - 1:
-            return self.state_at(len(t) - 1)
-        w = (time - t[i]) / (t[i + 1] - t[i])
-        return _unpack((1.0 - w) * self.y[:, i] + w * self.y[:, i + 1])
 
     def validate(self) -> "Trajectory":
         """Structural checks over all samples; returns self.
@@ -454,7 +449,7 @@ def _dense_samples(rhs, args, y, K, h, theta):
 
 
 def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
-                    h0: float, sample_hook=None):
+                    h0: float, sample_hook):
     """Adaptive DOP853 driver producing samples on the regular dt grid.
 
     ``rhs(y, *args) -> dy`` is the autonomous vector field on packed
@@ -466,19 +461,17 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     rejected) are taken.
 
     A trial step is rejected when anything it produced is not finite: the
-    new state, the field there, an extra stage, a sample or the field at
-    a sample.  It is retried once, from the same state with the same
-    step: the field is a polynomial, so a shorter step cannot step around
-    a non-finite value, and only a transient fault passes on a retry,
-    which then leaves the run exactly as if the fault had not happened.
-    A second non-finite trial in a row raises :class:`NonFiniteStep`, so
-    no stored sample is ever non-finite.
+    new state, the field there, an extra stage or a sample.  It is
+    retried once, from the same state with the same step: the field is a
+    polynomial, so a shorter step cannot step around a non-finite value,
+    and only a transient fault passes on a retry, which then leaves the
+    run exactly as if the fault had not happened.  A second non-finite
+    trial in a row raises :class:`NonFiniteStep`, so no stored sample is
+    ever non-finite.
 
-    ``sample_hook(t, y, k1) -> bool`` is called at each sample (not at
-    t=0) with ``k1 = rhs(y)``: the FSAL stage when the sample ends a
-    step, else one more evaluation of the field.  Returning True ends the
-    run at that sample.  Invariant monitoring and quiescence detection
-    are implemented as hooks by the callers.
+    ``sample_hook(t, y) -> bool`` is called at each sample (not at t=0);
+    returning True ends the run at that sample.  Invariant monitoring and
+    quiescence detection are implemented as hooks by the callers.
 
     Returns (t_array, y_array, accepted, rejected, rhs_evals,
     stopped_early); ``rhs_evals`` counts every call of ``rhs``.
@@ -528,11 +521,9 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
             if inner:
                 block = _dense_samples(rhs, args, y, K, h,
                                        (grid[n:n + inner] - t) / h)
-                rates = [rhs(row, *args) for row in block]
-                evals += 3 + inner
+                evals += 3
                 if not (np.isfinite(K[13:]).all()
-                        and np.isfinite(block).all()
-                        and np.isfinite(rates).all()):
+                        and np.isfinite(block).all()):
                     err = math.nan
         if not math.isfinite(err):
             if nonfinite:
@@ -561,12 +552,10 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
         # no growth straight after a rejection
         h *= min(1.0, factor) if retried else factor
         retried = False
-        if sample_hook is not None:
-            for i in range(n, end):
-                stage = rates[i - n] if i - n < inner else k1
-                if sample_hook(times[i], ys[i + 1], stage):
-                    return (np.append(0.0, grid[:i + 1]), ys[:i + 2].T,
-                            accepted, rejected, evals, True)
+        for i in range(n, end):
+            if sample_hook(times[i], ys[i + 1]):
+                return (np.append(0.0, grid[:i + 1]), ys[:i + 2].T,
+                        accepted, rejected, evals, True)
         n = end
 
     return np.append(0.0, grid), ys.T, accepted, rejected, evals, False
@@ -579,20 +568,20 @@ class _Monitors:
     checks apply to packed bare and bright/dark states.  Each sample is
     read once with ``y.tolist()`` and checked in Python complex
     arithmetic, which is cheaper than numpy scalars on six entries.  The
-    ground-state filling rate d(rho11)/dt is slot 3 of the stage
-    ``k1 = rhs(y)`` in either basis.
+    quiescence detector reads d(rho11)/dt as ``rate(y)`` on that list.
     """
 
-    def __init__(self, ctrl, y0):
+    def __init__(self, ctrl, y0, rate):
         y0 = y0.tolist()
         self.ctrl = ctrl
+        self.rate = rate
         self.trace0 = _trace(y0)
         self.quad0 = _quadratic(y0)
         self.armed = False
         self.last_loud = 0.0
         self.end_time = None
 
-    def __call__(self, t, y, k1) -> bool:
+    def __call__(self, t, y) -> bool:
         ctrl = self.ctrl
         y = y.tolist()
         trace = _trace(y)
@@ -607,7 +596,7 @@ class _Monitors:
                 f"at t={t:.4g} (limit {ctrl.invariant_tol:g})")
         if not ctrl.stop_on_quiescence:
             return False
-        if k1[3].real >= _QUIESCENCE_RATE:
+        if self.rate(y) >= _QUIESCENCE_RATE:
             self.armed = True
             self.last_loud = t
         elif self.armed and t - self.last_loud >= _QUIESCENCE_WINDOW:
@@ -617,13 +606,13 @@ class _Monitors:
 
 
 def _drive(state0: DensityState, params: SystemParams, t_end: float,
-           ctrl: IntegratorControl | None, rhs,
+           ctrl: IntegratorControl | None, rhs, rate,
            frame=None) -> Trajectory:
     """Validate, step and sample; shared by both integration paths.
 
     ``rhs(y, omega32, delta_L, mu21, mu31)`` is the packed vector field
-    the stepper advances; its slot 3 is d(rho11)/dt, which the
-    quiescence detector reads from the stage handed to each sample.
+    the stepper advances; ``rate`` with the same arguments is its slot 3,
+    d(rho11)/dt, on ``y.tolist()``, which the quiescence detector reads.
     ``frame = (into, back)`` rotates the packed initial state into the
     frame of ``rhs`` and the sampled (6, N) trajectory back to the bare
     basis; None means the bare basis.
@@ -634,10 +623,10 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     y0 = _pack(state0.validate())
     if frame is not None:
         y0 = frame[0](y0, params)
-    monitors = _Monitors(ctrl, y0)
+    args = (params.omega32, params.delta_L, params.mu21, params.mu31)
+    monitors = _Monitors(ctrl, y0, lambda y: rate(y, *args))
     t, y, acc, rej, evals, stopped = _integrate_core(
-        rhs, (params.omega32, params.delta_L, params.mu21, params.mu31), y0,
-        t_end, ctrl, _initial_step(params.omega32), monitors)
+        rhs, args, y0, t_end, ctrl, _initial_step(params.omega32), monitors)
     if frame is not None:
         y = frame[1](y, params)
     return Trajectory(t, y, params, ctrl, acc, rej, evals,
@@ -654,7 +643,8 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     :class:`IntegratorControl`).  Trace and the quadratic invariant are
     monitored at every sample; drift beyond ``ctrl.invariant_tol`` raises
     :class:`InvariantDrift`.  With ``stop_on_quiescence`` the run ends
-    once d(rho11)/dt has stayed below 1e-8 for 10 tau_R after emission
-    developed, which is what "final" populations refer to.
+    once d(rho11)/dt = 2|mu21 R21 + mu31 R31|^2, computed from each
+    sample, has stayed below 1e-8 for 10 tau_R after emission developed,
+    which is what "final" populations refer to.
     """
-    return _drive(state0, params, t_end, ctrl, _rhs)
+    return _drive(state0, params, t_end, ctrl, _rhs, _rate)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from filmsr import (DensityState, IntegrationError, IntegratorControl,
-                    InvariantDrift, NonFiniteStep, dynamics, field_of,
+                    InvariantDrift, NonFiniteStep, basis, dynamics, field_of,
                     initial_state, integrate, make_params, rhs_original)
 from filmsr.basis import _rhs_bd, integrate_bright_dark
 from conftest import poison_rhs, random_pure_state
@@ -194,30 +194,45 @@ class TestIntegrate:
         # the pulse (t_D ~ 29) is long over at the stopping time
         assert traj.end_of_run_time > 30.0
 
-    @pytest.mark.parametrize("integrator", [integrate, integrate_bright_dark],
-                             ids=["bare", "bright_dark"])
-    def test_sample_hook_gets_the_stage_of_the_sample(self, monkeypatch,
-                                                      preset_configs,
-                                                      integrator):
-        """The stage handed to the sample hook, from which the quiescence
-        detector reads d(rho11)/dt, is the vector field at the sample, bit
-        for bit."""
-        real_core = dynamics._integrate_core
+    @pytest.mark.parametrize("integrator, rhs, module, rate", [
+        (integrate, dynamics._rhs, dynamics, "_rate"),
+        (integrate_bright_dark, _rhs_bd, basis, "_rate_bd"),
+    ], ids=["bare", "bright_dark"])
+    def test_quiescence_rate_is_slot_3_of_the_field(self, monkeypatch,
+                                                    preset_configs,
+                                                    integrator, rhs, module,
+                                                    rate):
+        """The d(rho11)/dt the quiescence detector reads at each sample of
+        fig5, and the rate function on 200 random states with seed-scale
+        coherences, equal slot 3 of the vector field bit for bit."""
+        real_rate = getattr(module, rate)
         same = []
 
-        def core(rhs, args, y0, t_end, ctrl, h0, sample_hook=None):
-            def hook(t, y, k1):
-                same.append(k1.tobytes() == rhs(y, *args).tobytes())
-                return sample_hook(t, y, k1)
-            return real_core(rhs, args, y0, t_end, ctrl, h0, hook)
+        def checked(y, *args):
+            r = real_rate(y, *args)
+            field = rhs(np.array(y, dtype=complex), *args)[3].real
+            same.append(r.hex() == field.hex())
+            return r
 
-        monkeypatch.setattr(dynamics, "_integrate_core", core)
+        monkeypatch.setattr(module, rate, checked)
         cfg = preset_configs["fig5"]
         traj = integrator(cfg.initial_state(), cfg.params, cfg.t_end,
                           cfg.control)
         assert traj.end_of_run_time is not None
         assert len(same) == traj.t.size - 1
         assert all(same)
+
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            s = random_pure_state(rng)
+            seed = 10.0 ** rng.uniform(-9.0, 0.0)   # seed-like coherences
+            y = np.array([s.R31 * seed, s.R21 * seed, s.rho32,
+                          s.rho11, s.rho22, s.rho33], dtype=complex)
+            mu21 = rng.uniform(0.2, 1.35)
+            args = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
+                    mu21, math.sqrt(2.0 - mu21 ** 2))
+            assert (real_rate(y.tolist(), *args).hex()
+                    == rhs(y, *args)[3].real.hex())
 
 
 class TestRejectedSteps:
@@ -245,12 +260,11 @@ class TestRejectedSteps:
     def test_no_single_non_finite_field_value_reaches_a_sample(
             self, monkeypatch):
         """A NaN from any single evaluation of the field, whether a trial
-        stage, an extra stage of the continuous extension or the field at
-        a sample, is rejected: the run recovers to the clean trajectory
-        bit for bit or raises NonFiniteStep, and never returns a
-        non-finite sample.
+        stage or an extra stage of the continuous extension, is rejected:
+        the run recovers to the clean trajectory bit for bit or raises
+        NonFiniteStep, and never returns a non-finite sample.
         The fine grid puts samples inside the first steps, so the calls
-        of the first two accepted steps cover all three kinds."""
+        of the first two accepted steps cover both kinds."""
         ctrl = IntegratorControl(dt=3e-4)
         clean = integrate(self.STATE, self.PARAMS, 0.05, ctrl)
         sizes = []
@@ -265,7 +279,7 @@ class TestRejectedSteps:
         monkeypatch.undo()
         # the first step, 1e-3 long, holds three samples; so does the second
         assert sizes[0] == 3 and sizes[1] > 0
-        first_two = 1 + 2 * (12 + 3) + sizes[0] + sizes[1]
+        first_two = 1 + 2 * (12 + 3)
         outcomes = set()
         for call in range(1, first_two + 1):
             with monkeypatch.context() as m:
@@ -287,7 +301,7 @@ class TestStepBudget:
     """``max_steps`` bounds the trial steps, accepted plus rejected.  A
     trial costs twelve field evaluations (eleven stages and the field at
     the new state); an accepted step with samples before its end adds
-    three extra stages plus one evaluation per such sample."""
+    the three extra stages of its continuous extension."""
 
     STATE = initial_state(0.5, 0.5, 0.5)
     PARAMS = make_params(5.0, 1.0)
@@ -343,8 +357,8 @@ class TestStepBudget:
 
     def test_samples_inside_steps_cost_their_stages(self, monkeypatch):
         """On a grid finer than the steps every evaluation is accounted
-        for: twelve per trial, three per step that reads its continuous
-        extension, and one per sample read from it."""
+        for: twelve per trial and three per step that reads its
+        continuous extension; none is made at a sample."""
         calls = self.count_rhs(monkeypatch)
         sizes = []
         real_dense = dynamics._dense_samples
@@ -358,8 +372,7 @@ class TestStepBudget:
         n = traj.steps_accepted + traj.steps_rejected
         assert traj.t.size == 501 and len(sizes) > 1
         assert 0 < sum(sizes) < traj.t.size - 1
-        assert calls[0] == traj.rhs_evals
-        assert calls[0] == 1 + 12 * n + 3 * len(sizes) + sum(sizes)
+        assert calls[0] == traj.rhs_evals == 1 + 12 * n + 3 * len(sizes)
 
 
 def _scipy_table():
@@ -571,22 +584,6 @@ class TestAccuracyGate:
 
 
 class TestTrajectory:
-    def test_sample_is_exact_on_grid(self, preset_runs):
-        traj = preset_runs["fig2"]
-        s = traj.sample(traj.t[500])
-        assert s.rho11 == traj.rho11[500]
-
-    def test_sample_interpolates_linearly(self, preset_runs):
-        traj = preset_runs["fig2"]
-        mid = 0.5 * (traj.t[100] + traj.t[101])
-        s = traj.sample(mid)
-        expected = 0.5 * (traj.rho11[100] + traj.rho11[101])
-        assert s.rho11 == pytest.approx(expected, rel=1e-12)
-
-    def test_sample_outside_range_rejected(self, preset_runs):
-        with pytest.raises(ValueError):
-            preset_runs["fig2"].sample(-1.0)
-
     def test_all_presets_validate(self, preset_runs):
         for traj in preset_runs.values():
             traj.validate()
