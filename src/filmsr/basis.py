@@ -116,7 +116,7 @@ def _rhs_bd(y, omega32, delta_L, mu21, mu31):
 
     The same hot-path conventions as :func:`dynamics._rhs`: one
     ``y.tolist()`` unpacks the state into Python complex numbers, the
-    arithmetic runs on those, and a new (6,) complex array comes back.
+    arithmetic runs on those, and a new list of the six values comes back.
     """
     Rp, Rm, rpm, r11, rpp, rmm = y.tolist()
     r11, rpp, rmm = r11.real, rpp.real, rmm.real
@@ -134,13 +134,15 @@ def _rhs_bd(y, omega32, delta_L, mu21, mu31):
     drpp = -mix - pump
     drmm = mix
     dr11 = pump
-    return np.array([dRp, dRm, drpm, dr11, drpp, drmm], dtype=complex)
+    return [dRp, dRm, drpm, dr11, drpp, drmm]
 
 
 def _rate_bd(y, omega32, delta_L, mu21, mu31):
-    """d(rho11)/dt of ``y.tolist()``, slot 3 of :func:`_rhs_bd` bit for bit."""
-    Rp = y[0]
-    return 4.0 * (Rp * Rp.conjugate()).real
+    """d(rho11)/dt of each row of an (m, 6) block of packed bright/dark
+    states, slot 3 of :func:`_rhs_bd` bit for bit (on real and imaginary
+    parts, as in :func:`dynamics._rate`)."""
+    Rr, Ri = y.real[:, 0], y.imag[:, 0]
+    return 4.0 * (Rr * Rr + Ri * Ri)
 
 
 def rhs_bright_dark(bd: BrightDarkState,

@@ -105,16 +105,16 @@ class IntegratorControl:
 
 
 def _rhs(y, omega32, delta_L, mu21, mu31):
-    """Vector field of the packed bare state; returns a new (6,) complex array.
+    """Vector field of the packed bare state, as a new list of six numbers.
 
     This is the stepper's hot path, twelve calls per trial step, so it avoids
     numpy scalars: ``y.tolist()`` unpacks the state into Python complex
     numbers in one call and all arithmetic runs on those.  The result is
     bit for bit what the same expressions give on numpy scalars.  The
-    returned array is fresh and writable, so callers may modify it.  The
-    stepper around it (:func:`_dop853_step`) keeps the Butcher rows as
-    complex128 and takes the moduli of its error norm with numpy's
-    ``abs``.
+    fresh list goes into a stage row (``K[i] = ...``) with no array built
+    for it, and callers may modify it.  The stepper (:func:`_dop853_step`)
+    keeps the Butcher rows as complex128 and takes the moduli of its error
+    norm with numpy's ``abs``.
     """
     R31, R21, r32, r11, r22, r33 = y.tolist()
     r11, r22, r33 = r11.real, r22.real, r33.real
@@ -130,13 +130,17 @@ def _rhs(y, omega32, delta_L, mu21, mu31):
     dr33 = 2.0 * mu31 * ((-1.0 + 1j * delta_L) * S * R31.conjugate()).real
     dr22 = 2.0 * mu21 * ((-1.0 + 1j * delta_L) * S * R21.conjugate()).real
     dr11 = 2.0 * (S * Sc).real
-    return np.array([dR31, dR21, dr32, dr11, dr22, dr33], dtype=complex)
+    return [dR31, dR21, dr32, dr11, dr22, dr33]
 
 
 def _rate(y, omega32, delta_L, mu21, mu31):
-    """d(rho11)/dt of ``y.tolist()``, slot 3 of :func:`_rhs` bit for bit."""
-    S = mu21 * y[1] + mu31 * y[0]
-    return 2.0 * (S * S.conjugate()).real
+    """d(rho11)/dt of each row of an (m, 6) block of packed bare states,
+    slot 3 of :func:`_rhs` bit for bit: on real and imaginary parts, since
+    numpy's complex product can differ from Python's in the last bit."""
+    re, im = y.real, y.imag
+    Sr = mu21 * re[:, 1] + mu31 * re[:, 0]
+    Si = mu21 * im[:, 1] + mu31 * im[:, 0]
+    return 2.0 * (Sr * Sr + Si * Si)
 
 
 def _pack(state) -> np.ndarray:
@@ -469,9 +473,11 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     trial in a row raises :class:`NonFiniteStep`, so no stored sample is
     ever non-finite.
 
-    ``sample_hook(t, y) -> bool`` is called at each sample (not at t=0);
-    returning True ends the run at that sample.  Invariant monitoring and
-    quiescence detection are implemented as hooks by the callers.
+    ``sample_hook(t, y)`` is called once per accepted step that holds
+    samples (none at t=0), with their times as a list and their states as
+    an (m, 6) block; it returns the index in the block of the sample that
+    ends the run, or None.  Invariant monitoring and quiescence detection
+    are implemented as hooks by the callers.
 
     Returns (t_array, y_array, accepted, rejected, rhs_evals,
     stopped_early); ``rhs_evals`` counts every call of ``rhs``.
@@ -552,8 +558,10 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
         # no growth straight after a rejection
         h *= min(1.0, factor) if retried else factor
         retried = False
-        for i in range(n, end):
-            if sample_hook(times[i], ys[i + 1]):
+        if end > n:
+            stop = sample_hook(times[n:end], ys[n + 1:end + 1])
+            if stop is not None:
+                i = n + stop
                 return (np.append(0.0, grid[:i + 1]), ys[:i + 2].T,
                         accepted, rejected, evals, True)
         n = end
@@ -562,17 +570,16 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
 
 
 class _Monitors:
-    """Per-sample invariant check and quiescence detector.
+    """Invariant checks and quiescence detector: the hook of _integrate_core.
 
     Trace and the quadratic invariant are basis independent, so the same
-    checks apply to packed bare and bright/dark states.  Each sample is
-    read once with ``y.tolist()`` and checked in Python complex
-    arithmetic, which is cheaper than numpy scalars on six entries.  The
-    quiescence detector reads d(rho11)/dt as ``rate(y)`` on that list.
+    checks apply to packed bare and bright/dark states.  They and
+    d(rho11)/dt, ``rate(y)``, are array expressions over a step's block;
+    only the detector's state advances sample by sample.  At each sample
+    the invariants come first: drift at or before the stop sample raises.
     """
 
     def __init__(self, ctrl, y0, rate):
-        y0 = y0.tolist()
         self.ctrl = ctrl
         self.rate = rate
         self.trace0 = _trace(y0)
@@ -581,28 +588,28 @@ class _Monitors:
         self.last_loud = 0.0
         self.end_time = None
 
-    def __call__(self, t, y) -> bool:
-        ctrl = self.ctrl
-        y = y.tolist()
-        trace = _trace(y)
-        if abs(trace - self.trace0) > ctrl.invariant_tol:
-            raise InvariantDrift(
-                f"trace drifted by {abs(trace - self.trace0):.3e} at t={t:.4g} "
-                f"(limit {ctrl.invariant_tol:g})")
-        quad = _quadratic(y)
-        if abs(quad - self.quad0) > ctrl.invariant_tol:
-            raise InvariantDrift(
-                f"quadratic invariant drifted by {abs(quad - self.quad0):.3e} "
-                f"at t={t:.4g} (limit {ctrl.invariant_tol:g})")
-        if not ctrl.stop_on_quiescence:
-            return False
-        if self.rate(y) >= _QUIESCENCE_RATE:
-            self.armed = True
-            self.last_loud = t
-        elif self.armed and t - self.last_loud >= _QUIESCENCE_WINDOW:
-            self.end_time = t
-            return True
-        return False
+    def __call__(self, t, y) -> int | None:
+        tol = self.ctrl.invariant_tol
+        trace = abs(_trace(y.T) - self.trace0)
+        quad = abs(_quadratic(y.T) - self.quad0)
+        drifted = np.flatnonzero((trace > tol) | (quad > tol))
+        checked = drifted[0] if drifted.size else len(t)
+        if self.ctrl.stop_on_quiescence:
+            rates = self.rate(y[:checked]).tolist()
+            for i, (ti, rate) in enumerate(zip(t, rates)):
+                if rate >= _QUIESCENCE_RATE:
+                    self.armed = True
+                    self.last_loud = ti
+                elif self.armed and ti - self.last_loud >= _QUIESCENCE_WINDOW:
+                    self.end_time = ti
+                    return i
+        if drifted.size:
+            i = drifted[0]
+            what, by = (("trace", trace[i]) if trace[i] > tol
+                        else ("quadratic invariant", quad[i]))
+            raise InvariantDrift(f"{what} drifted by {by:.3e} at "
+                                 f"t={t[i]:.4g} (limit {tol:g})")
+        return None
 
 
 def _drive(state0: DensityState, params: SystemParams, t_end: float,
@@ -612,7 +619,8 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
 
     ``rhs(y, omega32, delta_L, mu21, mu31)`` is the packed vector field
     the stepper advances; ``rate`` with the same arguments is its slot 3,
-    d(rho11)/dt, on ``y.tolist()``, which the quiescence detector reads.
+    d(rho11)/dt, for each row of an (m, 6) block of states, which the
+    quiescence detector reads once per accepted step.
     ``frame = (into, back)`` rotates the packed initial state into the
     frame of ``rhs`` and the sampled (6, N) trajectory back to the bare
     basis; None means the bare basis.

@@ -6,6 +6,8 @@ failure modes of the stepper.
 """
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,14 +206,17 @@ class TestIntegrate:
                                                     rate):
         """The d(rho11)/dt the quiescence detector reads at each sample of
         fig5, and the rate function on 200 random states with seed-scale
-        coherences, equal slot 3 of the vector field bit for bit."""
+        coherences, equal slot 3 of the vector field bit for bit.  The
+        detector reads one block of samples per step; the blocks cover
+        every sample up to the stop, and the last one holds the stop."""
         real_rate = getattr(module, rate)
-        same = []
+        same, sizes = [], []
 
         def checked(y, *args):
             r = real_rate(y, *args)
-            field = rhs(np.array(y, dtype=complex), *args)[3].real
-            same.append(r.hex() == field.hex())
+            sizes.append(len(y))
+            for row, value in zip(y, r.tolist()):
+                same.append(value.hex() == rhs(row, *args)[3].real.hex())
             return r
 
         monkeypatch.setattr(module, rate, checked)
@@ -219,7 +224,8 @@ class TestIntegrate:
         traj = integrator(cfg.initial_state(), cfg.params, cfg.t_end,
                           cfg.control)
         assert traj.end_of_run_time is not None
-        assert len(same) == traj.t.size - 1
+        assert len(same) == sum(sizes)
+        assert sum(sizes[:-1]) < traj.t.size - 1 <= sum(sizes)
         assert all(same)
 
         rng = np.random.default_rng(5)
@@ -231,8 +237,113 @@ class TestIntegrate:
             mu21 = rng.uniform(0.2, 1.35)
             args = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
                     mu21, math.sqrt(2.0 - mu21 ** 2))
-            assert (real_rate(y.tolist(), *args).hex()
+            assert (real_rate(y[None], *args).tolist()[0].hex()
                     == rhs(y, *args)[3].real.hex())
+
+
+def _monitor_reference(ctrl, y0, times, ys, rhs, args):
+    """The monitor one sample at a time, in Python arithmetic: trace, then
+    the quadratic invariant, then the quiescence detector fed slot 3 of
+    the field.  Returns (outcome, time): outcome is "stop", "trace" or
+    "quadratic invariant", or None when every sample passes."""
+
+    def invariants(y):
+        r11, r22, r33 = y[3].real, y[4].real, y[5].real
+        quad = (r11 ** 2 + r22 ** 2 + r33 ** 2
+                + 2.0 * (abs(y[2]) ** 2 + abs(y[0]) ** 2 + abs(y[1]) ** 2))
+        return r11 + r22 + r33, quad
+
+    tol = ctrl.invariant_tol
+    trace0, quad0 = invariants(y0.tolist())
+    armed, last_loud = False, 0.0
+    for t, y in zip(times, ys):
+        trace, quad = invariants(y.tolist())
+        if abs(trace - trace0) > tol:
+            return "trace", t
+        if abs(quad - quad0) > tol:
+            return "quadratic invariant", t
+        if not ctrl.stop_on_quiescence:
+            continue
+        if rhs(y, *args)[3].real >= 1e-8:
+            armed, last_loud = True, t
+        elif armed and t - last_loud >= 10.0:
+            return "stop", t
+    return None, None
+
+
+def _monitor_in_blocks(monitors, times, ys, cuts):
+    """Feed ``monitors`` the samples in blocks [cuts[k], cuts[k + 1]);
+    returns (outcome, time) in the form of :func:`_monitor_reference`, and
+    the index of the stop sample."""
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        try:
+            stop = monitors(times[a:b], ys[a:b])
+        except InvariantDrift as exc:
+            kind, t = re.match(r"(trace|quadratic invariant) drifted by "
+                               r"\S+ at t=(\S+) ", str(exc)).groups()
+            assert monitors.end_time is None
+            return (kind, t), None
+        if stop is not None:
+            assert monitors.end_time == times[a + stop]
+            return ("stop", monitors.end_time), a + stop
+    assert monitors.end_time is None
+    return (None, None), None
+
+
+class TestMonitorBlocks:
+    @pytest.mark.parametrize("rhs, rate, frame", [
+        (dynamics._rhs, dynamics._rate, None),
+        (_rhs_bd, basis._rate_bd, basis._bare_to_bd),
+    ], ids=["bare", "bright_dark"])
+    def test_blocks_match_per_sample_reference(self, preset_configs,
+                                               preset_runs, rhs, rate,
+                                               frame):
+        """Fed fig5's samples in blocks cut at random points, the monitor
+        stops at the same sample, or raises the same drift at the same
+        sample time, as a per-sample reference.  Drift is injected in
+        trace or in the quadratic invariant alone, one sample before, at
+        and after the quiescence stop: at or before it the run must
+        raise, after it the run must stop."""
+        cfg = preset_configs["fig5"]
+        run = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
+                        replace(cfg.control, stop_on_quiescence=False))
+        y = run.y if frame is None else frame(run.y, cfg.params)
+        y0, clean, times = y[:, 0], y[:, 1:].T, run.t[1:].tolist()
+        p = cfg.params
+        args = (p.omega32, p.delta_L, p.mu21, p.mu31)
+        rng = np.random.default_rng(17)
+        tol = cfg.control.invariant_tol
+        outcome, t_stop = _monitor_reference(cfg.control, y0, times, clean,
+                                             rhs, args)
+        assert outcome == "stop"
+        assert t_stop == preset_runs["fig5"].end_of_run_time
+        stop = times.index(t_stop)
+        cases = [(None, None)] + [(kind, stop + offset)
+                                  for kind in ("trace", "quadratic")
+                                  for offset in (-1, 0, 1)]
+        for ctrl in (cfg.control,
+                     replace(cfg.control, stop_on_quiescence=False)):
+            for kind, at in cases:
+                ys = clean.copy()
+                if kind == "trace":
+                    ys[at, 4] += 10.0 * tol
+                elif kind == "quadratic":   # trace kept to rounding
+                    ys[at, 4] += 1e-3
+                    ys[at, 5] -= 1e-3
+                want, t = _monitor_reference(ctrl, y0, times, ys, rhs, args)
+                if want != "stop" and want is not None:
+                    t = f"{t:.4g}"
+                for _ in range(4):
+                    sizes = rng.integers(1, 80, size=len(times))
+                    cuts = np.cumsum(np.append(0, sizes))
+                    cuts = np.append(cuts[cuts < len(times)],
+                                     len(times)).tolist()
+                    monitors = dynamics._Monitors(
+                        ctrl, y0, lambda b: rate(b, *args))
+                    got, index = _monitor_in_blocks(monitors, times, ys,
+                                                    cuts)
+                    assert got == (want, t), (kind, at, ctrl)
+                    assert index == (stop if want == "stop" else None)
 
 
 class TestRejectedSteps:
@@ -409,7 +520,7 @@ class TestDop853Table:
                           s.rho11, s.rho22, s.rho33], dtype=complex)
             args = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0), 1.0, 1.0)
             h = 10.0 ** rng.uniform(-3.0, -0.5)
-            k1 = dynamics._rhs(y, *args)
+            k1 = np.asarray(dynamics._rhs(y, *args), dtype=complex)
             y_new, K, _, _ = dynamics._dop853_step(
                 dynamics._rhs, args, y, k1, np.abs(y), h, IntegratorControl())
             theta = np.sort(rng.uniform(0.0, 1.0, 7))
@@ -496,7 +607,7 @@ class TestTrialStepBitIdentity:
                     mu21, math.sqrt(2.0 - mu21 ** 2))
             h = 10.0 ** rng.uniform(-4.0, -0.5)
             ctrl = IntegratorControl(rel_tol=10.0 ** rng.uniform(-13, -9))
-            k1 = rhs(y, *args)
+            k1 = np.asarray(rhs(y, *args), dtype=complex)
             assert k1.tobytes() == reference(y, *args).tobytes()
             y_new, K, abs_new, err = dynamics._dop853_step(
                 rhs, args, y, k1, np.abs(y), h, ctrl)
