@@ -402,6 +402,13 @@ def _initial_step(omega32: float) -> float:
     return 1e-3 * min(2.0 * math.pi / max(abs(omega32), 1.0), 1.0)
 
 
+def _add_scaled(y, h, s):
+    """``y + h * s`` bit for bit, computed in place in the temporary ``s``."""
+    s *= h
+    s += y
+    return s
+
+
 def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     """One DOP853 trial step of size ``h`` from ``y``, where ``k1 = f(y)``
     and ``abs_y = |y|``.
@@ -422,15 +429,16 @@ def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     K = np.empty((16, y.size), dtype=complex)
     K[0] = k1
     for i in range(1, 12):
-        K[i] = rhs(y + h * (_A[i] @ K[:i]), *args)
-    y_new = y + h * (_B @ K[:12])
+        K[i] = rhs(_add_scaled(y, h, _A[i].dot(K[:i])), *args)
+    y_new = _add_scaled(y, h, _B.dot(K[:12]))
     K[12] = rhs(y_new, *args)
     if not (np.isfinite(y_new).all() and np.isfinite(K[12]).all()):
         return y_new, K, None, math.nan
     abs_new = np.abs(y_new)
     scale = ctrl.abs_tol + ctrl.rel_tol * np.maximum(abs_y, abs_new)
-    e5 = float(np.add.reduce(np.abs((_E5 @ K[:12]) / scale) ** 2))
-    e3 = float(np.add.reduce(np.abs((_E3 @ K[:12]) / scale) ** 2))
+    # two row products: one (2, 12) matrix product rounds differently
+    est = np.array((_E5.dot(K[:12]), _E3.dot(K[:12]))) / scale
+    e5, e3 = (np.abs(est) ** 2).sum(axis=1).tolist()
     if e5 == 0.0 and e3 == 0.0:
         return y_new, K, abs_new, 0.0
     return y_new, K, abs_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
@@ -445,11 +453,11 @@ def _dense_samples(rhs, args, y, K, h, theta):
     fraction and is evaluated in one array expression.
     """
     for i in range(13, 16):
-        K[i] = rhs(y + h * (_A[i] @ K[:i]), *args)
+        K[i] = rhs(_add_scaled(y, h, _A[i].dot(K[:i])), *args)
     p = np.empty((theta.size, 7))
     p[:, 0::2] = theta[:, None]
     p[:, 1::2] = (1.0 - theta)[:, None]
-    return y + h * (np.cumprod(p, axis=1) @ (_DENSE @ K))
+    return _add_scaled(y, h, np.cumprod(p, axis=1).dot(_DENSE.dot(K)))
 
 
 def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
@@ -476,11 +484,13 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     ``sample_hook(t, y)`` is called once per accepted step that holds
     samples (none at t=0), with their times as a list and their states as
     an (m, 6) block; it returns the index in the block of the sample that
-    ends the run, or None.  Invariant monitoring and quiescence detection
-    are implemented as hooks by the callers.
+    ends the run, or None.  The samples up to that one are kept, and
+    :func:`_check_invariants` checks them once: when the run ends, and
+    before an :class:`IntegrationError` of the stepper escapes, so drift
+    in the samples before a fault is the error the run reports.
 
-    Returns (t_array, y_array, accepted, rejected, rhs_evals,
-    stopped_early); ``rhs_evals`` counts every call of ``rhs``.
+    Returns (t_array, y_array, accepted, rejected, rhs_evals);
+    ``rhs_evals`` counts every call of ``rhs``.
     """
     dt = ctrl.dt
     n_grid = int(round(t_end / dt))
@@ -504,111 +514,116 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     accepted = rejected = 0
     nonfinite = retried = False
 
-    while n < grid.size:
-        last = t + h >= t_last - 1e-12 * max(1.0, t_last)
-        if last:
-            h = t_last - t
-        if h < 1e-14 * max(1.0, t):
-            raise StepSizeUnderflow(
-                f"step {h:.3e} underflowed at t={t:.6g}")
-        if accepted + rejected >= ctrl.max_steps:
-            raise IntegrationError(
-                f"step budget of {ctrl.max_steps} trial steps exhausted "
-                f"at t={t:.6g}")
+    try:
+        while n < grid.size:
+            last = t + h >= t_last - 1e-12 * max(1.0, t_last)
+            if last:
+                h = t_last - t
+            if h < 1e-14 * max(1.0, t):
+                raise StepSizeUnderflow(
+                    f"step {h:.3e} underflowed at t={t:.6g}")
+            if accepted + rejected >= ctrl.max_steps:
+                raise IntegrationError(
+                    f"step budget of {ctrl.max_steps} trial steps exhausted "
+                    f"at t={t:.6g}")
 
-        y_new, K, abs_new, err = _dop853_step(rhs, args, y, k1, abs_y, h,
-                                              ctrl)
-        evals += 12
-        if err <= 1.0:
-            t_new = t_last if last else t + h
-            # samples n .. end-1 lie in (t, t_new]; one at t_new is a node
-            end = bisect_right(times, t_new, n)
-            inner = end - n - (end > n and times[end - 1] == t_new)
+            y_new, K, abs_new, err = _dop853_step(rhs, args, y, k1, abs_y,
+                                                  h, ctrl)
+            evals += 12
+            if err <= 1.0:
+                t_new = t_last if last else t + h
+                # samples n .. end-1 lie in (t, t_new]; one at t_new is a node
+                end = bisect_right(times, t_new, n)
+                inner = end - n - (end > n and times[end - 1] == t_new)
+                if inner:
+                    block = _dense_samples(rhs, args, y, K, h,
+                                           (grid[n:n + inner] - t) / h)
+                    evals += 3
+                    if not (np.isfinite(K[13:]).all()
+                            and np.isfinite(block).all()):
+                        err = math.nan
+            if not math.isfinite(err):
+                if nonfinite:
+                    raise NonFiniteStep(
+                        f"two trial steps in a row from t={t:.6g} gave a non-"
+                        f"finite state, stage or error estimate (last step "
+                        f"{h:.3e}): the vector field is not finite there")
+                nonfinite = True
+                rejected += 1
+                continue
+            nonfinite = False
+            if err > 1.0:
+                retried = True
+                rejected += 1
+                h *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+                continue
+
+            accepted += 1
             if inner:
-                block = _dense_samples(rhs, args, y, K, h,
-                                       (grid[n:n + inner] - t) / h)
-                evals += 3
-                if not (np.isfinite(K[13:]).all()
-                        and np.isfinite(block).all()):
-                    err = math.nan
-        if not math.isfinite(err):
-            if nonfinite:
-                raise NonFiniteStep(
-                    f"two trial steps in a row from t={t:.6g} gave a "
-                    f"non-finite state, stage or error estimate (last step "
-                    f"{h:.3e}): the vector field is not finite there")
-            nonfinite = True
-            rejected += 1
-            continue
-        nonfinite = False
-        if err > 1.0:
-            retried = True
-            rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
-            continue
+                ys[n + 1:n + 1 + inner] = block
+            if end > n + inner:
+                ys[end] = y_new
+            t, y, k1, abs_y = t_new, y_new, K[12], abs_new
+            factor = (_MAX_FACTOR if err == 0.0
+                      else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+            # no growth straight after a rejection
+            h *= min(1.0, factor) if retried else factor
+            retried = False
+            if end > n:
+                stop = sample_hook(times[n:end], ys[n + 1:end + 1])
+                if stop is not None:
+                    n += stop + 1
+                    break
+            n = end
+    except IntegrationError:
+        _check_invariants(np.append(0.0, grid[:n]), ys[:n + 1].T, ctrl)
+        raise
+    t, y = np.append(0.0, grid[:n]), ys[:n + 1].T
+    _check_invariants(t, y, ctrl)
+    return t, y, accepted, rejected, evals
 
-        accepted += 1
-        if inner:
-            ys[n + 1:n + 1 + inner] = block
-        if end > n + inner:
-            ys[end] = y_new
-        t, y, k1, abs_y = t_new, y_new, K[12], abs_new
-        factor = (_MAX_FACTOR if err == 0.0
-                  else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
-        # no growth straight after a rejection
-        h *= min(1.0, factor) if retried else factor
-        retried = False
-        if end > n:
-            stop = sample_hook(times[n:end], ys[n + 1:end + 1])
-            if stop is not None:
-                i = n + stop
-                return (np.append(0.0, grid[:i + 1]), ys[:i + 2].T,
-                        accepted, rejected, evals, True)
-        n = end
 
-    return np.append(0.0, grid), ys.T, accepted, rejected, evals, False
+def _check_invariants(t, y, ctrl: IntegratorControl) -> None:
+    """Raise :class:`InvariantDrift` at the first sample of the packed
+    (6, N) trajectory ``y`` whose trace or quadratic invariant, both basis
+    independent, is off that of ``y[:, 0]`` by more than the bound."""
+    tol = ctrl.invariant_tol
+    trace = abs(_trace(y) - _trace(y[:, 0]))
+    quad = abs(_quadratic(y) - _quadratic(y[:, 0]))
+    drifted = np.flatnonzero((trace > tol) | (quad > tol))
+    if drifted.size:
+        i = drifted[0]
+        what, by = (("trace", trace[i]) if trace[i] > tol
+                    else ("quadratic invariant", quad[i]))
+        raise InvariantDrift(f"{what} drifted by {by:.3e} at "
+                             f"t={t[i]:.4g} (limit {tol:g})")
 
 
 class _Monitors:
-    """Invariant checks and quiescence detector: the hook of _integrate_core.
+    """Quiescence detector: the sample hook of _integrate_core.
 
-    Trace and the quadratic invariant are basis independent, so the same
-    checks apply to packed bare and bright/dark states.  They and
-    d(rho11)/dt, ``rate(y)``, are array expressions over a step's block;
-    only the detector's state advances sample by sample.  At each sample
-    the invariants come first: drift at or before the stop sample raises.
+    Once per accepted step it reads d(rho11)/dt of the step's block,
+    ``rate(y)``, in one array expression, and advances its state sample
+    by sample.
     """
 
-    def __init__(self, ctrl, y0, rate):
+    def __init__(self, ctrl, rate):
         self.ctrl = ctrl
         self.rate = rate
-        self.trace0 = _trace(y0)
-        self.quad0 = _quadratic(y0)
         self.armed = False
         self.last_loud = 0.0
         self.end_time = None
 
     def __call__(self, t, y) -> int | None:
-        tol = self.ctrl.invariant_tol
-        trace = abs(_trace(y.T) - self.trace0)
-        quad = abs(_quadratic(y.T) - self.quad0)
-        drifted = np.flatnonzero((trace > tol) | (quad > tol))
-        checked = drifted[0] if drifted.size else len(t)
-        if self.ctrl.stop_on_quiescence:
-            rates = self.rate(y[:checked]).tolist()
-            for i, (ti, rate) in enumerate(zip(t, rates)):
-                if rate >= _QUIESCENCE_RATE:
-                    self.armed = True
-                    self.last_loud = ti
-                elif self.armed and ti - self.last_loud >= _QUIESCENCE_WINDOW:
-                    self.end_time = ti
-                    return i
-        if drifted.size:
-            i = drifted[0]
-            what, by = (("trace", trace[i]) if trace[i] > tol
-                        else ("quadratic invariant", quad[i]))
-            raise InvariantDrift(f"{what} drifted by {by:.3e} at "
-                                 f"t={t[i]:.4g} (limit {tol:g})")
+        if not self.ctrl.stop_on_quiescence:
+            return None
+        for i, (ti, rate) in enumerate(zip(t, self.rate(y).tolist())):
+            if rate >= _QUIESCENCE_RATE:
+                self.armed = True
+                self.last_loud = ti
+            elif self.armed and ti - self.last_loud >= _QUIESCENCE_WINDOW:
+                self.end_time = ti
+                return i
         return None
 
 
@@ -620,10 +635,10 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     ``rhs(y, omega32, delta_L, mu21, mu31)`` is the packed vector field
     the stepper advances; ``rate`` with the same arguments is its slot 3,
     d(rho11)/dt, for each row of an (m, 6) block of states, which the
-    quiescence detector reads once per accepted step.
-    ``frame = (into, back)`` rotates the packed initial state into the
-    frame of ``rhs`` and the sampled (6, N) trajectory back to the bare
-    basis; None means the bare basis.
+    quiescence detector reads once per accepted step; the invariants are
+    checked in the frame of ``rhs``.  ``frame = (into, back)`` rotates
+    the packed initial state into that frame and the sampled (6, N)
+    trajectory back to the bare basis; None means the bare basis.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
@@ -632,13 +647,12 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     if frame is not None:
         y0 = frame[0](y0, params)
     args = (params.omega32, params.delta_L, params.mu21, params.mu31)
-    monitors = _Monitors(ctrl, y0, lambda y: rate(y, *args))
-    t, y, acc, rej, evals, stopped = _integrate_core(
+    monitors = _Monitors(ctrl, lambda y: rate(y, *args))
+    t, y, acc, rej, evals = _integrate_core(
         rhs, args, y0, t_end, ctrl, _initial_step(params.omega32), monitors)
     if frame is not None:
         y = frame[1](y, params)
-    return Trajectory(t, y, params, ctrl, acc, rej, evals,
-                      monitors.end_time if stopped else None)
+    return Trajectory(t, y, params, ctrl, acc, rej, evals, monitors.end_time)
 
 
 def integrate(state0: DensityState, params: SystemParams, t_end: float,
@@ -649,9 +663,10 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     the step; the trajectory is sampled on the regular grid ``ctrl.dt``
     from the 7th-order continuous extension of each step (see
     :class:`IntegratorControl`).  Trace and the quadratic invariant are
-    monitored at every sample; drift beyond ``ctrl.invariant_tol`` raises
-    :class:`InvariantDrift`.  With ``stop_on_quiescence`` the run ends
-    once d(rho11)/dt = 2|mu21 R21 + mu31 R31|^2, computed from each
+    checked at every sample once the run ends, or fails in the stepper;
+    drift beyond ``ctrl.invariant_tol`` raises :class:`InvariantDrift`,
+    naming the first drifted sample.  With ``stop_on_quiescence`` the run
+    ends once d(rho11)/dt = 2|mu21 R21 + mu31 R31|^2, computed from each
     sample, has stayed below 1e-8 for 10 tau_R after emission developed,
     which is what "final" populations refer to.
     """

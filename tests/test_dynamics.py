@@ -177,8 +177,10 @@ class TestIntegrate:
         assert np.max(np.abs(p0 - p1)) < 1e-10
 
     def test_invariant_monitor_triggers(self):
-        """An unreachable drift bound must abort the run, not warp it."""
-        with pytest.raises(InvariantDrift):
+        """An unreachable drift bound must abort the run, not warp it; the
+        message names the quantity and the first drifted sample."""
+        with pytest.raises(InvariantDrift, match=r"^quadratic invariant "
+                           r"drifted by \S+ at t=0\.02 \(limit 1e-15\)$"):
             integrate(initial_state(0.5, 0.5, 0.5), make_params(5.0, 0.0),
                       14.0, IntegratorControl(invariant_tol=1e-15))
 
@@ -271,23 +273,30 @@ def _monitor_reference(ctrl, y0, times, ys, rhs, args):
     return None, None
 
 
-def _monitor_in_blocks(monitors, times, ys, cuts):
-    """Feed ``monitors`` the samples in blocks [cuts[k], cuts[k + 1]);
-    returns (outcome, time) in the form of :func:`_monitor_reference`, and
-    the index of the stop sample."""
+def _monitor_in_blocks(monitors, ctrl, y0, times, ys, cuts):
+    """Feed ``monitors`` the samples in blocks [cuts[k], cuts[k + 1]) until
+    it stops the run, then check the invariants once over ``y0`` and the
+    samples up to the stop, as _integrate_core does.  Returns (outcome,
+    time) in the form of :func:`_monitor_reference`, and the index of the
+    stop sample (None when the detector never stopped the run)."""
+    index = None
     for a, b in zip(cuts[:-1], cuts[1:]):
-        try:
-            stop = monitors(times[a:b], ys[a:b])
-        except InvariantDrift as exc:
-            kind, t = re.match(r"(trace|quadratic invariant) drifted by "
-                               r"\S+ at t=(\S+) ", str(exc)).groups()
-            assert monitors.end_time is None
-            return (kind, t), None
+        stop = monitors(times[a:b], ys[a:b])
         if stop is not None:
-            assert monitors.end_time == times[a + stop]
-            return ("stop", monitors.end_time), a + stop
-    assert monitors.end_time is None
-    return (None, None), None
+            index = a + stop
+            break
+    assert monitors.end_time == (None if index is None else times[index])
+    n = len(times) if index is None else index + 1
+    try:
+        dynamics._check_invariants(np.append(0.0, times[:n]),
+                                   np.vstack((y0, ys[:n])).T, ctrl)
+    except InvariantDrift as exc:
+        kind, t = re.match(r"(trace|quadratic invariant) drifted by "
+                           r"\S+ at t=(\S+) ", str(exc)).groups()
+        return (kind, t), index
+    if index is None:
+        return (None, None), None
+    return ("stop", monitors.end_time), index
 
 
 class TestMonitorBlocks:
@@ -298,12 +307,15 @@ class TestMonitorBlocks:
     def test_blocks_match_per_sample_reference(self, preset_configs,
                                                preset_runs, rhs, rate,
                                                frame):
-        """Fed fig5's samples in blocks cut at random points, the monitor
-        stops at the same sample, or raises the same drift at the same
-        sample time, as a per-sample reference.  Drift is injected in
-        trace or in the quadratic invariant alone, one sample before, at
-        and after the quiescence stop: at or before it the run must
-        raise, after it the run must stop."""
+        """Fed fig5's samples in blocks cut at random points and then
+        checked once up to the stop, the monitor stops at the same
+        sample, or raises the same drift at the same sample time, as a
+        per-sample reference.  Drift is injected in trace or in the
+        quadratic invariant alone, one sample before, at and after the
+        quiescence stop: at or before it the run must raise, after it the
+        run must stop.  The injected drift leaves d(rho11)/dt as it is,
+        so the detector stops at the clean run's stop sample either way;
+        only the check decides whether the run fails there."""
         cfg = preset_configs["fig5"]
         run = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
                         replace(cfg.control, stop_on_quiescence=False))
@@ -339,11 +351,12 @@ class TestMonitorBlocks:
                     cuts = np.append(cuts[cuts < len(times)],
                                      len(times)).tolist()
                     monitors = dynamics._Monitors(
-                        ctrl, y0, lambda b: rate(b, *args))
-                    got, index = _monitor_in_blocks(monitors, times, ys,
-                                                    cuts)
+                        ctrl, lambda b: rate(b, *args))
+                    got, index = _monitor_in_blocks(monitors, ctrl, y0,
+                                                    times, ys, cuts)
                     assert got == (want, t), (kind, at, ctrl)
-                    assert index == (stop if want == "stop" else None)
+                    assert index == (stop if ctrl.stop_on_quiescence
+                                     else None)
 
 
 class TestRejectedSteps:
@@ -484,6 +497,83 @@ class TestStepBudget:
         assert traj.t.size == 501 and len(sizes) > 1
         assert 0 < sum(sizes) < traj.t.size - 1
         assert calls[0] == traj.rhs_evals == 1 + 12 * n + 3 * len(sizes)
+
+
+class TestDriftBeforeFailure:
+    """The invariants are checked once, over the stored samples, when the
+    run ends, and also before a failure of the stepper escapes: a sample
+    that drifted before the failure still fails the run as drift."""
+
+    STATE = initial_state(0.5, 0.5, 0.5)
+    PARAMS = make_params(5.0, 1.0)
+    DRIFT = "trace drifted by 1.932e-06 at t=0.26 (limit 1e-08)"
+
+    @staticmethod
+    def lose_trace(monkeypatch, from_call):
+        """From call ``from_call`` on, ``dynamics._rhs`` adds 1e-3 to
+        d(rho22)/dt, so the trace of the solution grows."""
+        real = dynamics._rhs
+        calls = [0]
+
+        def drifting(y, *args):
+            calls[0] += 1
+            d = real(y, *args)
+            if calls[0] >= from_call:
+                d[4] += 1e-3
+            return d
+
+        monkeypatch.setattr(dynamics, "_rhs", drifting)
+
+    def test_drift_before_non_finite_field_is_drift(self, monkeypatch):
+        poison_rhs(monkeypatch, 300)
+        with pytest.raises(NonFiniteStep, match="from t=1.18668 "):
+            integrate(self.STATE, self.PARAMS, 3.0)
+        monkeypatch.undo()
+        self.lose_trace(monkeypatch, 100)
+        poison_rhs(monkeypatch, 300)
+        with pytest.raises(InvariantDrift) as exc:
+            integrate(self.STATE, self.PARAMS, 3.0)
+        assert str(exc.value) == self.DRIFT
+        assert type(exc.value.__context__) is NonFiniteStep
+
+    def test_drift_before_spent_budget_is_drift(self, monkeypatch):
+        ctrl = IntegratorControl(max_steps=20)
+        with pytest.raises(IntegrationError,
+                           match="budget of 20 trial steps exhausted at "
+                                 "t=1.18668$"):
+            integrate(self.STATE, self.PARAMS, 3.0, ctrl)
+        self.lose_trace(monkeypatch, 100)
+        with pytest.raises(InvariantDrift) as exc:
+            integrate(self.STATE, self.PARAMS, 3.0, ctrl)
+        assert str(exc.value) == self.DRIFT
+        assert type(exc.value.__context__) is IntegrationError
+
+
+class TestPresetCounts:
+    """The step counts, field evaluations and quiescence stop of every
+    preset on both paths, as documented: any change to the arithmetic of
+    the stepper that moves a step shows here."""
+
+    COUNTS = {   # accepted, rejected, rhs_evals, end_of_run_time
+        "bare": {"fig2": (489, 0, 7333, 37.410000000000004),
+                 "fig3": (746, 0, 11188, None),
+                 "fig4": (460, 0, 6898, None),
+                 "fig5": (552, 4, 8326, 42.49),
+                 "degenerate": (163, 2, 2467, None)},
+        "bright_dark": {"fig2": (560, 72, 9262, 37.410000000000004),
+                        "fig3": (827, 167, 14407, None),
+                        "fig4": (448, 51, 7330, None),
+                        "fig5": (590, 49, 9436, 42.49),
+                        "degenerate": (156, 1, 2350, None)},
+    }
+
+    @pytest.mark.parametrize("path", ["bare", "bright_dark"])
+    def test_counts_are_pinned(self, path, preset_runs, preset_bd_runs):
+        runs = preset_runs if path == "bare" else preset_bd_runs
+        got = {name: (traj.steps_accepted, traj.steps_rejected,
+                      traj.rhs_evals, traj.end_of_run_time)
+               for name, traj in runs.items()}
+        assert got == self.COUNTS[path]
 
 
 def _scipy_table():
