@@ -16,13 +16,12 @@ the initial state, advance with :func:`rhs_bright_dark`, and map back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .dynamics import IntegratorControl, Trajectory, _drive, _pack, _unpack
-from .params import (POSITIVITY_TOL, DensityState, PositivityViolation,
-                     SystemParams, TraceViolation, _require_finite_fields)
+from .params import DensityState, SystemParams, _check_states
 
 __all__ = [
     "BrightDarkState",
@@ -50,17 +49,10 @@ class BrightDarkState:
     rho_pp: float
     rho_mm: float
 
-    def validate(self, tol: float = POSITIVITY_TOL) -> "BrightDarkState":
-        """Finiteness, trace and doublet positivity; returns self."""
-        _require_finite_fields(self)
-        trace = self.rho_11 + self.rho_pp + self.rho_mm
-        if abs(trace - 1.0) > 1e-9:
-            raise TraceViolation(
-                f"rho_11 + rho_pp + rho_mm = {trace!r}, expected 1")
-        if abs(self.rho_pm) ** 2 > self.rho_pp * self.rho_mm + tol:
-            raise PositivityViolation(
-                f"|rho_pm|**2 = {abs(self.rho_pm) ** 2:.3e} exceeds "
-                f"rho_pp*rho_mm = {self.rho_pp * self.rho_mm:.3e}")
+    def validate(self) -> "BrightDarkState":
+        """As ``DensityState.validate``, with R_plus1 paired with rho_pp and
+        R_minus1 with rho_mm; returns self."""
+        _check_states(astuple(self), [f.name for f in fields(self)], (4, 5))
         return self
 
 

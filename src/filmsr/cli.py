@@ -17,8 +17,8 @@ import sys
 from dataclasses import replace
 
 from .analytics import AnalyticsError
-from .config import (PRESET_NAMES, SWEEPABLE, ConfigError, ScenarioConfig,
-                     SweepSpec, load_physical, load_preset, load_scenario)
+from .config import (PRESET_NAMES, SWEEPABLE, ScenarioConfig, SweepSpec,
+                     _config_errors, load_physical, load_preset, load_scenario)
 from .dynamics import IntegrationError
 from .params import ParameterError, estimate_timescales
 from .runner import run_scenario, run_sweep
@@ -113,10 +113,8 @@ def _cmd_preset(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_scenario(args.config), args)
-    try:
+    with _config_errors("cannot parse --values: "):
         values = tuple(float(v) for v in args.values.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --values: {exc}") from exc
     spec = SweepSpec(base=cfg, param=args.param, values=values)
     out_dir = args.out_dir if args.out_dir is not None else (cfg.out_dir or ".")
     rows = run_sweep(spec, out_dir)

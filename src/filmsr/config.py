@@ -19,10 +19,11 @@ without spaces (``0.5``, ``1e-8j``, ``0.3+0.1j``).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .basis import to_bright_dark
+from .analytics import inversion_condition
 from .dynamics import IntegratorControl
 from .params import (DensityState, ParameterError, PhysicalInputs,
                      SystemParams, initial_state, make_params)
@@ -53,6 +54,18 @@ _GRID_SAFETY = 0.01
 
 class ConfigError(ParameterError):
     """Malformed or inconsistent configuration input."""
+
+
+@contextmanager
+def _config_errors(prefix=""):
+    """Re-raise a ValueError (ParameterError included) of the block as a
+    ConfigError, ``prefix`` before its message; ConfigError passes as is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -88,16 +101,12 @@ class ScenarioConfig:
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ConfigError(f"run.t_end must be finite and > 0, "
                               f"got {self.t_end!r}")
-        try:
+        with _config_errors():
             self.control.validated()
             state = self.init.build()
-        except (ParameterError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
         # phase-unwrap safety: the grid must beat both the doublet
-        # splitting and the maximum local-field chirp 4*Z0*delta_L, with
-        # the bright-channel inversion Z0 = (rho_pp - rho_11)/2
-        bd = to_bright_dark(state, self.params)
-        z0 = 0.5 * (bd.rho_pp - bd.rho_11)
+        # splitting and the maximum local-field chirp 4*Z0*delta_L
+        z0 = inversion_condition(state, self.params)["Z0"]
         fastest = max(abs(self.params.omega32),
                       4.0 * max(z0, 0.0) * self.params.delta_L, 1.0)
         bound = _GRID_SAFETY * 2.0 * math.pi / fastest
@@ -127,13 +136,8 @@ class SweepSpec:
             raise ConfigError(f"sweep values must be finite: {self.values}")
         self.base.validated()
         for v in self.values:
-            try:
+            with _config_errors(f"sweep value {v!r} is invalid: "):
                 apply_sweep_value(self.base, self.param, v).validated()
-            except ParameterError as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-                raise ConfigError(
-                    f"sweep value {v!r} is invalid: {exc}") from exc
         return self
 
 
@@ -203,17 +207,13 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     """Build and validate a :class:`ScenarioConfig` from parsed keys."""
     m = dict(mapping)
     take = lambda *a, **k: _take(m, _CONVERTERS, *a, **k)
-    try:
+    with _config_errors():
         params = make_params(
             omega32=take("params.omega32", "float", required=True),
             delta_L=take("params.delta_L", "float", required=True),
             mu21=take("params.mu21", "float", default=1.0),
             mu31=take("params.mu31", "float", default=1.0),
         )
-    except ParameterError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
     init = InitialSpec(
         rho22=take("init.rho22", "float", required=True),
         rho33=take("init.rho33", "float", required=True),
@@ -247,7 +247,7 @@ def physical_from_mapping(mapping: dict[str, str]) -> PhysicalInputs:
     """Build :class:`PhysicalInputs` (CGS units) from parsed keys."""
     m = dict(mapping)
     take = lambda *a, **k: _take(m, _CONVERTERS, *a, **k)
-    try:
+    with _config_errors():
         phys = PhysicalInputs(
             wavelength_c=take("physical.wavelength_c", "float", required=True),
             thickness=take("physical.thickness", "float", required=True),
@@ -257,10 +257,6 @@ def physical_from_mapping(mapping: dict[str, str]) -> PhysicalInputs:
                                required=True),
             tau0=take("physical.tau0", "float", required=True),
         )
-    except ParameterError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
     if m:
         raise ConfigError(f"unknown config keys: {sorted(m)}")
     return phys

@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .params import DensityState, SystemParams
+from .params import _BARE, DensityState, SystemParams, _check_states
 
 __all__ = [
     "IntegrationError",
@@ -262,15 +262,10 @@ class Trajectory:
         return _unpack(self.y[:, i])
 
     def validate(self) -> "Trajectory":
-        """Structural checks over all samples; returns self.
-
-        Times strictly increasing and every sample a valid density state
-        (trace within 1e-9, positivity included).
-        """
+        """Times strictly increasing, every sample valid; returns self."""
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
-        for i in range(self.t.size):
-            self.state_at(i).validate()
+        _check_states(self.y, *_BARE)
         return self
 
 
@@ -485,9 +480,9 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     samples (none at t=0), with their times as a list and their states as
     an (m, 6) block; it returns the index in the block of the sample that
     ends the run, or None.  The samples up to that one are kept, and
-    :func:`_check_invariants` checks them once: when the run ends, and
-    before an :class:`IntegrationError` of the stepper escapes, so drift
-    in the samples before a fault is the error the run reports.
+    :func:`_check_invariants` checks them every 512 samples, when the run
+    ends and before an :class:`IntegrationError` of the stepper escapes,
+    so drift in the samples before a fault is the error the run reports.
 
     Returns (t_array, y_array, accepted, rejected, rhs_evals);
     ``rhs_evals`` counts every call of ``rhs``.
@@ -510,9 +505,14 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     k1 = rhs(y, *args)
     evals = 1
     h = h0
-    n = 0                   # samples stored after t = 0
+    n = checked = 0         # samples stored after t = 0, and checked
     accepted = rejected = 0
     nonfinite = retried = False
+
+    def check(upto):
+        nonlocal checked
+        lo, checked = checked, upto
+        _check_invariants(grid[lo:upto], ys[lo + 1:upto + 1].T, ys[0], ctrl)
 
     try:
         while n < grid.size:
@@ -575,21 +575,22 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                     n += stop + 1
                     break
             n = end
+            if n - checked >= 512:  # bounds the work of an early drift
+                check(n)
     except IntegrationError:
-        _check_invariants(np.append(0.0, grid[:n]), ys[:n + 1].T, ctrl)
+        check(n)        # an empty range when check itself raised
         raise
-    t, y = np.append(0.0, grid[:n]), ys[:n + 1].T
-    _check_invariants(t, y, ctrl)
-    return t, y, accepted, rejected, evals
+    check(n)
+    return np.append(0.0, grid[:n]), ys[:n + 1].T, accepted, rejected, evals
 
 
-def _check_invariants(t, y, ctrl: IntegratorControl) -> None:
-    """Raise :class:`InvariantDrift` at the first sample of the packed
-    (6, N) trajectory ``y`` whose trace or quadratic invariant, both basis
-    independent, is off that of ``y[:, 0]`` by more than the bound."""
+def _check_invariants(t, y, y0, ctrl: IntegratorControl) -> None:
+    """Raise :class:`InvariantDrift` at the first of the packed (6, N)
+    samples ``y`` at times ``t`` whose trace or quadratic invariant, both
+    basis independent, is off that of ``y0`` by more than the bound."""
     tol = ctrl.invariant_tol
-    trace = abs(_trace(y) - _trace(y[:, 0]))
-    quad = abs(_quadratic(y) - _quadratic(y[:, 0]))
+    trace = abs(_trace(y) - _trace(y0))
+    quad = abs(_quadratic(y) - _quadratic(y0))
     drifted = np.flatnonzero((trace > tol) | (quad > tol))
     if drifted.size:
         i = drifted[0]
@@ -662,12 +663,13 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     Adaptive Runge-Kutta 8(5,3) (DOP853) with error control alone setting
     the step; the trajectory is sampled on the regular grid ``ctrl.dt``
     from the 7th-order continuous extension of each step (see
-    :class:`IntegratorControl`).  Trace and the quadratic invariant are
-    checked at every sample once the run ends, or fails in the stepper;
-    drift beyond ``ctrl.invariant_tol`` raises :class:`InvariantDrift`,
-    naming the first drifted sample.  With ``stop_on_quiescence`` the run
-    ends once d(rho11)/dt = 2|mu21 R21 + mu31 R31|^2, computed from each
-    sample, has stayed below 1e-8 for 10 tau_R after emission developed,
-    which is what "final" populations refer to.
+    :class:`IntegratorControl`).  Trace and the quadratic invariant of
+    the samples are checked 512 at a time, at the end of the run and when
+    the stepper fails; drift beyond ``ctrl.invariant_tol`` raises
+    :class:`InvariantDrift`, naming the first drifted sample.  With
+    ``stop_on_quiescence`` the run ends once d(rho11)/dt =
+    2|mu21 R21 + mu31 R31|^2, computed from each sample, has stayed below
+    1e-8 for 10 tau_R after emission developed, which is what "final"
+    populations refer to.
     """
     return _drive(state0, params, t_end, ctrl, _rhs, _rate)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
+
+import numpy as np
 
 __all__ = [
     "ParameterError",
@@ -219,36 +221,9 @@ class DensityState:
     rho22: float
     rho33: float
 
-    def validate(self, tol: float = POSITIVITY_TOL) -> "DensityState":
-        """Check finiteness, trace, population bounds and positivity;
-        return self.
-
-        Safe to call repeatedly (idempotent).  Raises ParameterError
-        naming the first non-finite field, TraceViolation or
-        PositivityViolation.
-        """
-        _require_finite_fields(self)
-        trace = self.rho11 + self.rho22 + self.rho33
-        if abs(trace - 1.0) > 1e-9:
-            raise TraceViolation(
-                f"rho11 + rho22 + rho33 = {trace!r}, expected 1 (within 1e-9)")
-        for name in ("rho11", "rho22", "rho33"):
-            p = getattr(self, name)
-            if p < -tol or p > 1.0 + tol:
-                raise PositivityViolation(
-                    f"population {name} = {p!r} outside [0, 1] (tol {tol})")
-        checks = (
-            ("|rho32|^2 <= rho22*rho33", abs(self.rho32) ** 2,
-             self.rho22 * self.rho33),
-            ("|R31|^2 <= rho33*rho11", abs(self.R31) ** 2,
-             self.rho33 * self.rho11),
-            ("|R21|^2 <= rho22*rho11", abs(self.R21) ** 2,
-             self.rho22 * self.rho11),
-        )
-        for label, lhs, rhs in checks:
-            if lhs > rhs + tol:
-                raise PositivityViolation(
-                    f"positivity {label} violated: {lhs!r} > {rhs!r} + {tol}")
+    def validate(self) -> "DensityState":
+        """:func:`_check_states` on this state; returns self."""
+        _check_states(astuple(self), *_BARE)
         return self
 
     @property
@@ -256,11 +231,49 @@ class DensityState:
         return self.rho11 + self.rho22 + self.rho33
 
 
-def _require_finite_fields(state) -> None:
-    """Raise ParameterError naming the first non-finite field of a state;
-    every comparison with nan is False, so the bounds alone pass it."""
-    for field in fields(state):
-        _require_finite(field.name, getattr(state, field.name))
+# names and pairing of the bare basis: R31 pairs with rho33, R21 with rho22
+_BARE = (tuple(f.name for f in fields(DensityState)), (5, 4))
+
+
+def _check_states(values, names, pairs) -> None:
+    """Raise at the first packed state that is not a valid density matrix.
+
+    ``values`` holds the six packed components (populations by their real
+    parts) as scalars for one state or length-N arrays; ``names`` their
+    field names.  Coherence 2 pairs with populations 4 and 5, coherences 0
+    and 1 with population 3 and ``pairs[0]`` or ``pairs[1]``.  In order:
+    finiteness (ParameterError; nan passes every bound), trace 1 within
+    1e-9 (TraceViolation), then within POSITIVITY_TOL populations in
+    [0, 1] and 2x2 minors |c|^2 <= p_a*p_b (PositivityViolation).
+    """
+    tol = POSITIVITY_TOL
+    values = [*values[:3], *(v.real for v in values[3:])]
+    # each check: (failure mask, error class, message, message arguments)
+    checks = [(~np.isfinite(v), ParameterError, "{} must be finite, got {!r}",
+               name, v) for name, v in zip(names, values)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        trace = values[3] + values[4] + values[5]
+        checks.append((abs(trace - 1.0) > 1e-9, TraceViolation,
+                       "{} = {!r}, expected 1 (within 1e-9)",
+                       " + ".join(names[3:]), trace))
+        checks += [((p < -tol) | (p > 1.0 + tol), PositivityViolation,
+                    "population {} = {!r} outside [0, 1] (tol {})", name, p,
+                    tol) for name, p in zip(names[3:], values[3:])]
+        for c, a, b in ((2, 4, 5), (0, pairs[0], 3), (1, pairs[1], 3)):
+            z = values[c]
+            lhs = z.real * z.real + z.imag * z.imag
+            rhs = values[a] * values[b]
+            checks.append((lhs > rhs + tol, PositivityViolation,
+                           "positivity |{}|^2 <= {}*{} violated: {!r} > {!r} "
+                           "+ {}", names[c], names[a], names[b], lhs, rhs,
+                           tol))
+    bad = np.array([check[0] for check in checks]).reshape(len(checks), -1)
+    failing = np.flatnonzero(bad.any(axis=0))
+    if failing.size:
+        i = failing[0]
+        _, error, text, *args = checks[bad[:, i].argmax()]
+        raise error(text.format(*(a if np.ndim(a) == 0 else a[i].item()
+                                  for a in args)))
 
 
 def initial_state(rho22, rho33, rho32, R21_0=1e-8, R31_0=1e-8) -> DensityState:
@@ -269,9 +282,8 @@ def initial_state(rho22, rho33, rho32, R21_0=1e-8, R31_0=1e-8) -> DensityState:
     The ground-state population is implied: rho11 = 1 - rho22 - rho33.
     ``rho32``, ``R21_0`` and ``R31_0`` may be real or complex.
 
-    Raises PositivityViolation for negative doublet populations or states
-    breaking the Cauchy-Schwarz inequalities (e.g. |rho32|**2 >
-    rho22*rho33), and TraceViolation when rho22 + rho33 > 1.
+    Raises PositivityViolation for negative doublet populations,
+    TraceViolation when rho22 + rho33 > 1, and what ``validate`` raises.
     """
     _require_finite("rho22", rho22)
     _require_finite("rho33", rho33)
@@ -283,6 +295,5 @@ def initial_state(rho22, rho33, rho32, R21_0=1e-8, R31_0=1e-8) -> DensityState:
         raise TraceViolation(
             f"rho22 + rho33 = {occupied!r} > 1: no room for the ground state")
     rho11 = max(1.0 - occupied, 0.0)
-    state = DensityState(complex(R31_0), complex(R21_0), complex(rho32),
-                         rho11, float(rho22), float(rho33))
-    return state.validate()
+    return DensityState(complex(R31_0), complex(R21_0), complex(rho32),
+                        rho11, float(rho22), float(rho33)).validate()

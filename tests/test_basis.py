@@ -151,6 +151,16 @@ class TestValidate:
             BrightDarkState(0j, 0j, complex(np.nan), 0.0, 0.5,
                             0.5).validate()
 
+    @pytest.mark.parametrize("state", [
+        BrightDarkState(1 + 0j, 0j, 0j, 0.5, 0.5, 0.0),   # |R+1|^2 > pp*11
+        BrightDarkState(0j, 0j, 0j, 1.5, -0.5, 0.0),      # rho_pp < 0
+    ], ids=["optical_minor", "population"])
+    def test_checks_what_the_bare_basis_checks(self, state):
+        """The optical minors and population bounds hold in this basis
+        too, not only the doublet minor."""
+        with pytest.raises(PositivityViolation):
+            state.validate()
+
     def test_accepts_balanced_coherent_doublet(self):
         BrightDarkState(0j, 0j, 0.5 + 0j, 0.0, 0.5, 0.5).validate()
 

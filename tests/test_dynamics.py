@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from filmsr import (DensityState, IntegrationError, IntegratorControl,
-                    InvariantDrift, NonFiniteStep, basis, dynamics, field_of,
-                    initial_state, integrate, make_params, rhs_original)
+                    InvariantDrift, NonFiniteStep, PositivityViolation,
+                    TraceViolation, basis, dynamics, field_of, initial_state,
+                    integrate, make_params, rhs_original)
 from filmsr.basis import _rhs_bd, integrate_bright_dark
+from filmsr.params import ParameterError
 from conftest import poison_rhs, random_pure_state
 
 RNG = np.random.default_rng(3)
@@ -176,13 +178,24 @@ class TestIntegrate:
         assert n0 != n1
         assert np.max(np.abs(p0 - p1)) < 1e-10
 
-    def test_invariant_monitor_triggers(self):
+    def test_invariant_monitor_triggers(self, monkeypatch):
         """An unreachable drift bound must abort the run, not warp it; the
-        message names the quantity and the first drifted sample."""
-        with pytest.raises(InvariantDrift, match=r"^quadratic invariant "
-                           r"drifted by \S+ at t=0\.02 \(limit 1e-15\)$"):
+        message names the quantity and the first drifted sample.  The kept
+        samples are checked every 512, so the run stops short of the 3133
+        field evaluations it takes to its end."""
+        real, calls = dynamics._rhs, [0]
+
+        def counted(y, *args):
+            calls[0] += 1
+            return real(y, *args)
+
+        monkeypatch.setattr(dynamics, "_rhs", counted)
+        with pytest.raises(InvariantDrift) as exc:
             integrate(initial_state(0.5, 0.5, 0.5), make_params(5.0, 0.0),
                       14.0, IntegratorControl(invariant_tol=1e-15))
+        assert str(exc.value) == ("quadratic invariant drifted by 4.370e-12 "
+                                  "at t=0.02 (limit 1e-15)")
+        assert calls[0] < 3133 / 2
 
     def test_quiet_start_is_not_mistaken_for_quiescence(self, preset_runs):
         """The incoherent pulse peaks near t = 35 after a long quiet rise;
@@ -275,10 +288,11 @@ def _monitor_reference(ctrl, y0, times, ys, rhs, args):
 
 def _monitor_in_blocks(monitors, ctrl, y0, times, ys, cuts):
     """Feed ``monitors`` the samples in blocks [cuts[k], cuts[k + 1]) until
-    it stops the run, then check the invariants once over ``y0`` and the
-    samples up to the stop, as _integrate_core does.  Returns (outcome,
-    time) in the form of :func:`_monitor_reference`, and the index of the
-    stop sample (None when the detector never stopped the run)."""
+    it stops the run, then check the invariants of the samples up to the
+    stop against ``y0`` in one call (_integrate_core checks the same
+    samples 512 at a time).  Returns (outcome, time) in the form of
+    :func:`_monitor_reference`, and the index of the stop sample (None
+    when the detector never stopped the run)."""
     index = None
     for a, b in zip(cuts[:-1], cuts[1:]):
         stop = monitors(times[a:b], ys[a:b])
@@ -288,8 +302,7 @@ def _monitor_in_blocks(monitors, ctrl, y0, times, ys, cuts):
     assert monitors.end_time == (None if index is None else times[index])
     n = len(times) if index is None else index + 1
     try:
-        dynamics._check_invariants(np.append(0.0, times[:n]),
-                                   np.vstack((y0, ys[:n])).T, ctrl)
+        dynamics._check_invariants(times[:n], ys[:n].T, y0, ctrl)
     except InvariantDrift as exc:
         kind, t = re.match(r"(trace|quadratic invariant) drifted by "
                            r"\S+ at t=(\S+) ", str(exc)).groups()
@@ -788,6 +801,42 @@ class TestTrajectory:
     def test_all_presets_validate(self, preset_runs):
         for traj in preset_runs.values():
             traj.validate()
+
+    @pytest.mark.parametrize("kind", ["nan", "trace", "minor"])
+    def test_names_the_first_bad_sample(self, preset_runs, kind):
+        """A bad sample fails the check with its own message, whether it
+        is the last sample or one followed by a bad sample whose failure
+        comes first in the order of the checks (a nan in rho32)."""
+        traj = preset_runs["fig5"]
+        for at in (17, traj.t.size - 1):
+            y = traj.y.copy()
+            r11, r22, r33 = y[3:, at].real.tolist()
+            if kind == "nan":
+                y[1, at] = complex(math.nan)
+                want = ParameterError, "R21 must be finite, got (nan+0j)"
+            elif kind == "trace":
+                y[4, at] += 1e-3
+                want = TraceViolation, (
+                    f"rho11 + rho22 + rho33 = {r11 + (r22 + 1e-3) + r33!r}, "
+                    "expected 1 (within 1e-9)")
+            else:
+                y[0, at] = 0.9
+                want = PositivityViolation, (
+                    f"positivity |R31|^2 <= rho33*rho11 violated: 0.81 > "
+                    f"{r33 * r11!r} + 1e-09")
+            if at + 1 < traj.t.size:
+                y[2, at + 1] = complex(math.nan)
+            with pytest.raises(want[0]) as exc:
+                replace(traj, y=y).validate()
+            assert str(exc.value) == want[1], (kind, at)
+
+    def test_rejects_non_increasing_times(self, preset_runs):
+        traj = preset_runs["fig2"]
+        t = traj.t.copy()
+        t[100] = t[99]
+        with pytest.raises(ValueError, match="^trajectory times must be "
+                                             "strictly increasing$"):
+            replace(traj, t=t).validate()
 
     def test_state_and_field_accessors_agree(self, preset_runs):
         traj = preset_runs["fig2"]
