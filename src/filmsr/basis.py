@@ -20,7 +20,8 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dynamics import IntegratorControl, Trajectory, _drive, _pack, _unpack
+from .dynamics import (IntegratorControl, Trajectory, _drive, _pack,
+                       _scalars, _unpack)
 from .params import DensityState, SystemParams, _check_states
 
 __all__ = [
@@ -104,14 +105,13 @@ def from_bright_dark(bd: BrightDarkState, params: SystemParams) -> DensityState:
 
 
 def _rhs_bd(y, omega32, delta_L, mu21, mu31):
-    """Packed bright/dark vector field: [R+1, R-1, rho_pm, rho11, rho_pp, rho_mm].
+    """Bright/dark vector field: [R+1, R-1, rho_pm, rho11, rho_pp, rho_mm].
 
-    The same hot-path conventions as :func:`dynamics._rhs`: one
-    ``y.tolist()`` unpacks the state into Python complex numbers, the
-    arithmetic runs on those, and a new list of the six values comes back.
+    The same contract as :func:`dynamics._rhs`: ``y`` is six Python
+    numbers, R+1, R-1 and rho_pm complex, then the populations float, and
+    a new list of the six derivatives in that form comes back.
     """
-    Rp, Rm, rpm, r11, rpp, rmm = y.tolist()
-    r11, rpp, rmm = r11.real, rpp.real, rmm.real
+    Rp, Rm, rpm, r11, rpp, rmm = y
     b2 = mu21 ** 2 - mu31 ** 2
     a = mu21 * mu31
     g = complex(1.0, -delta_L)
@@ -147,8 +147,9 @@ def rhs_bright_dark(bd: BrightDarkState,
     unbalanced moments) the coherence rho_pm.  This is the pushforward of
     the bare-basis vector field under the basis rotation.
     """
-    return _unpack(_rhs_bd(_pack(bd), params.omega32, params.delta_L,
-                           params.mu21, params.mu31), BrightDarkState)
+    return _unpack(_rhs_bd(_scalars(_pack(bd)), params.omega32,
+                           params.delta_L, params.mu21, params.mu31),
+                   BrightDarkState)
 
 
 def integrate_bright_dark(state0: DensityState, params: SystemParams,

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .analytics import inversion_condition
+from .analytics import _inversion
 from .dynamics import IntegratorControl
 from .params import (DensityState, ParameterError, PhysicalInputs,
                      SystemParams, initial_state, make_params)
@@ -106,7 +106,7 @@ class ScenarioConfig:
             state = self.init.build()
         # phase-unwrap safety: the grid must beat both the doublet
         # splitting and the maximum local-field chirp 4*Z0*delta_L
-        z0 = inversion_condition(state, self.params)["Z0"]
+        z0 = _inversion(state, self.params)
         fastest = max(abs(self.params.omega32),
                       4.0 * max(z0, 0.0) * self.params.delta_L, 1.0)
         bound = _GRID_SAFETY * 2.0 * math.pi / fastest

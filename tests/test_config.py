@@ -139,6 +139,22 @@ class TestPresets:
             load_preset("fig9")
 
 
+    def test_validated_checks_the_initial_state_once(self, monkeypatch):
+        """Building the initial state validates it; the grid bound reads
+        its inversion without a second check."""
+        from filmsr import params
+        cfg = load_preset("fig5")
+        real, calls = params._check_states, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(params, "_check_states", counted)
+        assert cfg.validated() is cfg
+        assert calls[0] == 1
+
+
 class TestSweepSpec:
     BASE = scenario_from_mapping(mapping())
 
