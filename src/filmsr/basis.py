@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .dynamics import (IntegratorControl, Trajectory, _drive, _pack,
-                       _scalars, _unpack)
+                       _physical, _scalars, _unpack)
 from .params import DensityState, SystemParams, _check_states
 
 __all__ = [
@@ -104,37 +104,40 @@ def from_bright_dark(bd: BrightDarkState, params: SystemParams) -> DensityState:
     return _unpack(_bd_to_bare(_pack(bd), params))
 
 
-def _rhs_bd(y, omega32, delta_L, mu21, mu31):
+def _constants_bd(omega32, delta_L, mu21, mu31) -> tuple:
+    """The arguments of :func:`_rhs_bd` and :func:`_rate_bd` after ``y``,
+    built once per run, in the manner of :func:`dynamics._constants`."""
+    b2 = mu21 ** 2 - mu31 ** 2
+    a = mu21 * mu31
+    return (-0.25j * omega32, -b2, b2, 2.0 * a, 2.0 * complex(1.0, -delta_L),
+            0.5j * omega32, a, 2.0 * (-1.0 + 1j * delta_L), omega32 * a)
+
+
+def _rhs_bd(y, q, nb2, b2, two_a, two_g, w, a, two_c, wa):
     """Bright/dark vector field: [R+1, R-1, rho_pm, rho11, rho_pp, rho_mm].
 
     The same contract as :func:`dynamics._rhs`: ``y`` is six Python
-    numbers, R+1, R-1 and rho_pm complex, then the populations float, and
-    a new list of the six derivatives in that form comes back.
+    numbers, R+1, R-1 and rho_pm complex, then the populations float, the
+    other arguments are ``_constants_bd(omega32, delta_L, mu21, mu31)``,
+    and a new list of the six derivatives in the form of ``y`` comes back.
     """
     Rp, Rm, rpm, r11, rpp, rmm = y
-    b2 = mu21 ** 2 - mu31 ** 2
-    a = mu21 * mu31
-    g = complex(1.0, -delta_L)
-    dRp = (-0.25j * omega32 * (-b2 * Rp + 2.0 * a * Rm)
-           + 2.0 * g * (rpp - r11) * Rp)
-    dRm = (-0.25j * omega32 * (b2 * Rm + 2.0 * a * Rp)
-           + 2.0 * g * Rp * rpm.conjugate())
-    drpm = (0.5j * omega32 * (b2 * rpm + a * (rpp - rmm))
-            + 2.0 * (-1.0 + 1j * delta_L) * Rp * Rm.conjugate())
+    dRp = q * (nb2 * Rp + two_a * Rm) + two_g * (rpp - r11) * Rp
+    dRm = q * (b2 * Rm + two_a * Rp) + two_g * Rp * rpm.conjugate()
+    drpm = w * (b2 * rpm + a * (rpp - rmm)) + two_c * Rp * Rm.conjugate()
     pump = 4.0 * (Rp * Rp.conjugate()).real      # d(rho11)/dt
-    mix = omega32 * a * rpm.imag                 # doublet-splitting exchange
+    mix = wa * rpm.imag                          # doublet-splitting exchange
     drpp = -mix - pump
     drmm = mix
     dr11 = pump
     return [dRp, dRm, drpm, dr11, drpp, drmm]
 
 
-def _rate_bd(y, omega32, delta_L, mu21, mu31):
+def _rate_bd(y, *_):
     """d(rho11)/dt of each row of an (m, 6) block of packed bright/dark
-    states, slot 3 of :func:`_rhs_bd` bit for bit (on real and imaginary
-    parts, as in :func:`dynamics._rate`)."""
-    Rr, Ri = y.real[:, 0], y.imag[:, 0]
-    return 4.0 * (Rr * Rr + Ri * Ri)
+    states, as a list: slot 3 of :func:`_rhs_bd` bit for bit, by the same
+    Python arithmetic on the row's R+1."""
+    return [4.0 * (Rp * Rp.conjugate()).real for Rp in y[:, 0].tolist()]
 
 
 def rhs_bright_dark(bd: BrightDarkState,
@@ -147,8 +150,8 @@ def rhs_bright_dark(bd: BrightDarkState,
     unbalanced moments) the coherence rho_pm.  This is the pushforward of
     the bare-basis vector field under the basis rotation.
     """
-    return _unpack(_rhs_bd(_scalars(_pack(bd)), params.omega32,
-                           params.delta_L, params.mu21, params.mu31),
+    return _unpack(_rhs_bd(_scalars(_pack(bd)),
+                           *_constants_bd(*_physical(params))),
                    BrightDarkState)
 
 
@@ -162,5 +165,5 @@ def integrate_bright_dark(state0: DensityState, params: SystemParams,
     returned :class:`Trajectory` is already rotated back to the bare
     basis.
     """
-    return _drive(state0, params, t_end, ctrl, _rhs_bd, _rate_bd,
-                  (_bare_to_bd, _bd_to_bare))
+    return _drive(state0, params, t_end, ctrl, _constants_bd, _rhs_bd,
+                  _rate_bd, (_bare_to_bd, _bd_to_bare))

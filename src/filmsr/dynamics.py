@@ -109,39 +109,50 @@ class IntegratorControl:
         return self
 
 
-def _rhs(y, omega32, delta_L, mu21, mu31):
+def _constants(omega32, delta_L, mu21, mu31) -> tuple:
+    """The arguments of :func:`_rhs` and :func:`_rate` after ``y``: the
+    field's parameter-only factors, built once per run.  Each is the left
+    operand of the product it stands for, so the field keeps the bits of
+    the expanded expressions."""
+    g = complex(1.0, -delta_L)           # 1/tau_R - i*delta_L
+    return (mu21, mu31, g, -0.5j * omega32, 0.5j * omega32, -1j * omega32,
+            g.conjugate() * mu21, g * mu31, -1.0 + 1j * delta_L,
+            2.0 * mu31, 2.0 * mu21)
+
+
+def _rhs(y, mu21, mu31, g, wm, wp, w, gc21, g31, c, two31, two21):
     """Vector field of a bare state, as a new list of six numbers.
 
     ``y`` is the stepper's form of the packed state (see :func:`_scalars`):
     any sequence of six Python numbers, R31, R21 and rho32 complex, then
-    rho11, rho22 and rho33 float.  The result has the same form, and it is
-    a fresh list that callers may modify.  This is the stepper's hot path,
-    twelve calls per trial step, so it runs on Python numbers alone.
+    rho11, rho22 and rho33 float; the other arguments are
+    ``_constants(omega32, delta_L, mu21, mu31)``.  The result has the
+    same form as ``y``, and it is a fresh list that callers may modify.
+    This is the stepper's hot path, about 15 calls per step, so it runs
+    on Python numbers alone.
     """
     R31, R21, r32, r11, r22, r33 = y
-    g = complex(1.0, -delta_L)           # 1/tau_R - i*delta_L
     S = mu21 * R21 + mu31 * R31          # emitted-field envelope
     Sc = S.conjugate()
-    dR31 = -0.5j * omega32 * R31 + g * (mu31 * (r33 - r11) + mu21 * r32) * S
-    dR21 = (0.5j * omega32 * R21
-            + g * (mu21 * (r22 - r11) + mu31 * r32.conjugate()) * S)
-    dr32 = (-1j * omega32 * r32
-            - (g.conjugate() * mu21 * R31 * Sc
-               + g * mu31 * R21.conjugate() * S))
-    dr33 = 2.0 * mu31 * ((-1.0 + 1j * delta_L) * S * R31.conjugate()).real
-    dr22 = 2.0 * mu21 * ((-1.0 + 1j * delta_L) * S * R21.conjugate()).real
+    cS = c * S
+    dR31 = wm * R31 + g * (mu31 * (r33 - r11) + mu21 * r32) * S
+    dR21 = wp * R21 + g * (mu21 * (r22 - r11) + mu31 * r32.conjugate()) * S
+    dr32 = w * r32 - (gc21 * R31 * Sc + g31 * R21.conjugate() * S)
+    dr33 = two31 * (cS * R31.conjugate()).real
+    dr22 = two21 * (cS * R21.conjugate()).real
     dr11 = 2.0 * (S * Sc).real
     return [dR31, dR21, dr32, dr11, dr22, dr33]
 
 
-def _rate(y, omega32, delta_L, mu21, mu31):
+def _rate(y, mu21, mu31, *_):
     """d(rho11)/dt of each row of an (m, 6) block of packed bare states,
-    slot 3 of :func:`_rhs` bit for bit: on real and imaginary parts, since
-    numpy's complex product can differ from Python's in the last bit."""
-    re, im = y.real, y.imag
-    Sr = mu21 * re[:, 1] + mu31 * re[:, 0]
-    Si = mu21 * im[:, 1] + mu31 * im[:, 0]
-    return 2.0 * (Sr * Sr + Si * Si)
+    as a list: slot 3 of :func:`_rhs` bit for bit, by the same Python
+    arithmetic on the row's R31 and R21."""
+    out = []
+    for R31, R21 in y[:, :2].tolist():
+        S = mu21 * R21 + mu31 * R31
+        out.append(2.0 * (S * S.conjugate()).real)
+    return out
 
 
 def _pack(state) -> np.ndarray:
@@ -170,10 +181,21 @@ def _quadratic(y):
     """rho11^2 + rho22^2 + rho33^2 + 2(|rho32|^2 + |R31|^2 + |R21|^2).
 
     Sum of squared density-matrix elements of a packed (6,) state or
-    (6, N) trajectory; basis independent, and 1 for a pure state.
+    (6, N) trajectory; basis independent, and 1 for a pure state.  The
+    moduli are ``re*re + im*im``: numpy's complex ``abs`` rounds
+    differently per SIMD level.
     """
-    return (y[3].real ** 2 + y[4].real ** 2 + y[5].real ** 2
-            + 2.0 * (abs(y[2]) ** 2 + abs(y[0]) ** 2 + abs(y[1]) ** 2))
+    re, im = y.real, y.imag
+    return (re[3] * re[3] + re[4] * re[4] + re[5] * re[5]
+            + 2.0 * ((re[2] * re[2] + im[2] * im[2])
+                     + (re[0] * re[0] + im[0] * im[0])
+                     + (re[1] * re[1] + im[1] * im[1])))
+
+
+def _physical(params: SystemParams) -> tuple:
+    """``(omega32, delta_L, mu21, mu31)``, the arguments of the constants
+    functions."""
+    return params.omega32, params.delta_L, params.mu21, params.mu31
 
 
 def _emitted(y, params: SystemParams):
@@ -190,8 +212,8 @@ def rhs_original(state: DensityState, params: SystemParams) -> DensityState:
     d(rho11)/dt = 2 |mu21 R21 + mu31 R31|**2 >= 0, so rho11 never
     decreases; the population derivatives add to zero exactly.
     """
-    return _unpack(_rhs(_scalars(_pack(state)), params.omega32,
-                        params.delta_L, params.mu21, params.mu31))
+    return _unpack(_rhs(_scalars(_pack(state)),
+                        *_constants(*_physical(params))))
 
 
 def field_of(state: DensityState,
@@ -899,8 +921,9 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                     block = _dense_samples(rhs, args, y, K, h,
                                            (grid[n:n + inner] - t) / h)
                     evals += 3
-                    if not (all(map(_finite, K[13:]))
-                            and np.isfinite(block).all()):
+                    # every sample weighs the three extra stages, so a
+                    # non-finite one makes the whole block non-finite
+                    if not np.isfinite(block).all():
                         err = math.nan
             if not math.isfinite(err):
                 if nonfinite:
@@ -964,8 +987,7 @@ class _Monitors:
     """Quiescence detector: the sample hook of _integrate_core.
 
     Once per accepted step it reads d(rho11)/dt of the step's block,
-    ``rate(y)``, in one array expression, and advances its state sample
-    by sample.
+    ``rate(y)``, a list, and advances its state sample by sample.
     """
 
     def __init__(self, ctrl, rate):
@@ -978,7 +1000,7 @@ class _Monitors:
     def __call__(self, t, y) -> int | None:
         if not self.ctrl.stop_on_quiescence:
             return None
-        for i, (ti, rate) in enumerate(zip(t, self.rate(y).tolist())):
+        for i, (ti, rate) in enumerate(zip(t, self.rate(y))):
             if rate >= _QUIESCENCE_RATE:
                 self.armed = True
                 self.last_loud = ti
@@ -989,15 +1011,16 @@ class _Monitors:
 
 
 def _drive(state0: DensityState, params: SystemParams, t_end: float,
-           ctrl: IntegratorControl | None, rhs, rate,
+           ctrl: IntegratorControl | None, constants, rhs, rate,
            frame=None) -> Trajectory:
     """Validate, step and sample; shared by both integration paths.
 
-    ``rhs(y, omega32, delta_L, mu21, mu31)`` is the vector field the
-    stepper advances, on its six Python numbers; ``rate`` with the same
-    arguments is its slot 3, d(rho11)/dt, for each row of an (m, 6)
-    block of packed states, which the quiescence detector reads once per
-    accepted step; the invariants are checked in the frame of ``rhs``.
+    ``rhs(y, *args)`` is the vector field the stepper advances, on its
+    six Python numbers, where ``args = constants(omega32, delta_L, mu21,
+    mu31)`` is built once per run; ``rate(block, *args)`` is its slot 3,
+    d(rho11)/dt, for each row of an (m, 6) block of packed states, which
+    the quiescence detector reads once per accepted step; the invariants
+    are checked in the frame of ``rhs``.
     ``frame = (into, back)`` rotates the packed initial state into that
     frame and the sampled (6, N) trajectory back to the bare basis; None
     means the bare basis.
@@ -1008,7 +1031,7 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     y0 = _pack(state0.validate())
     if frame is not None:
         y0 = frame[0](y0, params)
-    args = (params.omega32, params.delta_L, params.mu21, params.mu31)
+    args = constants(*_physical(params))
     monitors = _Monitors(ctrl, lambda y: rate(y, *args))
     t, y, acc, rej, evals = _integrate_core(
         rhs, args, y0, t_end, ctrl, _initial_step(params.omega32), monitors)
@@ -1033,4 +1056,4 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     1e-8 for 10 tau_R after emission developed, which is what "final"
     populations refer to.
     """
-    return _drive(state0, params, t_end, ctrl, _rhs, _rate)
+    return _drive(state0, params, t_end, ctrl, _constants, _rhs, _rate)

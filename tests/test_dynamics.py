@@ -81,7 +81,7 @@ class TestRhs:
             drho = -1j * (H @ rho - rho @ H)
             d = dynamics._rhs(
                 dynamics._scalars(np.array([rho[k] for k in slots])),
-                om, dl, m21, m31)
+                *dynamics._constants(om, dl, m21, m31))
             expected = np.array([drho[k] for k in slots])
             assert np.max(np.abs(d - expected)) < 1e-14
 
@@ -204,6 +204,29 @@ class TestIntegrate:
                                   "at t=0.02 (limit 1e-15)")
         assert calls[0] < 3133 / 2
 
+    def test_quadratic_invariant_is_plain_arithmetic(self):
+        """The quadratic invariant of random (6, N) and (6,) arrays equals
+        the same sum in Python float arithmetic on each state bit for
+        bit, with each modulus squared as re*re + im*im: numpy's complex
+        abs rounds differently per SIMD level."""
+        rng = np.random.default_rng(23)
+        for n in (1, 7, 300):
+            y = ((rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n)))
+                 * 10.0 ** rng.uniform(-9.0, 0.0, size=(6, 1)))
+            y.imag[3:] = 0.0
+            want = []
+            for z0, z1, z2, x3, x4, x5 in y.T.tolist():
+                r11, r22, r33 = x3.real, x4.real, x5.real
+                want.append(r11 * r11 + r22 * r22 + r33 * r33
+                            + 2.0 * ((z2.real * z2.real + z2.imag * z2.imag)
+                                     + (z0.real * z0.real + z0.imag * z0.imag)
+                                     + (z1.real * z1.real
+                                        + z1.imag * z1.imag)))
+            got = dynamics._quadratic(y).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert (float(dynamics._quadratic(y[:, -1])).hex()
+                    == want[-1].hex())
+
     def test_quiet_start_is_not_mistaken_for_quiescence(self, preset_runs):
         """The incoherent pulse peaks near t = 35 after a long quiet rise;
         the end-of-run detector must not fire during that rise."""
@@ -218,38 +241,45 @@ class TestIntegrate:
         # the pulse (t_D ~ 29) is long over at the stopping time
         assert traj.end_of_run_time > 30.0
 
-    @pytest.mark.parametrize("integrator, rhs, module, rate", [
-        (integrate, dynamics._rhs, dynamics, "_rate"),
-        (integrate_bright_dark, _rhs_bd, basis, "_rate_bd"),
+    @pytest.mark.parametrize("integrator, constants, rhs, module, rate", [
+        (integrate, dynamics._constants, dynamics._rhs, dynamics, "_rate"),
+        (integrate_bright_dark, basis._constants_bd, _rhs_bd, basis,
+         "_rate_bd"),
     ], ids=["bare", "bright_dark"])
     def test_quiescence_rate_is_slot_3_of_the_field(self, monkeypatch,
                                                     preset_configs,
-                                                    integrator, rhs, module,
-                                                    rate):
+                                                    integrator, constants,
+                                                    rhs, module, rate):
         """The d(rho11)/dt the quiescence detector reads at each sample of
-        fig5, and the rate function on 200 random states with seed-scale
-        coherences, equal slot 3 of the vector field bit for bit.  The
-        detector reads one block of samples per step; the blocks cover
-        every sample up to the stop, and the last one holds the stop."""
+        fig5, at its dt 0.01 (blocks of 7 to 8 samples on average) and at
+        dt 0.002 (36 to 39), and the rate function on 200 random states with
+        seed-scale coherences, equal slot 3 of the vector field bit for
+        bit.  The detector reads one block of samples per step; the
+        blocks cover every sample up to the stop, and the last one holds
+        the stop."""
         real_rate = getattr(module, rate)
         same, sizes = [], []
 
         def checked(y, *args):
             r = real_rate(y, *args)
             sizes.append(len(y))
-            for row, value in zip(y, r.tolist()):
+            for row, value in zip(y, r):
                 same.append(value.hex()
                             == rhs(dynamics._scalars(row), *args)[3].hex())
             return r
 
         monkeypatch.setattr(module, rate, checked)
         cfg = preset_configs["fig5"]
-        traj = integrator(cfg.initial_state(), cfg.params, cfg.t_end,
-                          cfg.control)
-        assert traj.end_of_run_time is not None
-        assert len(same) == sum(sizes)
-        assert sum(sizes[:-1]) < traj.t.size - 1 <= sum(sizes)
-        assert all(same)
+        for dt, block in ((cfg.control.dt, 7), (0.002, 36)):
+            same.clear()
+            sizes.clear()
+            traj = integrator(cfg.initial_state(), cfg.params, cfg.t_end,
+                              replace(cfg.control, dt=dt))
+            assert traj.end_of_run_time is not None
+            assert len(same) == sum(sizes)
+            assert sum(sizes[:-1]) < traj.t.size - 1 <= sum(sizes)
+            assert all(same)
+            assert sum(sizes) >= block * len(sizes)   # mean block size
 
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -258,9 +288,9 @@ class TestIntegrate:
             y = np.array([s.R31 * seed, s.R21 * seed, s.rho32,
                           s.rho11, s.rho22, s.rho33], dtype=complex)
             mu21 = rng.uniform(0.2, 1.35)
-            args = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
-                    mu21, math.sqrt(2.0 - mu21 ** 2))
-            assert (real_rate(y[None], *args).tolist()[0].hex()
+            args = constants(rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
+                             mu21, math.sqrt(2.0 - mu21 ** 2))
+            assert (real_rate(y[None], *args)[0].hex()
                     == rhs(dynamics._scalars(y), *args)[3].hex())
 
 
@@ -321,13 +351,13 @@ def _monitor_in_blocks(monitors, ctrl, y0, times, ys, cuts):
 
 
 class TestMonitorBlocks:
-    @pytest.mark.parametrize("rhs, rate, frame", [
-        (dynamics._rhs, dynamics._rate, None),
-        (_rhs_bd, basis._rate_bd, basis._bare_to_bd),
+    @pytest.mark.parametrize("constants, rhs, rate, frame", [
+        (dynamics._constants, dynamics._rhs, dynamics._rate, None),
+        (basis._constants_bd, _rhs_bd, basis._rate_bd, basis._bare_to_bd),
     ], ids=["bare", "bright_dark"])
     def test_blocks_match_per_sample_reference(self, preset_configs,
-                                               preset_runs, rhs, rate,
-                                               frame):
+                                               preset_runs, constants, rhs,
+                                               rate, frame):
         """Fed fig5's samples in blocks cut at random points and then
         checked once up to the stop, the monitor stops at the same
         sample, or raises the same drift at the same sample time, as a
@@ -343,7 +373,7 @@ class TestMonitorBlocks:
         y = run.y if frame is None else frame(run.y, cfg.params)
         y0, clean, times = y[:, 0], y[:, 1:].T, run.t[1:].tolist()
         p = cfg.params
-        args = (p.omega32, p.delta_L, p.mu21, p.mu31)
+        args = constants(p.omega32, p.delta_L, p.mu21, p.mu31)
         rng = np.random.default_rng(17)
         tol = cfg.control.invariant_tol
         outcome, t_stop = _monitor_reference(cfg.control, y0, times, clean,
@@ -694,7 +724,8 @@ class TestDop853Table:
             y = dynamics._scalars(np.array(
                 [s.R31 * 1e-3, s.R21 * 1e-3, s.rho32,
                  s.rho11, s.rho22, s.rho33], dtype=complex))
-            args = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0), 1.0, 1.0)
+            args = dynamics._constants(rng.uniform(0.0, 10.0),
+                                       rng.uniform(0.0, 2.0), 1.0, 1.0)
             h = 10.0 ** rng.uniform(-3.0, -0.5)
             k1 = dynamics._rhs(y, *args)
             y_new, K, _, _ = dynamics._dop853_step(
@@ -756,7 +787,7 @@ def _reference_trial(rhs, args, y, h, ctrl):
     in ascending stage order, left to right, slot by slot.  Moduli are
     sqrt(re^2 + im^2) on the complex slots 0 to 2 and abs on the float
     slots 3 to 5.  Returns the 16 stages (f(y_new) the 13th), y_new,
-    |y_new| and the error norm."""
+    |y_new| and the error norm, 0 when both error estimates vanish."""
     ref = _scipy_table()
 
     def combination(row, K):
@@ -795,6 +826,8 @@ def _reference_trial(rhs, args, y, h, ctrl):
              for a, b in zip(moduli(y), abs_new)]
     e5 = squares([e / w for e, w in zip(combination(ref.E5[:12], K), scale)])
     e3 = squares([e / w for e, w in zip(combination(ref.E3[:12], K), scale)])
+    if e5 == e3 == 0.0:     # a state at rest: no error to normalise
+        return K, y_new, abs_new, 0.0
     err = h * e5 / math.sqrt((e5 + 0.01 * e3) * 6)
     return K, y_new, abs_new, err
 
@@ -805,33 +838,48 @@ def _bits(v):
 
 
 class TestTrialStepBitIdentity:
-    @pytest.mark.parametrize("rhs, reference", [
-        (dynamics._rhs, _rhs_reference),
-        (_rhs_bd, _rhs_bd_reference),
+    @pytest.mark.parametrize("constants, rhs, reference", [
+        (dynamics._constants, dynamics._rhs, _rhs_reference),
+        (basis._constants_bd, _rhs_bd, _rhs_bd_reference),
     ], ids=["bare", "bright_dark"])
-    def test_matches_reference_arithmetic(self, rhs, reference):
+    def test_matches_reference_arithmetic(self, constants, rhs, reference):
         """On random states, parameters and step sizes, the fields, one
         trial step and its three extra stages equal the reference bit for
         bit, with three complex slots and three float slots throughout:
-        every stage, the new state, its moduli and the error norm."""
+        every stage, the new state, its moduli and the error norm.  The
+        field takes its per-run constants, the reference the physical
+        parameters.  After 200 random draws come 80 at the presets' edge
+        values, where the constants carry signed zeros: omega32 = 0
+        (degenerate), delta_L = 0 (fig2, fig3), mu21 = mu31 = 1, and all
+        three at once; the last 40 of them without optical coherences, so
+        that exact zeros reach the stages (at omega32 = 0 the state is at
+        rest and the error norm is 0)."""
+        edges = [{0: 0.0}, {1: 0.0}, {2: 1.0, 3: 1.0},
+                 {0: 0.0, 1: 0.0, 2: 1.0, 3: 1.0}]
         rng = np.random.default_rng(5)
-        for _ in range(200):
+        for i in range(280):
             s = random_pure_state(rng)
             seed = 10.0 ** rng.uniform(-9.0, 0.0)   # seed-like coherences
+            mu21 = rng.uniform(0.2, 1.35)
+            args = [rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
+                    mu21, math.sqrt(2.0 - mu21 ** 2)]
+            if i >= 200:
+                for slot, value in edges[i % len(edges)].items():
+                    args[slot] = value
+                if i >= 240:    # zero optical coherences: exact zeros
+                    seed = 0.0
             y = dynamics._scalars(np.array(
                 [s.R31 * seed, s.R21 * seed, s.rho32,
                  s.rho11, s.rho22, s.rho33], dtype=complex))
-            mu21 = rng.uniform(0.2, 1.35)
-            args = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
-                    mu21, math.sqrt(2.0 - mu21 ** 2))
             h = 10.0 ** rng.uniform(-4.0, -0.5)
             ctrl = IntegratorControl(rel_tol=10.0 ** rng.uniform(-13, -9))
             ref_K, ref_y, ref_abs, ref_err = _reference_trial(
                 reference, args, y, h, ctrl)
-            k1 = rhs(y, *args)
+            consts = constants(*args)
+            k1 = rhs(y, *consts)
             y_new, K, abs_new, err = dynamics._dop853_step(
-                rhs, args, y, k1, dynamics._moduli(y), h, ctrl)
-            dynamics._dense_samples(rhs, args, y, K, h, np.array([0.5]))
+                rhs, consts, y, k1, dynamics._moduli(y), h, ctrl)
+            dynamics._dense_samples(rhs, consts, y, K, h, np.array([0.5]))
             assert [_bits(k) for k in K] == [_bits(k) for k in ref_K]
             assert _bits(y_new) == _bits(ref_y)
             assert [type(x) for x in y_new] == [complex] * 3 + [float] * 3
@@ -873,7 +921,7 @@ def dop853_reference(preset_runs):
     refs = {}
     for name, traj in preset_runs.items():
         p = traj.params
-        args = (p.omega32, p.delta_L, p.mu21, p.mu31)
+        args = dynamics._constants(p.omega32, p.delta_L, p.mu21, p.mu31)
         ref = solve_ivp(lambda t, y: dynamics._rhs(dynamics._scalars(y),
                                                    *args),
                         (0.0, traj.t[-1]), traj.y[:, 0], method="DOP853",
