@@ -135,9 +135,10 @@ def _rhs_bd(y, q, nb2, b2, two_a, two_g, w, a, two_c, wa):
 
 def _rate_bd(y, *_):
     """d(rho11)/dt of each row of an (m, 6) block of packed bright/dark
-    states, as a list: slot 3 of :func:`_rhs_bd` bit for bit, by the same
-    Python arithmetic on the row's R+1."""
-    return [4.0 * (Rp * Rp.conjugate()).real for Rp in y[:, 0].tolist()]
+    states, as an array: slot 3 of :func:`_rhs_bd` bit for bit, as
+    ``re*re + im*im`` of the row's R+1 (see :func:`dynamics._rate`)."""
+    re, im = y.real[:, 0], y.imag[:, 0]
+    return 4.0 * (re * re + im * im)
 
 
 def rhs_bright_dark(bd: BrightDarkState,

@@ -20,7 +20,7 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import astuple, dataclass
-from itertools import chain
+from itertools import chain, groupby
 from math import sqrt
 
 import numpy as np
@@ -49,7 +49,8 @@ class StepSizeUnderflow(IntegrationError):
 
 
 class NonFiniteStep(IntegrationError):
-    """Two trial steps in a row from the same state gave non-finite values."""
+    """Two trial steps in a row from the same state gave non-finite values,
+    or the samples of a step with finite stages overflowed."""
 
 
 class InvariantDrift(IntegrationError):
@@ -59,6 +60,7 @@ class InvariantDrift(IntegrationError):
 # emission is over once d(rho11)/dt stays below this rate for this long
 _QUIESCENCE_RATE = 1e-8
 _QUIESCENCE_WINDOW = 10.0
+_CHECK_EVERY = 512     # most samples between checks of the invariants
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,12 @@ def _rhs(y, mu21, mu31, g, wm, wp, w, gc21, g31, c, two31, two21):
 
 def _rate(y, mu21, mu31, *_):
     """d(rho11)/dt of each row of an (m, 6) block of packed bare states,
-    as a list: slot 3 of :func:`_rhs` bit for bit, by the same Python
-    arithmetic on the row's R31 and R21."""
-    out = []
-    for R31, R21 in y[:, :2].tolist():
-        S = mu21 * R21 + mu31 * R31
-        out.append(2.0 * (S * S.conjugate()).real)
-    return out
+    as an array: slot 3 of :func:`_rhs` bit for bit, on split parts (the
+    field's complex products differ at most in the sign of a zero)."""
+    re, im = y.real, y.imag
+    Sr = mu21 * re[:, 1] + mu31 * re[:, 0]
+    Si = mu21 * im[:, 1] + mu31 * im[:, 0]
+    return 2.0 * (Sr * Sr + Si * Si)
 
 
 def _pack(state) -> np.ndarray:
@@ -307,18 +308,20 @@ class Trajectory:
 # BLAS kernel or SIMD level.  The equations are autonomous, so the stage
 # nodes c_i are not needed.
 #
-# Continuous extension of order 7: the state at t + theta*h is
-# y + h * (p(theta) @ _DENSE @ K) over the 16 stages K, with
-# p(theta) = (theta, theta(1-theta), theta^2(1-theta), ...,
-# theta^4(1-theta)^3).  The first three rows of _DENSE weigh y_new - y,
-# h k1 - (y_new - y) and 2 (y_new - y) - h (k1 + k13), with _B the weights
-# of y_new; the last four are the published table:
+# Continuous extension of order 7: inside an accepted step the state at
+# t + theta*h is y + h * (p_0 Q_0 + ... + p_6 Q_6), with p(theta) =
+# (theta, theta(1-theta), ..., theta^4(1-theta)^3) and Q_r the 16 stages
+# K weighed by row r of _DENSE: y_new - y, h k1 - (y_new - y) and
+# 2 (y_new - y) - h (k1 + k13), with _B the weights of y_new, then the
+# published table.  _dense_chunk sums them for many steps at once, on
+# split real and imaginary parts in an order fixed here, so like a trial
+# step the samples depend on no BLAS kernel or SIMD level:
 _B = np.array([
     5.42937341165687622380535766363e-2, 0, 0, 0, 0,
     4.45031289275240888144113950566, 1.89151789931450038304281599044,
     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-    4.47106157277725905176885569043e-2, 0, 0, 0, 0], dtype=complex)
+    4.47106157277725905176885569043e-2, 0, 0, 0, 0])
 _D = np.array([
     [-0.84289382761090128651353491142e+1, 0, 0, 0, 0,
      0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
@@ -348,10 +351,14 @@ _D = np.array([
      0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
      0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
      -0.14972683625798562581422125276e+3],
-], dtype=complex)
-_UNIT = np.eye(16, dtype=complex)
+])
+_UNIT = np.eye(16)
 _DENSE = np.vstack((_B, _UNIT[0] - _B, 2.0 * _B - _UNIT[0] - _UNIT[12], _D))
 del _UNIT
+# rows of _DENSE in runs with the same nonzero weights (rows 0-1, 2, 3-6):
+# each run's stages, in order, and its (rows, stages) weights
+_RUNS = [(list(j), np.array([row[list(j)] for row in rows])) for j, rows
+         in groupby(_DENSE, lambda row: tuple(np.flatnonzero(row)))]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -795,7 +802,7 @@ def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
 
     Returns ``(y_new, K, abs_new, err)``.  ``K`` is a fresh list of the 13
     stages k1 to k12 and ``f(y_new)``, the first stage of the next step
-    (FSAL); :func:`_dense_samples` appends the three extra stages.
+    (FSAL); :func:`_extra_stages` appends the three extra stages.
     ``abs_new = |y_new|`` is the next ``abs_y``.  When ``y_new`` or
     ``f(y_new)`` is not finite, ``abs_new`` is None and ``err`` nan.
     Otherwise ``err`` is the DOP853 error norm: with e5 and e3 the sums of
@@ -818,26 +825,46 @@ def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     return y_new, K, abs_new, h * e5 / sqrt((e5 + 0.01 * e3) * 6)
 
 
-def _dense_samples(rhs, args, y, K, h, theta):
-    """States at ``t + theta * h`` inside an accepted step from ``y``.
+def _dense_chunk(steps, grid):
+    """The samples inside queued accepted steps, evaluated at once.
 
-    ``K`` is the step's list of stages from :func:`_dop853_step`; its
-    three extra stages are computed here, once, and appended to it.
-    ``theta`` is an array of fractions in (0, 1); the result is an array
-    with one row per fraction, evaluated in one array expression.
+    ``steps`` holds ``(t, h, y, K, first, count)`` per step: its start,
+    size, state and 16 stages, and its samples' range in ``grid``.
+    Returns the samples' indices into ``grid`` and their packed states as
+    an (M, 12) float array of split parts.  Q_r sums in stage order,
+    p_r = p_{r-1} * theta or * (1 - theta) as ``cumprod`` forms it.
     """
-    _extra_stages(rhs, args, y, K, h)
-    p = np.empty((theta.size, 7))
-    p[:, 0::2] = theta[:, None]
-    p[:, 1::2] = (1.0 - theta)[:, None]
-    # fromiter builds the (16, 6) stage array in half the time of np.array
-    K = np.fromiter(chain.from_iterable(K), complex, 96).reshape(16, 6)
-    s = np.cumprod(p, axis=1).dot(_DENSE.dot(K))
-    return np.array(y, dtype=complex) + h * s
+    t, h, y, K, first, count = zip(*steps)
+    count = np.array(count)
+    step = np.repeat(np.arange(count.size), count)
+    at = np.arange(step.size) + np.repeat(
+        np.array(first) - np.cumsum(count) + count, count)
+    h = np.array(h)[step]
+    theta = (grid[at] - np.array(t)[step]) / h
+    K = np.fromiter(chain.from_iterable(chain.from_iterable(K)), complex,
+                    96 * count.size).view(float).reshape(-1, 16, 12)
+    K = K.transpose(1, 0, 2)                    # (stage, step, 12)
+    Q = []
+    for stages, w in _RUNS:
+        terms = w[:, :, None, None] * K[stages]
+        q = terms[:, 0]
+        for i in range(1, len(stages)):
+            q = q + terms[:, i]
+        Q.append(q)
+    Q = np.concatenate(Q)[:, step]
+    u = 1.0 - theta
+    p = theta
+    s = p[:, None] * Q[0]
+    for r in range(1, 7):
+        p = p * (u if r % 2 else theta)
+        s += p[:, None] * Q[r]
+    y = np.fromiter(chain.from_iterable(y), complex,
+                    6 * count.size).view(float).reshape(-1, 12)
+    return at, y[step] + h[:, None] * s
 
 
 def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
-                    h0: float, sample_hook):
+                    h0: float, monitors):
     """Adaptive DOP853 driver producing samples on the regular dt grid.
 
     ``rhs(y, *args) -> dy`` is the autonomous vector field on the
@@ -850,21 +877,22 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     rejected) are taken.
 
     A trial step is rejected when anything it produced is not finite: the
-    new state, the field there, an extra stage or a sample.  It is
-    retried once, from the same state with the same step: the field is a
-    polynomial, so a shorter step cannot step around a non-finite value,
-    and only a transient fault passes on a retry, which then leaves the
-    run exactly as if the fault had not happened.  A second non-finite
-    trial in a row raises :class:`NonFiniteStep`, so no stored sample is
-    ever non-finite.
+    new state, the field there or an extra stage.  It is retried once,
+    from the same state with the same step: the field is a polynomial, so
+    a shorter step cannot step around a non-finite value, and only a
+    transient fault passes on a retry, which then leaves the run exactly
+    as if the fault had not happened.  A second non-finite trial in a row
+    raises :class:`NonFiniteStep`.
 
-    ``sample_hook(t, y)`` is called once per accepted step that holds
-    samples (none at t=0), with their times as a list and their states as
-    an (m, 6) block; it returns the index in the block of the sample that
-    ends the run, or None.  The samples up to that one are kept, and
-    :func:`_check_invariants` checks them every 512 samples, when the run
-    ends and before an :class:`IntegrationError` of the stepper escapes,
-    so drift in the samples before a fault is the error the run reports.
+    An accepted step queues its samples; :func:`_dense_chunk` evaluates
+    the queue every ``_CHECK_EVERY`` samples, right after a step whose last
+    sample could end the run (``monitors.due``), at the end, and before an
+    :class:`IntegrationError` escapes.  With finite stages only overflow
+    makes a sample non-finite, which raises :class:`NonFiniteStep`.  The
+    first two feed the new samples to ``monitors(t, y)`` (times, (m, 6)
+    states), which returns the index of the sample that ends the run, or
+    None; the samples up to it are kept.  :func:`_check_invariants` checks
+    them at every flush, so drift before a fault is the error reported.
 
     Returns (t_array, y_array, accepted, rejected, rhs_evals);
     ``rhs_evals`` counts every call of ``rhs``.
@@ -890,11 +918,28 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     n = checked = 0         # samples stored after t = 0, and checked
     accepted = rejected = 0
     nonfinite = retried = False
+    queue = []              # accepted steps whose samples wait for a flush
 
     def check(upto):
         nonlocal checked
         lo, checked = checked, upto
         _check_invariants(grid[lo:upto], ys[lo + 1:upto + 1].T, ys[0], ctrl)
+
+    def flush():
+        nonlocal n
+        if not queue:
+            return
+        steps, queue[:] = queue[:], []
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            at, block = _dense_chunk(steps, grid)
+        ys[1:].view(float)[at] = block
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            bad = at[np.argmin(finite)]
+            t_bad, h_bad, _, _, n, _ = next(
+                s for s in reversed(steps) if s[4] <= bad)
+            raise NonFiniteStep(f"the samples of the step from t={t_bad:.6g} "
+                                f"(step {h_bad:.3e}) overflowed")
 
     try:
         while n < grid.size:
@@ -918,12 +963,9 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                 end = bisect_right(times, t_new, n)
                 inner = end - n - (end > n and times[end - 1] == t_new)
                 if inner:
-                    block = _dense_samples(rhs, args, y, K, h,
-                                           (grid[n:n + inner] - t) / h)
+                    _extra_stages(rhs, args, y, K, h)
                     evals += 3
-                    # every sample weighs the three extra stages, so a
-                    # non-finite one makes the whole block non-finite
-                    if not np.isfinite(block).all():
+                    if not all(map(_finite, K[13:])):
                         err = math.nan
             if not math.isfinite(err):
                 if nonfinite:
@@ -943,7 +985,7 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
 
             accepted += 1
             if inner:
-                ys[n + 1:n + 1 + inner] = block
+                queue.append((t, h, y, K, n, inner))
             if end > n + inner:
                 ys[end] = y_new
             t, y, k1, abs_y = t_new, y_new, K[12], abs_new
@@ -952,15 +994,20 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
             # no growth straight after a rejection
             h *= min(1.0, factor) if retried else factor
             retried = False
-            if end > n:
-                stop = sample_hook(times[n:end], ys[n + 1:end + 1])
-                if stop is not None:
-                    n += stop + 1
-                    break
+            if end == n:
+                continue
             n = end
-            if n - checked >= 512:  # bounds the work of an early drift
+            # the cadence bounds the work of an early drift
+            if n - checked >= _CHECK_EVERY or monitors.due(times[n - 1]):
+                flush()
+                stop = monitors(grid[checked:n], ys[checked + 1:n + 1])
+                if stop is not None:
+                    n = checked + stop + 1
+                    break
                 check(n)
+        flush()
     except IntegrationError:
+        flush()         # a no-op when flush itself raised
         check(n)        # an empty range when check itself raised
         raise
     check(n)
@@ -984,29 +1031,35 @@ def _check_invariants(t, y, y0, ctrl: IntegratorControl) -> None:
 
 
 class _Monitors:
-    """Quiescence detector: the sample hook of _integrate_core.
-
-    Once per accepted step it reads d(rho11)/dt of the step's block,
-    ``rate(y)``, a list, and advances its state sample by sample.
-    """
+    """Quiescence detector of _integrate_core: it reads d(rho11)/dt,
+    ``rate(y)``, of each chunk of samples it is fed in one array pass."""
 
     def __init__(self, ctrl, rate):
-        self.ctrl = ctrl
+        self.on = ctrl.stop_on_quiescence
         self.rate = rate
         self.armed = False
-        self.last_loud = 0.0
+        self.ref = 0.0      # last loud sample once armed, else last fed
         self.end_time = None
 
+    def due(self, t) -> bool:
+        """Whether a sample at ``t`` could end the run: it must lie a
+        window after the last loud sample, which is not before ``ref``."""
+        return self.on and t - self.ref >= _QUIESCENCE_WINDOW
+
     def __call__(self, t, y) -> int | None:
-        if not self.ctrl.stop_on_quiescence:
+        if not self.on:
             return None
-        for i, (ti, rate) in enumerate(zip(t, self.rate(y))):
-            if rate >= _QUIESCENCE_RATE:
-                self.armed = True
-                self.last_loud = ti
-            elif self.armed and ti - self.last_loud >= _QUIESCENCE_WINDOW:
-                self.end_time = ti
-                return i
+        loud = self.rate(y) >= _QUIESCENCE_RATE
+        # the last loud time up to each sample, where armed by then
+        last = np.maximum.accumulate(np.where(loud, t, self.ref))
+        armed = np.logical_or.accumulate(loud) | self.armed
+        quiet = np.flatnonzero(armed & ~loud
+                               & (t - last >= _QUIESCENCE_WINDOW))
+        if quiet.size:
+            self.end_time = float(t[quiet[0]])
+            return int(quiet[0])
+        self.armed = bool(armed[-1])
+        self.ref = float(last[-1] if self.armed else t[-1])
         return None
 
 
@@ -1018,9 +1071,9 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     ``rhs(y, *args)`` is the vector field the stepper advances, on its
     six Python numbers, where ``args = constants(omega32, delta_L, mu21,
     mu31)`` is built once per run; ``rate(block, *args)`` is its slot 3,
-    d(rho11)/dt, for each row of an (m, 6) block of packed states, which
-    the quiescence detector reads once per accepted step; the invariants
-    are checked in the frame of ``rhs``.
+    d(rho11)/dt, as an array over the rows of an (m, 6) block of packed
+    states, which the quiescence detector reads; the invariants are
+    checked in the frame of ``rhs``.
     ``frame = (into, back)`` rotates the packed initial state into that
     frame and the sampled (6, N) trajectory back to the bare basis; None
     means the bare basis.

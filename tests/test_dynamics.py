@@ -251,12 +251,11 @@ class TestIntegrate:
                                                     integrator, constants,
                                                     rhs, module, rate):
         """The d(rho11)/dt the quiescence detector reads at each sample of
-        fig5, at its dt 0.01 (blocks of 7 to 8 samples on average) and at
-        dt 0.002 (36 to 39), and the rate function on 200 random states with
-        seed-scale coherences, equal slot 3 of the vector field bit for
-        bit.  The detector reads one block of samples per step; the
-        blocks cover every sample up to the stop, and the last one holds
-        the stop."""
+        fig5, at its dt 0.01 and at dt 0.002, and the rate function on 200
+        random states with seed-scale coherences, equal slot 3 of the
+        vector field bit for bit.  The detector reads one block of samples
+        per flush of the queued samples; the blocks cover every sample up
+        to the stop, and the last one holds the stop."""
         real_rate = getattr(module, rate)
         same, sizes = [], []
 
@@ -437,44 +436,68 @@ class TestRejectedSteps:
         with pytest.raises(NonFiniteStep, match="non-finite"):
             integrate(self.STATE, self.PARAMS, 3.0)
 
+    def test_overflowing_samples_name_their_step(self, monkeypatch):
+        """Finite stages can still overflow in the continuous extension:
+        then NonFiniteStep names the step whose samples overflowed, and no
+        sample is returned.  On this grid the first step, from t = 0 with
+        the initial step 1e-3, holds samples, and call 16 is its last
+        extra stage, which no other stage reads.  Its d(rho11)/dt of 3e306
+        makes rho11 -inf, not nan, in those samples, so the invariant check
+        before the error escapes would report drift if it saw them."""
+        real = dynamics._rhs
+        calls = [0]
+
+        def huge(y, *args):
+            calls[0] += 1
+            d = real(y, *args)
+            return [0j] * 3 + [3e306, 0.0, 0.0] if calls[0] == 16 else d
+
+        monkeypatch.setattr(dynamics, "_rhs", huge)
+        ctrl = IntegratorControl(dt=3e-4)
+        with pytest.raises(NonFiniteStep, match=r"step from t=0 \(step "
+                                                r"1\.000e-03\) overflowed"):
+            integrate(self.STATE, self.PARAMS, 0.05, ctrl)
+
     def test_no_single_non_finite_field_value_reaches_a_sample(
             self, monkeypatch):
         """A NaN from any single evaluation of the field, whether a trial
         stage or an extra stage of the continuous extension, is rejected:
-        the run recovers to the clean trajectory bit for bit or raises
-        NonFiniteStep, and never returns a non-finite sample.
+        the run recovers to the clean trajectory bit for bit, or, for a NaN
+        in the first stage, raises NonFiniteStep, and never returns a
+        non-finite sample.
         The fine grid puts samples inside the first steps, so the calls
         of the first two accepted steps cover both kinds."""
         ctrl = IntegratorControl(dt=3e-4)
         clean = integrate(self.STATE, self.PARAMS, 0.05, ctrl)
         sizes = []
-        real_dense = dynamics._dense_samples
+        real_chunk = dynamics._dense_chunk
 
-        def dense(rhs, args, y, K, h, theta):
-            sizes.append(theta.size)
-            return real_dense(rhs, args, y, K, h, theta)
+        def chunk(steps, grid):
+            sizes.extend(count for *_, count in steps)
+            return real_chunk(steps, grid)
 
-        monkeypatch.setattr(dynamics, "_dense_samples", dense)
+        monkeypatch.setattr(dynamics, "_dense_chunk", chunk)
         integrate(self.STATE, self.PARAMS, 0.05, ctrl)
         monkeypatch.undo()
         # the first step, 1e-3 long, holds three samples; so does the second
         assert sizes[0] == 3 and sizes[1] > 0
         first_two = 1 + 2 * (12 + 3)
-        outcomes = set()
+        raised = []
         for call in range(1, first_two + 1):
             with monkeypatch.context() as m:
                 poison_rhs(m, call, call)
                 try:
                     traj = integrate(self.STATE, self.PARAMS, 0.05, ctrl)
                 except NonFiniteStep:
-                    outcomes.add("raised")
+                    raised.append(call)
                     continue
             assert np.isfinite(traj.y).all(), call
             np.testing.assert_array_equal(traj.t, clean.t)
             np.testing.assert_array_equal(traj.y, clean.y)
             assert traj.steps_rejected == 1, call
-            outcomes.add("recovered")
-        assert outcomes == {"raised", "recovered"}
+        # only f(y0), the first stage of every retry from t = 0, cannot
+        # recover: the extra stages are checked when their step is tried
+        assert raised == [1]
 
 
 class TestStepBudget:
@@ -541,13 +564,13 @@ class TestStepBudget:
         continuous extension; none is made at a sample."""
         calls = self.count_rhs(monkeypatch)
         sizes = []
-        real_dense = dynamics._dense_samples
+        real_chunk = dynamics._dense_chunk
 
-        def dense(rhs, args, y, K, h, theta):
-            sizes.append(theta.size)
-            return real_dense(rhs, args, y, K, h, theta)
+        def chunk(steps, grid):
+            sizes.extend(count for *_, count in steps)
+            return real_chunk(steps, grid)
 
-        monkeypatch.setattr(dynamics, "_dense_samples", dense)
+        monkeypatch.setattr(dynamics, "_dense_chunk", chunk)
         traj = self.run(1000, dt=1e-3)
         n = traj.steps_accepted + traj.steps_rejected
         assert traj.t.size == 501 and len(sizes) > 1
@@ -605,6 +628,31 @@ class TestDriftBeforeFailure:
         assert type(exc.value.__context__) is IntegrationError
 
 
+class TestChunking:
+    @pytest.mark.parametrize("integrator", [integrate, integrate_bright_dark],
+                             ids=["bare", "bright_dark"])
+    def test_flushing_every_step_changes_nothing(self, monkeypatch,
+                                                 preset_configs, integrator):
+        """fig5 with quiescence on and off: whether the queued samples wait
+        for the stepper's flushes or are flushed after every step (a check
+        cadence of one sample), the sample times and bytes, the counts and
+        the quiescence stop are the same.  With quiescence on, a flush that
+        came after the stop sample would show as extra steps."""
+        cfg = preset_configs["fig5"]
+        for stop in (True, False):
+            ctrl = replace(cfg.control, stop_on_quiescence=stop)
+            runs = []
+            for every in (dynamics._CHECK_EVERY, 1):
+                monkeypatch.setattr(dynamics, "_CHECK_EVERY", every)
+                traj = integrator(cfg.initial_state(), cfg.params, cfg.t_end,
+                                  ctrl)
+                runs.append((traj.t.tobytes(), traj.y.tobytes(),
+                             traj.steps_accepted, traj.steps_rejected,
+                             traj.rhs_evals, traj.end_of_run_time))
+            assert runs[0] == runs[1]
+            assert (runs[0][5] is None) != stop
+
+
 class TestPresetCounts:
     """The step counts, field evaluations and quiescence stop of every
     preset on both paths, as documented: any change to the arithmetic of
@@ -632,20 +680,23 @@ class TestPresetCounts:
         assert got == self.COUNTS[path]
 
 
-_FIG4_CHILD = """
-import json
+_HOST_CHILD = """
+import hashlib, json
 from filmsr import integrate, integrate_bright_dark
 from filmsr.config import load_preset
-cfg = load_preset("fig4")
-print(json.dumps({
-    run.__name__: [traj.steps_accepted, traj.steps_rejected, traj.rhs_evals,
-                   traj.y[:, -1].tobytes().hex()]
-    for run in (integrate, integrate_bright_dark)
-    for traj in [run(cfg.initial_state(), cfg.params, cfg.t_end,
-                     cfg.control)]}))
+out = {}
+for name in ("fig4", "fig5", "degenerate"):
+    cfg = load_preset(name)
+    for run in (integrate, integrate_bright_dark):
+        traj = run(cfg.initial_state(), cfg.params, cfg.t_end, cfg.control)
+        out[name + " " + run.__name__] = [
+            traj.steps_accepted, traj.steps_rejected, traj.rhs_evals,
+            traj.end_of_run_time, hashlib.sha256(traj.y.tobytes()).hexdigest()]
+print(json.dumps(out))
 """
 _HOST_SETTINGS = {
     "blas_kernel": ("OPENBLAS_CORETYPE", "Prescott"),
+    "blas_kernel_nehalem": ("OPENBLAS_CORETYPE", "Nehalem"),
     "libm_variant": ("GLIBC_TUNABLES",
                      "glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4,-AVX512F"),
     "numpy_simd": ("NPY_DISABLE_CPU_FEATURES",
@@ -653,38 +704,38 @@ _HOST_SETTINGS = {
 }
 
 
-def _fig4_in_child(setting=None):
-    """Steps accepted and rejected, field evaluations and the bytes of the
-    last sample of fig4 on both paths, from a child process whose
-    environment has ``setting`` (a name and value) and none of the other
-    host settings."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in {name for name, _ in _HOST_SETTINGS.values()}}
+def _runs_in_child(setting=None):
+    """Steps accepted and rejected, field evaluations, quiescence stop and
+    the SHA-256 of every sample of fig4, fig5 and degenerate on both
+    paths, from a child process whose environment has ``setting`` (a name
+    and value) and none of the other host settings."""
+    names = {name for name, _ in _HOST_SETTINGS.values()}
+    env = {k: v for k, v in os.environ.items() if k not in names}
     if setting is not None:
         env[setting[0]] = setting[1]
     src = str(pathlib.Path(dynamics.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", _FIG4_CHILD], env=env,
+    done = subprocess.run([sys.executable, "-c", _HOST_CHILD], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
 class TestHostIndependence:
-    """The step sequence does not depend on the host: the BLAS kernel,
-    numpy's SIMD level and glibc's libm variant leave the step counts,
-    the field evaluations and the state at every step node as they are.
-    fig4 runs to t_end, so its last sample is a step node.  Each setting
-    applies to a child process only."""
+    """The trajectory does not depend on the host: the BLAS kernel,
+    numpy's SIMD level and glibc's libm variant leave the step counts, the
+    field evaluations, the quiescence stop and the bytes of every sample
+    as they are, on both paths (the bright/dark one rotated back to the
+    bare basis).  Each setting applies to a child process only."""
 
     @pytest.fixture(scope="class")
     def default(self):
-        return _fig4_in_child()
+        return _runs_in_child()
 
     @pytest.mark.parametrize("setting", list(_HOST_SETTINGS))
     def test_step_sequence_is_host_independent(self, default, setting):
-        assert _fig4_in_child(_HOST_SETTINGS[setting]) == default
+        assert _runs_in_child(_HOST_SETTINGS[setting]) == default
 
 
 def _scipy_table():
@@ -732,9 +783,11 @@ class TestDop853Table:
                 dynamics._rhs, args, y, k1, dynamics._moduli(y), h,
                 IntegratorControl())
             theta = np.sort(rng.uniform(0.0, 1.0, 7))
-            got = dynamics._dense_samples(dynamics._rhs, args, y, K, h,
-                                          theta)
-            assert len(K) == 16
+            dynamics._extra_stages(dynamics._rhs, args, y, K, h)
+            at, got = dynamics._dense_chunk([(0.0, h, y, K, 0, 7)],
+                                            theta * h)
+            got = got.view(complex)
+            assert len(K) == 16 and at.tolist() == list(range(7))
             y, y_new, K = (np.array(v, dtype=complex) for v in (y, y_new, K))
             dy = y_new - y
             F = np.empty((7, y.size), dtype=complex)
@@ -879,12 +932,102 @@ class TestTrialStepBitIdentity:
             k1 = rhs(y, *consts)
             y_new, K, abs_new, err = dynamics._dop853_step(
                 rhs, consts, y, k1, dynamics._moduli(y), h, ctrl)
-            dynamics._dense_samples(rhs, consts, y, K, h, np.array([0.5]))
+            dynamics._extra_stages(rhs, consts, y, K, h)
             assert [_bits(k) for k in K] == [_bits(k) for k in ref_K]
             assert _bits(y_new) == _bits(ref_y)
             assert [type(x) for x in y_new] == [complex] * 3 + [float] * 3
             assert _bits(abs_new) == _bits(ref_abs)
             assert err.hex() == ref_err.hex()
+
+
+def _reference_chunk(steps, grid):
+    """The samples of queued steps in plain Python over scipy's table, as
+    ``(index, split parts)`` pairs in the form of ``_dense_chunk``: the
+    real and imaginary part of each slot apart.  Row r of the dense table
+    is the weights of y_new, e_1 minus them, twice them minus e_1 and
+    e_13, then scipy's D; Q_r sums the weighted stages over the row's
+    nonzero weights in stage order.  Each sample is then
+    y + h * (p_0 Q_0 + ... + p_6 Q_6), summed in row order, with
+    theta = (t_sample - t) / h and p_r = p_{r-1} times 1 - theta for odd
+    r and theta for even r."""
+    ref = _scipy_table()
+    b = ref.B.tolist() + [0.0] * 4
+    table = ([b, [(j == 0) - w for j, w in enumerate(b)],
+              [2.0 * w - (j == 0) - (j == 12) for j, w in enumerate(b)]]
+             + ref.D.tolist())
+
+    def split(v):
+        return [part for x in v for part in (x.real, x.imag)]
+
+    out = []
+    for t, h, y, K, first, count in steps:
+        K = [split(k) for k in K]
+        Q = []
+        for row in table:
+            q = []
+            for slot in range(12):
+                total = None
+                for j, w in enumerate(row):
+                    if w:
+                        term = w * K[j][slot]
+                        total = term if total is None else total + term
+                q.append(total)
+            Q.append(q)
+        for i in range(first, first + count):
+            theta = (grid[i] - t) / h
+            p = [theta]
+            for r in range(1, 7):
+                p.append(p[-1] * ((1.0 - theta) if r % 2 else theta))
+            sample = []
+            for slot, start in enumerate(split(y)):
+                s = p[0] * Q[0][slot]
+                for r in range(1, 7):
+                    s = s + p[r] * Q[r][slot]
+                sample.append(start + h * s)
+            out.append((i, sample))
+    return out
+
+
+class TestChunkBitIdentity:
+    @pytest.mark.parametrize("constants, rhs", [
+        (dynamics._constants, dynamics._rhs),
+        (basis._constants_bd, _rhs_bd),
+    ], ids=["bare", "bright_dark"])
+    def test_matches_reference_arithmetic(self, constants, rhs):
+        """Chunks of one to five accepted steps from random states, each
+        with two to six samples, theta from 1e-9 to 1 - 1e-9, and a grid
+        point outside the queue (nan) before each step's samples: the
+        states _dense_chunk evaluates at once equal the plain-Python
+        reference bit for bit, and come in grid order."""
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            steps, grid, t = [], [], rng.uniform(0.0, 50.0)
+            for _ in range(int(rng.integers(1, 6))):
+                s = random_pure_state(rng)
+                seed = 10.0 ** rng.uniform(-9.0, 0.0)
+                mu21 = rng.uniform(0.2, 1.35)
+                consts = constants(rng.uniform(0.0, 10.0),
+                                   rng.uniform(0.0, 2.0), mu21,
+                                   math.sqrt(2.0 - mu21 ** 2))
+                y = dynamics._scalars(np.array(
+                    [s.R31 * seed, s.R21 * seed, s.rho32,
+                     s.rho11, s.rho22, s.rho33], dtype=complex))
+                h = 10.0 ** rng.uniform(-4.0, -0.5)
+                _, K, _, _ = dynamics._dop853_step(
+                    rhs, consts, y, rhs(y, *consts), dynamics._moduli(y), h,
+                    IntegratorControl())
+                dynamics._extra_stages(rhs, consts, y, K, h)
+                theta = [1e-9] + sorted(rng.uniform(0.0, 1.0, int(
+                    rng.integers(0, 5)))) + [1.0 - 1e-9]
+                grid.append(math.nan)
+                steps.append((t, h, y, K, len(grid), len(theta)))
+                grid.extend(t + x * h for x in theta)
+                t += h
+            at, got = dynamics._dense_chunk(steps, np.array(grid))
+            want = _reference_chunk(steps, grid)
+            assert at.tolist() == [i for i, _ in want]
+            assert ([[v.hex() for v in row] for row in got.tolist()]
+                    == [[v.hex() for v in row] for _, row in want])
 
 
 class TestAgainstScipy:
