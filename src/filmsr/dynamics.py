@@ -20,8 +20,9 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import astuple, dataclass
-from itertools import chain, groupby
+from itertools import chain
 from math import sqrt
+from operator import itemgetter
 
 import numpy as np
 
@@ -61,6 +62,7 @@ class InvariantDrift(IntegrationError):
 _QUIESCENCE_RATE = 1e-8
 _QUIESCENCE_WINDOW = 10.0
 _CHECK_EVERY = 512     # most samples between checks of the invariants
+_MAX_STEPS = 20_000_000  # trial steps, accepted plus rejected, of one run
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,6 @@ class IntegratorControl:
                          reached 1e-8 at least once (otherwise an
                          undeveloped pulse would stop the run during its
                          quiet rise)
-    max_steps            budget of trial steps, accepted plus rejected
-                         (>= 1); the run fails once it is spent
     """
 
     rel_tol: float = 1e-10
@@ -94,7 +94,6 @@ class IntegratorControl:
     invariant_tol: float = 1e-8
     dt: float = 0.01
     stop_on_quiescence: bool = True
-    max_steps: int = 20_000_000
 
     def validated(self) -> "IntegratorControl":
         if not 1e-13 <= self.rel_tol <= 1e-9:
@@ -105,9 +104,6 @@ class IntegratorControl:
             if not 0 < value < math.inf:    # nan fails every comparison
                 raise ValueError(
                     f"{name} must be finite and > 0, got {value!r}")
-        if self.max_steps < 1:
-            raise ValueError(
-                f"max_steps must be >= 1, got {self.max_steps!r}")
         return self
 
 
@@ -310,12 +306,13 @@ class Trajectory:
 #
 # Continuous extension of order 7: inside an accepted step the state at
 # t + theta*h is y + h * (p_0 Q_0 + ... + p_6 Q_6), with p(theta) =
-# (theta, theta(1-theta), ..., theta^4(1-theta)^3) and Q_r the 16 stages
-# K weighed by row r of _DENSE: y_new - y, h k1 - (y_new - y) and
+# (theta, theta(1-theta), ..., theta^4(1-theta)^3) and Q_r the stages K
+# weighed by row r of _DENSE: y_new - y, h k1 - (y_new - y) and
 # 2 (y_new - y) - h (k1 + k13), with _B the weights of y_new, then the
-# published table.  _dense_chunk sums them for many steps at once, on
-# split real and imaginary parts in an order fixed here, so like a trial
-# step the samples depend on no BLAS kernel or SIMD level:
+# published table, kept on the twelve stages some row weighs (_WEIGHED).
+# _dense_chunk sums them for many steps at once, on split real and
+# imaginary parts in an order fixed here, so like a trial step the
+# samples depend on no BLAS kernel or SIMD level:
 _B = np.array([
     5.42937341165687622380535766363e-2, 0, 0, 0, 0,
     4.45031289275240888144113950566, 1.89151789931450038304281599044,
@@ -355,10 +352,8 @@ _D = np.array([
 _UNIT = np.eye(16)
 _DENSE = np.vstack((_B, _UNIT[0] - _B, 2.0 * _B - _UNIT[0] - _UNIT[12], _D))
 del _UNIT
-# rows of _DENSE in runs with the same nonzero weights (rows 0-1, 2, 3-6):
-# each run's stages, in order, and its (rows, stages) weights
-_RUNS = [(list(j), np.array([row[list(j)] for row in rows])) for j, rows
-         in groupby(_DENSE, lambda row: tuple(np.flatnonzero(row)))]
+_WEIGHED = np.flatnonzero(_DENSE.any(axis=0))     # stages 1 and 6 to 16
+_DENSE = _DENSE[:, _WEIGHED]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -829,10 +824,14 @@ def _dense_chunk(steps, grid):
     """The samples inside queued accepted steps, evaluated at once.
 
     ``steps`` holds ``(t, h, y, K, first, count)`` per step: its start,
-    size, state and 16 stages, and its samples' range in ``grid``.
-    Returns the samples' indices into ``grid`` and their packed states as
-    an (M, 12) float array of split parts.  Q_r sums in stage order,
-    p_r = p_{r-1} * theta or * (1 - theta) as ``cumprod`` forms it.
+    size, state and stages, and its samples' range in ``grid``.  Returns
+    the samples' indices into ``grid`` and their packed states as an
+    (M, 12) float array of split parts.  Q_r sums the twelve weighed
+    stages in stage order.  Rows 0 to 2 weigh zero only after their last
+    nonzero weight, so on finite stages that can only turn a Q_r of -0
+    into +0 where stage 1 is zero, and there rows 3 and 4 weigh stage 1
+    with opposite signs: the samples keep the bits of the nonzero-only
+    sums.  p_r = p_{r-1} * theta or * (1 - theta) as ``cumprod`` forms it.
     """
     t, h, y, K, first, count = zip(*steps)
     count = np.array(count)
@@ -841,17 +840,15 @@ def _dense_chunk(steps, grid):
         np.array(first) - np.cumsum(count) + count, count)
     h = np.array(h)[step]
     theta = (grid[at] - np.array(t)[step]) / h
+    K = zip(*map(itemgetter(*_WEIGHED), K))     # stage by stage
     K = np.fromiter(chain.from_iterable(chain.from_iterable(K)), complex,
-                    96 * count.size).view(float).reshape(-1, 16, 12)
-    K = K.transpose(1, 0, 2)                    # (stage, step, 12)
-    Q = []
-    for stages, w in _RUNS:
-        terms = w[:, :, None, None] * K[stages]
-        q = terms[:, 0]
-        for i in range(1, len(stages)):
-            q = q + terms[:, i]
-        Q.append(q)
-    Q = np.concatenate(Q)[:, step]
+                    6 * _WEIGHED.size * count.size)
+    K = K.view(float).reshape(_WEIGHED.size, -1, 12)    # (stage, step, 12)
+    terms = _DENSE[:, :, None, None] * K        # (row, stage, step, 12)
+    Q = terms[:, 0]
+    for j in range(1, _WEIGHED.size):
+        Q += terms[:, j]
+    Q = Q[:, step]
     u = 1.0 - theta
     p = theta
     s = p[:, None] * Q[0]
@@ -873,8 +870,8 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     step is shortened to end on the last sample.  A sample inside an
     accepted step is read from the step's continuous extension, so only
     steps that contain a sample before their end pay for its three extra
-    stages.  At most ``ctrl.max_steps`` trial steps (accepted plus
-    rejected) are taken.
+    stages.  At most ``_MAX_STEPS`` trial steps (accepted plus rejected)
+    are taken.
 
     A trial step is rejected when anything it produced is not finite: the
     new state, the field there or an extra stage.  It is retried once,
@@ -897,7 +894,7 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     Returns (t_array, y_array, accepted, rejected, rhs_evals);
     ``rhs_evals`` counts every call of ``rhs``.
     """
-    dt = ctrl.dt
+    dt, budget = ctrl.dt, _MAX_STEPS
     n_grid = int(round(t_end / dt))
     if abs(n_grid * dt - t_end) > 1e-9 * max(1.0, t_end):
         # keep the final partial interval; sampling stays on the dt comb
@@ -949,9 +946,9 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
             if h < 1e-14 * max(1.0, t):
                 raise StepSizeUnderflow(
                     f"step {h:.3e} underflowed at t={t:.6g}")
-            if accepted + rejected >= ctrl.max_steps:
+            if accepted + rejected >= budget:
                 raise IntegrationError(
-                    f"step budget of {ctrl.max_steps} trial steps exhausted "
+                    f"step budget of {budget} trial steps exhausted "
                     f"at t={t:.6g}")
 
             y_new, K, abs_new, err = _dop853_step(rhs, args, y, k1, abs_y,

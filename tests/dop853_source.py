@@ -6,7 +6,7 @@ Python arithmetic over the nonzero coefficients of each row of scipy's
 DOP853 table, slot by slot in ascending stage order, so that no array
 call sits in a trial step.  This script writes that code; the text between
 the two marker lines of ``src/filmsr/dynamics.py`` is its output, which
-``tests/test_dynamics.py::TestDop853Source`` checks.
+``tests/test_dynamics.py::TestDop853Table`` checks.
 
     python tests/dop853_source.py            # print the generated block
     python tests/dop853_source.py --write    # replace it in dynamics.py

@@ -122,7 +122,6 @@ class TestIntegratorControl:
     def test_accepts_bounds(self):
         IntegratorControl(rel_tol=1e-13).validated()
         IntegratorControl(rel_tol=1e-9).validated()
-        IntegratorControl(max_steps=1).validated()
 
     @pytest.mark.parametrize("name", ["abs_tol", "dt", "invariant_tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
@@ -132,11 +131,6 @@ class TestIntegratorControl:
         the invariant monitor off."""
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             IntegratorControl(**{name: value}).validated()
-
-    @pytest.mark.parametrize("max_steps", [0, -3])
-    def test_rejects_empty_step_budget(self, max_steps):
-        with pytest.raises(ValueError, match="max_steps"):
-            IntegratorControl(max_steps=max_steps).validated()
 
 
 class TestIntegrate:
@@ -501,10 +495,10 @@ class TestRejectedSteps:
 
 
 class TestStepBudget:
-    """``max_steps`` bounds the trial steps, accepted plus rejected.  A
-    trial costs twelve field evaluations (eleven stages and the field at
-    the new state); an accepted step with samples before its end adds
-    the three extra stages of its continuous extension."""
+    """``dynamics._MAX_STEPS`` bounds the trial steps, accepted plus
+    rejected.  A trial costs twelve field evaluations (eleven stages and
+    the field at the new state); an accepted step with samples before its
+    end adds the three extra stages of its continuous extension."""
 
     STATE = initial_state(0.5, 0.5, 0.5)
     PARAMS = make_params(5.0, 1.0)
@@ -527,35 +521,37 @@ class TestStepBudget:
         monkeypatch.setattr(dynamics, "_rhs", counted)
         return calls
 
-    def run(self, max_steps, dt=T_END):
-        """At the default dt = T_END the only sample ends the last step,
-        so no step reads its continuous extension."""
+    def run(self, monkeypatch, max_steps, dt=T_END):
+        """A run with a budget of ``max_steps`` trial steps.  At the
+        default dt = T_END the only sample ends the last step, so no step
+        reads its continuous extension."""
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", max_steps)
         return integrate(self.STATE, self.PARAMS, self.T_END,
-                         IntegratorControl(max_steps=max_steps, dt=dt))
+                         IntegratorControl(dt=dt))
 
     def test_budget_stops_after_exactly_max_steps_trials(self, monkeypatch):
         calls = self.count_rhs(monkeypatch)
         with pytest.raises(IntegrationError,
                            match=r"budget of 5 trial steps exhausted at t=0\.\d"):
-            self.run(5)
+            self.run(monkeypatch, 5)
         assert calls[0] == 1 + 12 * 5
 
     @pytest.mark.parametrize("rejected", [0, 1])
     def test_run_needing_exactly_the_budget_completes(self, monkeypatch,
                                                       rejected):
         calls = self.count_rhs(monkeypatch, 20 if rejected else None)
-        full = self.run(1000)
+        full = self.run(monkeypatch, 1000)
         assert full.steps_rejected == rejected
         n = full.steps_accepted + full.steps_rejected
         assert n > 5
         assert calls[0] == full.rhs_evals == 1 + 12 * n
         calls[0] = 0
-        exact = self.run(n)
+        exact = self.run(monkeypatch, n)
         assert calls[0] == exact.rhs_evals == 1 + 12 * n
         np.testing.assert_array_equal(exact.y, full.y)
         calls[0] = 0
         with pytest.raises(IntegrationError, match=f"budget of {n - 1} "):
-            self.run(n - 1)
+            self.run(monkeypatch, n - 1)
         assert calls[0] == 1 + 12 * (n - 1)
 
     def test_samples_inside_steps_cost_their_stages(self, monkeypatch):
@@ -571,7 +567,7 @@ class TestStepBudget:
             return real_chunk(steps, grid)
 
         monkeypatch.setattr(dynamics, "_dense_chunk", chunk)
-        traj = self.run(1000, dt=1e-3)
+        traj = self.run(monkeypatch, 1000, dt=1e-3)
         n = traj.steps_accepted + traj.steps_rejected
         assert traj.t.size == 501 and len(sizes) > 1
         assert 0 < sum(sizes) < traj.t.size - 1
@@ -616,14 +612,14 @@ class TestDriftBeforeFailure:
         assert type(exc.value.__context__) is NonFiniteStep
 
     def test_drift_before_spent_budget_is_drift(self, monkeypatch):
-        ctrl = IntegratorControl(max_steps=20)
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 20)
         with pytest.raises(IntegrationError,
                            match="budget of 20 trial steps exhausted at "
                                  "t=1.18668$"):
-            integrate(self.STATE, self.PARAMS, 3.0, ctrl)
+            integrate(self.STATE, self.PARAMS, 3.0)
         self.lose_trace(monkeypatch, 100)
         with pytest.raises(InvariantDrift) as exc:
-            integrate(self.STATE, self.PARAMS, 3.0, ctrl)
+            integrate(self.STATE, self.PARAMS, 3.0)
         assert str(exc.value) == self.DRIFT
         assert type(exc.value.__context__) is IntegrationError
 
@@ -744,6 +740,17 @@ def _scipy_table():
     return dop853_coefficients
 
 
+def _dense_rows():
+    """The seven rows of the dense-output table over all 16 stages, from
+    scipy's B and D: the weights of y_new, e_1 minus them, twice them
+    minus e_1 and e_13, then D."""
+    ref = _scipy_table()
+    b = ref.B.tolist() + [0.0] * 4
+    return ([b, [(j == 0) - w for j, w in enumerate(b)],
+             [2.0 * w - (j == 0) - (j == 12) for j, w in enumerate(b)]]
+            + ref.D.tolist())
+
+
 class TestDop853Table:
     def test_transcription_matches_scipy(self):
         """Every coefficient the stepper uses is scipy's bit for bit.  The
@@ -752,7 +759,8 @@ class TestDop853Table:
         scipy's table, with shortest round-trip literals; the rows it
         reads have no weight on or above the diagonal, the new state is
         the FSAL row, and the error estimators' 13th weight, which the
-        stepper drops, is zero.  The dense-output weights equal scipy's."""
+        stepper drops, is zero.  The dense-output weights equal scipy's,
+        and the dense table keeps exactly the stages some row weighs."""
         ref = _scipy_table()
         text = pathlib.Path(dynamics.__file__).read_text(encoding="utf-8")
         assert dop853_source.committed(text) == dop853_source.source()
@@ -762,6 +770,11 @@ class TestDop853Table:
         assert ref.E5[12] == ref.E3[12] == 0.0
         assert np.array_equal(dynamics._B, np.append(ref.B, np.zeros(4)))
         assert np.array_equal(dynamics._D, ref.D)
+        rows = np.array(_dense_rows())
+        weighed = sorted(set().union(*map(np.flatnonzero, rows)))
+        assert dynamics._WEIGHED.tolist() == weighed == [0, *range(5, 16)]
+        assert dynamics._DENSE.shape == (7, 12)
+        assert dynamics._DENSE.tobytes() == rows[:, weighed].tobytes()
 
     def test_continuous_extension_matches_scipy_interpolant(self):
         """Samples inside a step agree with scipy's DOP853 interpolant
@@ -943,18 +956,13 @@ class TestTrialStepBitIdentity:
 def _reference_chunk(steps, grid):
     """The samples of queued steps in plain Python over scipy's table, as
     ``(index, split parts)`` pairs in the form of ``_dense_chunk``: the
-    real and imaginary part of each slot apart.  Row r of the dense table
-    is the weights of y_new, e_1 minus them, twice them minus e_1 and
-    e_13, then scipy's D; Q_r sums the weighted stages over the row's
-    nonzero weights in stage order.  Each sample is then
+    real and imaginary part of each slot apart.  Q_r sums the stages
+    weighed by row r of :func:`_dense_rows` over the row's nonzero
+    weights in stage order.  Each sample is then
     y + h * (p_0 Q_0 + ... + p_6 Q_6), summed in row order, with
     theta = (t_sample - t) / h and p_r = p_{r-1} times 1 - theta for odd
     r and theta for even r."""
-    ref = _scipy_table()
-    b = ref.B.tolist() + [0.0] * 4
-    table = ([b, [(j == 0) - w for j, w in enumerate(b)],
-              [2.0 * w - (j == 0) - (j == 12) for j, w in enumerate(b)]]
-             + ref.D.tolist())
+    table = _dense_rows()
 
     def split(v):
         return [part for x in v for part in (x.real, x.imag)]
@@ -988,35 +996,59 @@ def _reference_chunk(steps, grid):
     return out
 
 
+def _random_state(rng):
+    """A random pure state with seed-like coherences, in the stepper's
+    form."""
+    s = random_pure_state(rng)
+    seed = 10.0 ** rng.uniform(-9.0, 0.0)
+    return dynamics._scalars(np.array(
+        [s.R31 * seed, s.R21 * seed, s.rho32, s.rho11, s.rho22, s.rho33],
+        dtype=complex))
+
+
+def _state_at_rest(rng):
+    """The ground state or an untriggered inversion, whose coherences
+    are zero: every zero part has a random sign."""
+    zero = iter(rng.choice([0.0, -0.0], 8).tolist())
+    coherences = [complex(next(zero), next(zero)) for _ in range(3)]
+    if rng.integers(2):
+        return coherences + [1.0, next(zero), next(zero)]
+    return coherences + [next(zero), 0.5, 0.5]
+
+
+_both_fields = pytest.mark.parametrize("constants, rhs", [
+    (dynamics._constants, dynamics._rhs),
+    (basis._constants_bd, _rhs_bd),
+], ids=["bare", "bright_dark"])
+
+
 class TestChunkBitIdentity:
-    @pytest.mark.parametrize("constants, rhs", [
-        (dynamics._constants, dynamics._rhs),
-        (basis._constants_bd, _rhs_bd),
-    ], ids=["bare", "bright_dark"])
-    def test_matches_reference_arithmetic(self, constants, rhs):
-        """Chunks of one to five accepted steps from random states, each
+    @staticmethod
+    def check_chunks(constants, rhs, state, args=None, unweighed=None):
+        """Chunks of one to five accepted steps from ``state(rng)``, each
         with two to six samples, theta from 1e-9 to 1 - 1e-9, and a grid
         point outside the queue (nan) before each step's samples: the
         states _dense_chunk evaluates at once equal the plain-Python
-        reference bit for bit, and come in grid order."""
+        reference bit for bit, and come in grid order.  ``args(rng)``
+        draws the physical parameters; ``unweighed``, when given,
+        overwrites stages 2 to 5 of every queued step after the step."""
         rng = np.random.default_rng(23)
         for _ in range(40):
             steps, grid, t = [], [], rng.uniform(0.0, 50.0)
             for _ in range(int(rng.integers(1, 6))):
-                s = random_pure_state(rng)
-                seed = 10.0 ** rng.uniform(-9.0, 0.0)
+                y = state(rng)
                 mu21 = rng.uniform(0.2, 1.35)
-                consts = constants(rng.uniform(0.0, 10.0),
-                                   rng.uniform(0.0, 2.0), mu21,
-                                   math.sqrt(2.0 - mu21 ** 2))
-                y = dynamics._scalars(np.array(
-                    [s.R31 * seed, s.R21 * seed, s.rho32,
-                     s.rho11, s.rho22, s.rho33], dtype=complex))
+                physical = (args(rng) if args else
+                            (rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
+                             mu21, math.sqrt(2.0 - mu21 ** 2)))
+                consts = constants(*physical)
                 h = 10.0 ** rng.uniform(-4.0, -0.5)
                 _, K, _, _ = dynamics._dop853_step(
                     rhs, consts, y, rhs(y, *consts), dynamics._moduli(y), h,
                     IntegratorControl())
                 dynamics._extra_stages(rhs, consts, y, K, h)
+                if unweighed is not None:
+                    K[1:5] = [unweighed] * 4
                 theta = [1e-9] + sorted(rng.uniform(0.0, 1.0, int(
                     rng.integers(0, 5)))) + [1.0 - 1e-9]
                 grid.append(math.nan)
@@ -1028,6 +1060,31 @@ class TestChunkBitIdentity:
             assert at.tolist() == [i for i, _ in want]
             assert ([[v.hex() for v in row] for row in got.tolist()]
                     == [[v.hex() for v in row] for _, row in want])
+
+    @_both_fields
+    def test_matches_reference_arithmetic(self, constants, rhs):
+        """Random states and parameters."""
+        self.check_chunks(constants, rhs, _random_state)
+
+    @_both_fields
+    def test_states_at_rest_keep_signed_zeros(self, constants, rhs):
+        """Steps at rest, with zero parts of either sign and parameters
+        that include the presets' edge values (omega32 = 0, delta_L = 0,
+        mu21 = mu31 = 1), where the stages hold zeros of either sign: the
+        table's zero weights do not change the bits of a sample."""
+        def args(rng):
+            return [float(rng.choice([0.0, rng.uniform(0.0, 10.0)])),
+                    float(rng.choice([0.0, rng.uniform(0.0, 2.0)])), 1.0, 1.0]
+
+        self.check_chunks(constants, rhs, _state_at_rest, args)
+
+    @_both_fields
+    def test_unweighed_stages_never_reach_a_sample(self, constants, rhs):
+        """No row weighs stages 2 to 5: NaN there leaves every sample
+        finite and equal to the reference."""
+        nan = math.nan
+        self.check_chunks(constants, rhs, _random_state,
+                          unweighed=[complex(nan, nan)] * 3 + [nan] * 3)
 
 
 class TestAgainstScipy:
