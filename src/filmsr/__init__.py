@@ -10,8 +10,8 @@ from .analytics import (AnalyticsError, DegenerateSolution, DomainViolation,
                         population_oscillation)
 from .basis import (BrightDarkState, from_bright_dark, integrate_bright_dark,
                     rhs_bright_dark, to_bright_dark)
-from .config import (ConfigError, InitialSpec, ScenarioConfig, SweepSpec,
-                     load_physical, load_preset, load_scenario, parse_config)
+from .config import (ConfigError, ScenarioConfig, SweepSpec, load_physical,
+                     load_preset, load_scenario, parse_config)
 from .dynamics import (IntegrationError, IntegratorControl, InvariantDrift,
                        NonFiniteStep, StepSizeUnderflow, Trajectory, field_of,
                        integrate, rhs_original)
@@ -53,7 +53,7 @@ __all__ = [
     "smoothed_envelope", "pulse_metrics", "instantaneous_frequency",
     "branching_summary",
     # config / runner
-    "ConfigError", "InitialSpec", "ScenarioConfig", "SweepSpec",
+    "ConfigError", "ScenarioConfig", "SweepSpec",
     "parse_config", "load_scenario", "load_physical", "load_preset",
     "RunResult", "SweepRow", "run_scenario", "run_sweep", "emit_outputs",
 ]

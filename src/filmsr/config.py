@@ -24,13 +24,12 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .analytics import _inversion
-from .dynamics import IntegratorControl
+from .dynamics import IntegratorControl, _sample_count
 from .params import (DensityState, ParameterError, PhysicalInputs,
                      SystemParams, initial_state, make_params)
 
 __all__ = [
     "ConfigError",
-    "InitialSpec",
     "ScenarioConfig",
     "SweepSpec",
     "PRESET_NAMES",
@@ -58,43 +57,30 @@ class ConfigError(ParameterError):
 
 @contextmanager
 def _config_errors(prefix=""):
-    """Re-raise a ValueError (ParameterError included) of the block as a
-    ConfigError, ``prefix`` before its message; ConfigError passes as is."""
+    """Re-raise a ValueError (ParameterError and ConfigError included) of
+    the block as a ConfigError, ``prefix`` before its message."""
     try:
         yield
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
 @dataclass(frozen=True)
-class InitialSpec:
-    """Initial-state quintuple as read from a config."""
-
-    rho22: float
-    rho33: float
-    rho32: complex = 0.0
-    R21: complex = 1e-8
-    R31: complex = 1e-8
-
-    def build(self) -> DensityState:
-        return initial_state(self.rho22, self.rho33, self.rho32,
-                             self.R21, self.R31)
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """One fully specified run: parameters, initial state, controls."""
+    """One fully specified run: parameters, initial state, controls.
+
+    ``init`` is the state at t = 0, as :func:`params.initial_state`
+    builds it; :meth:`validated` checks it again, so a state changed with
+    ``dataclasses.replace`` is checked too."""
 
     params: SystemParams
-    init: InitialSpec
+    init: DensityState
     t_end: float
     control: IntegratorControl = IntegratorControl()
     out_dir: str | None = None
 
     def initial_state(self) -> DensityState:
-        return self.init.build()
+        return self.init
 
     def validated(self) -> "ScenarioConfig":
         """Check cross-field consistency (raises ConfigError)."""
@@ -103,10 +89,11 @@ class ScenarioConfig:
                               f"got {self.t_end!r}")
         with _config_errors():
             self.control.validated()
-            state = self.init.build()
+            self.init.validate()
+            _sample_count(self.t_end, self.control.dt)
         # phase-unwrap safety: the grid must beat both the doublet
         # splitting and the maximum local-field chirp 4*Z0*delta_L
-        z0 = _inversion(state, self.params)
+        z0 = _inversion(self.init, self.params)
         fastest = max(abs(self.params.omega32),
                       4.0 * max(z0, 0.0) * self.params.delta_L, 1.0)
         bound = _GRID_SAFETY * 2.0 * math.pi / fastest
@@ -178,11 +165,11 @@ def parse_config(text: str) -> dict[str, str]:
     return mapping
 
 
-def _take(mapping, converters, key, kind, default=None, required=False):
+def _take(mapping, converters, key, kind, required=False):
     if key not in mapping:
         if required:
             raise ConfigError(f"missing required key {key!r}")
-        return default
+        return None
     raw = mapping.pop(key)
     try:
         return converters[kind](raw)
@@ -207,40 +194,32 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     """Build and validate a :class:`ScenarioConfig` from parsed keys."""
     m = dict(mapping)
     take = lambda *a, **k: _take(m, _CONVERTERS, *a, **k)
+
+    def given(kind, **keys):
+        """``{argument: value}`` of each ``argument=key`` the file sets, so
+        every default stays with the function or field that owns it."""
+        return {arg: take(key, kind) for arg, key in keys.items() if key in m}
+
     with _config_errors():
         params = make_params(
-            omega32=take("params.omega32", "float", required=True),
-            delta_L=take("params.delta_L", "float", required=True),
-            mu21=take("params.mu21", "float", default=1.0),
-            mu31=take("params.mu31", "float", default=1.0),
-        )
-    init = InitialSpec(
-        rho22=take("init.rho22", "float", required=True),
-        rho33=take("init.rho33", "float", required=True),
-        rho32=take("init.rho32", "complex", default=0j),
-        R21=take("init.R21", "complex", default=1e-8 + 0j),
-        R31=take("init.R31", "complex", default=1e-8 + 0j),
-    )
-    defaults = IntegratorControl()
+            take("params.omega32", "float", required=True),
+            take("params.delta_L", "float", required=True),
+            **given("float", mu21="params.mu21", mu31="params.mu31"))
+    rho22 = take("init.rho22", "float", required=True)
+    rho33 = take("init.rho33", "float", required=True)
+    init = given("complex", rho32="init.rho32", R21_0="init.R21",
+                 R31_0="init.R31")
     control = IntegratorControl(
-        rel_tol=take("run.rel_tol", "float", default=defaults.rel_tol),
-        abs_tol=take("run.abs_tol", "float", default=defaults.abs_tol),
-        invariant_tol=take("run.invariant_tol", "float",
-                           default=defaults.invariant_tol),
-        dt=take("run.dt", "float", default=defaults.dt),
-        stop_on_quiescence=take("run.stop_on_quiescence", "bool",
-                                default=defaults.stop_on_quiescence),
-    )
-    cfg = ScenarioConfig(
-        params=params,
-        init=init,
-        t_end=take("run.t_end", "float", required=True),
-        control=control,
-        out_dir=take("output.dir", "str"),
-    )
+        **given("float", rel_tol="run.rel_tol", abs_tol="run.abs_tol",
+                invariant_tol="run.invariant_tol", dt="run.dt"),
+        **given("bool", stop_on_quiescence="run.stop_on_quiescence"))
+    t_end = take("run.t_end", "float", required=True)
+    out_dir = take("output.dir", "str")
     if m:
         raise ConfigError(f"unknown config keys: {sorted(m)}")
-    return cfg.validated()
+    with _config_errors():
+        state = initial_state(rho22, rho33, **init)
+    return ScenarioConfig(params, state, t_end, control, out_dir).validated()
 
 
 def physical_from_mapping(mapping: dict[str, str]) -> PhysicalInputs:

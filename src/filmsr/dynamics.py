@@ -26,7 +26,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .params import _BARE, DensityState, SystemParams, _check_states
+from .params import (_BARE, DensityState, ParameterError, SystemParams,
+                     _check_states)
 
 __all__ = [
     "IntegrationError",
@@ -63,6 +64,7 @@ _QUIESCENCE_RATE = 1e-8
 _QUIESCENCE_WINDOW = 10.0
 _CHECK_EVERY = 512     # most samples between checks of the invariants
 _MAX_STEPS = 20_000_000  # trial steps, accepted plus rejected, of one run
+_MAX_SAMPLES = 10_000_000  # grid samples of one run, 96 bytes each stored
 
 
 @dataclass(frozen=True)
@@ -860,6 +862,22 @@ def _dense_chunk(steps, grid):
     return at, y[step] + h[:, None] * s
 
 
+def _sample_count(t_end: float, dt: float) -> int:
+    """The number of grid times k*dt, k >= 1, up to t_end; a partial last
+    interval then ends on one more sample, at t_end.  Raises
+    ParameterError, before anything is allocated, when t_end / dt exceeds
+    ``_MAX_SAMPLES``."""
+    if t_end / dt > _MAX_SAMPLES:
+        raise ParameterError(
+            f"dt = {dt:g} and t_end = {t_end:g} ask for {t_end / dt:.3g} "
+            f"grid samples; at most {_MAX_SAMPLES} are allowed")
+    n_grid = int(round(t_end / dt))
+    if abs(n_grid * dt - t_end) > 1e-9 * max(1.0, t_end):
+        # keep the final partial interval; sampling stays on the dt comb
+        n_grid = int(math.floor(t_end / dt + 1e-12))
+    return n_grid
+
+
 def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                     h0: float, monitors):
     """Adaptive DOP853 driver producing samples on the regular dt grid.
@@ -895,10 +913,7 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     ``rhs_evals`` counts every call of ``rhs``.
     """
     dt, budget = ctrl.dt, _MAX_STEPS
-    n_grid = int(round(t_end / dt))
-    if abs(n_grid * dt - t_end) > 1e-9 * max(1.0, t_end):
-        # keep the final partial interval; sampling stays on the dt comb
-        n_grid = int(math.floor(t_end / dt + 1e-12))
+    n_grid = _sample_count(t_end, dt)
     grid = dt * np.arange(1, n_grid + 1)
     if n_grid == 0 or grid[-1] < t_end - 1e-12:
         grid = np.append(grid, t_end)

@@ -276,7 +276,8 @@ def _check_states(values, names, pairs) -> None:
                                   for a in args)))
 
 
-def initial_state(rho22, rho33, rho32, R21_0=1e-8, R31_0=1e-8) -> DensityState:
+def initial_state(rho22, rho33, rho32=0.0, R21_0=1e-8,
+                  R31_0=1e-8) -> DensityState:
     """Build a validated initial :class:`DensityState`.
 
     The ground-state population is implied: rho11 = 1 - rho22 - rho33.

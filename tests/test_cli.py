@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from filmsr import config
 from filmsr.cli import EXIT_INTEGRATION, EXIT_OK, EXIT_VALIDATION, main
 from conftest import poison_rhs
 
@@ -56,6 +57,21 @@ class TestRun:
         assert code == EXIT_OK
         last = (out / "trajectory.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(10.0)
+
+    def test_preset_builds_the_initial_state_once(self, tmp_path,
+                                                  monkeypatch):
+        """The scenario holds its initial state: loading, overriding,
+        validating and running a preset build it once."""
+        real, calls = config.initial_state, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(config, "initial_state", counted)
+        assert main(["preset", "fig4", "--out-dir", str(tmp_path),
+                     "--t-end", "5"]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_preset_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "deg"
@@ -107,6 +123,22 @@ class TestValidationFailures:
         err = capsys.readouterr().err
         assert f"{field} must be finite" in err
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("command", ["preset", "sweep"])
+    def test_grid_too_large_to_store(self, scenario_file, tmp_path, capsys,
+                                     command):
+        """dt = 1e-12 asks for more grid samples than a run may store: exit
+        2 naming dt, before any array of the run or any member directory
+        exists."""
+        argv = {"preset": ["preset", "fig4"],
+                "sweep": ["sweep", str(scenario_file), "--param", "delta_L",
+                          "--values", "0,0.5"]}[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out),
+                            "--dt", "1e-12"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "dt = 1e-12" in err and "at most 10000000" in err
+        assert not out.exists()
 
     def test_unknown_preset_name_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -1,9 +1,12 @@
 """Config parsing, scenario assembly, presets and sweep specifications."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from filmsr import ConfigError, ParameterError
+from filmsr import (ConfigError, IntegratorControl, ParameterError,
+                    initial_state, make_params)
 from filmsr.config import (PRESET_NAMES, SWEEPABLE, apply_sweep_value,
                            load_physical, load_preset, load_scenario,
                            parse_config, physical_from_mapping,
@@ -25,6 +28,34 @@ PHYSICAL = {
     "physical.concentration": "1e21",
     "physical.tau0": "1e-8",
 }
+
+
+# every key scenario_from_mapping reads: its text in a file, the value
+# read back, and where the scenario holds it
+SCHEMA = {
+    "params.omega32": ("4.0", 4.0, "params.omega32"),
+    "params.delta_L": ("0.1", 0.1, "params.delta_L"),
+    "params.mu21": ("1.0", 1.0, "params.mu21"),
+    "params.mu31": ("1.0", 1.0, "params.mu31"),
+    "init.rho22": ("0.4", 0.4, "init.rho22"),
+    "init.rho33": ("0.3", 0.3, "init.rho33"),
+    "init.rho32": ("0.1+0.2j", 0.1 + 0.2j, "init.rho32"),
+    "init.R21": ("2e-8", 2e-8 + 0j, "init.R21"),
+    "init.R31": ("3e-8j", 3e-8j, "init.R31"),
+    "run.rel_tol": ("1e-11", 1e-11, "control.rel_tol"),
+    "run.abs_tol": ("1e-17", 1e-17, "control.abs_tol"),
+    "run.invariant_tol": ("1e-7", 1e-7, "control.invariant_tol"),
+    "run.dt": ("0.005", 0.005, "control.dt"),
+    "run.stop_on_quiescence": ("no", False, "control.stop_on_quiescence"),
+    "run.t_end": ("30.0", 30.0, "t_end"),
+    "output.dir": ("out", "out", "out_dir"),
+}
+
+
+def defaults_of(function):
+    return {name: p.default for name, p in
+            inspect.signature(function).parameters.items()
+            if p.default is not p.empty}
 
 
 def mapping(**overrides):
@@ -63,6 +94,29 @@ class TestScenarioFromMapping:
         assert cfg.init.R21 == 1e-8 + 0j
         assert cfg.control.dt == 0.01
         assert cfg.control.rel_tol == 1e-10
+        assert cfg.out_dir is None
+
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    def test_every_key_is_read_on_its_own(self, key):
+        """Each key the schema has is accepted next to the required ones
+        and lands where the scenario holds it."""
+        text, value, where = SCHEMA[key]
+        cfg = scenario_from_mapping({**MINIMAL, key: text})
+        held = cfg
+        for name in where.split("."):
+            held = getattr(held, name)
+        assert held == value and type(held) is type(value)
+
+    def test_minimal_file_takes_the_owners_defaults(self):
+        """Optional keys the file leaves out take the defaults of the
+        function or dataclass that owns them."""
+        cfg = scenario_from_mapping(mapping())
+        params, init = defaults_of(make_params), defaults_of(initial_state)
+        assert (cfg.params.mu21, cfg.params.mu31) == (params["mu21"],
+                                                      params["mu31"])
+        assert (cfg.init.R21, cfg.init.R31) == (init["R21_0"], init["R31_0"])
+        assert cfg.init.rho32 == 0
+        assert cfg.control == IntegratorControl()
         assert cfg.out_dir is None
 
     def test_complex_initial_coherence(self):
@@ -177,6 +231,16 @@ class TestSweepSpec:
     def test_value_breaking_base_rejected_up_front(self):
         with pytest.raises(ConfigError):
             SweepSpec(self.BASE, "delta_L", (0.0, -1.0)).validated()
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("rho32_0", (0.0, 0.6), "sweep value 0.6 is invalid: positivity"),
+        ("omega32", (5.0, 50.0), "sweep value 50.0 is invalid: run.dt")],
+        ids=["rho32_0", "omega32"])
+    def test_rejected_value_names_itself(self, param, values, message):
+        """A member that fails the state or grid check of the scenario
+        names its value, as a member failing in make_params does."""
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(self.BASE, param, values).validated()
 
     def test_apply_each_parameter(self):
         assert apply_sweep_value(self.BASE, "delta_L",

@@ -144,6 +144,20 @@ class TestIntegrate:
             integrate(initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.0),
                       t_end)
 
+    @pytest.mark.parametrize("integrator", [integrate, integrate_bright_dark])
+    def test_rejects_grid_too_large_to_store(self, integrator):
+        """4e13 samples of 96 bytes would not fit: ParameterError naming
+        dt, t_end and the bound, raised before the grid is allocated."""
+        with pytest.raises(ParameterError, match=r"^dt = 1e-12 and t_end = 40 "
+                           r"ask for 4e\+13 grid samples; at most 10000000"):
+            integrator(initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.0),
+                       40.0, IntegratorControl(dt=1e-12))
+
+    def test_sample_bound_is_on_t_end_over_dt(self):
+        assert dynamics._sample_count(1e5, 0.01) == dynamics._MAX_SAMPLES
+        with pytest.raises(ParameterError, match="grid samples"):
+            dynamics._sample_count(1e5 * (1 + 1e-9), 0.01)
+
     def test_zero_trigger_keeps_populations_frozen(self):
         """Without seed coherence only rho32 rotates; nothing radiates."""
         state = initial_state(0.4, 0.4, 0.2, R21_0=0.0, R31_0=0.0)

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from filmsr import IntegratorControl, make_params, pulse_metrics, runner
-from filmsr.config import (InitialSpec, ScenarioConfig, SweepSpec,
-                           scenario_from_mapping)
+from filmsr import (IntegratorControl, initial_state, make_params,
+                    pulse_metrics, runner)
+from filmsr.config import ScenarioConfig, SweepSpec, scenario_from_mapping
 from filmsr.dynamics import Trajectory
 from filmsr.observables import Branching, FinalPopulations, PulseMetrics
 from filmsr.runner import (TRAJECTORY_COLUMNS, SweepRow, emit_outputs,
@@ -16,13 +16,13 @@ from filmsr.runner import (TRAJECTORY_COLUMNS, SweepRow, emit_outputs,
 # small coherent scenario: full pulse by t = 14, ~1400 output samples
 FAST = ScenarioConfig(
     params=make_params(0.0, 0.5),
-    init=InitialSpec(rho22=0.5, rho33=0.5, rho32=0.5),
+    init=initial_state(rho22=0.5, rho33=0.5, rho32=0.5),
     t_end=14.0,
 )
 
 NO_PULSE = ScenarioConfig(
     params=make_params(5.0, 0.0),
-    init=InitialSpec(rho22=0.2, rho33=0.2),
+    init=initial_state(rho22=0.2, rho33=0.2),
     t_end=5.0,
 )
 
