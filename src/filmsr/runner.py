@@ -9,6 +9,7 @@ configuration reproduces every output byte.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -197,18 +198,49 @@ def _sweep_one(cfg: ScenarioConfig, value: float, run_dir) -> SweepRow:
         return SweepRow(value, None, f"{type(exc).__name__}: {exc}")
 
 
+def _sweep_member(cfg: ScenarioConfig, value: float, run_dir) -> SweepRow:
+    # the pool pickles this function by name; _sweep_one is looked up in
+    # the worker at call time, so a worker forked from a parent that
+    # replaced it runs the replacement
+    return _sweep_one(cfg, value, run_dir)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec, out_dir=".") -> list[SweepRow]:
     """Run the family, one subdirectory per value, plus summary.csv.
 
-    Members run one after another in the order of ``spec.values``; a
-    failing run is recorded in its row and does not stop the sweep.
+    Members run in worker processes, one per usable CPU up to the number
+    of members; each writes only its own ``run_NNN/``, so every output
+    byte is what a run of the members one after another writes.  A
+    failing run is recorded in its row and does not stop the sweep.  Any
+    other exception of a member cancels the members not yet handed to a
+    worker and reaches the caller once the workers have exited; no
+    summary.csv is written then.
     """
+    # imported here: multiprocessing and concurrent.futures.process take
+    # 20-30 ms to import, which every other command would pay at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     spec = spec.validated()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [_sweep_one(apply_sweep_value(spec.base, spec.param, v), v,
-                       out / f"run_{i:03d}")
-            for i, v in enumerate(spec.values)]
+    members = [apply_sweep_value(spec.base, spec.param, v)
+               for v in spec.values]
+    run_dirs = [out / f"run_{i:03d}" for i in range(len(members))]
+    # fork, where offered, lets the workers inherit the imported package
+    # instead of importing numpy and filmsr again
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    with ProcessPoolExecutor(min(len(members), _usable_cpus()),
+                             mp_context=context) as pool:
+        rows = list(pool.map(_sweep_member, members, spec.values, run_dirs,
+                             chunksize=1))
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_SUMMARY_COLUMNS) + "\n")

@@ -73,6 +73,21 @@ class TestRun:
                      "--t-end", "5"]) == EXIT_OK
         assert len(calls) == 1
 
+    def test_preset_validates_the_config_twice(self, tmp_path,
+                                               monkeypatch):
+        """Loading a preset checks the file's config and ``run_scenario``
+        checks the overridden one; the overrides are not checked a third
+        time on their own."""
+        real, calls = config.ScenarioConfig.validated, []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(config.ScenarioConfig, "validated", counted)
+        assert main(["preset", "fig4", "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 2
+
     def test_preset_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "deg"
         code = main(["preset", "degenerate", "--out-dir", str(out),
@@ -217,16 +232,20 @@ class TestTimescales:
 
 
 class TestImports:
-    def test_cli_import_does_not_load_scipy(self, tmp_path):
+    @pytest.mark.parametrize("module", ["scipy", "concurrent.futures",
+                                        "multiprocessing"])
+    def test_cli_import_does_not_load(self, tmp_path, module):
         """The runtime needs numpy alone: scipy, a test dependency, is
         never imported by the command-line entry point, so the DOP853
-        table and every other numeric routine live in the package."""
+        table and every other numeric routine live in the package.  The
+        process pool is imported by ``run_sweep`` when a sweep starts,
+        so no other command pays for it at start-up."""
         root = Path(__file__).resolve().parents[1]
         path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         code = ("import sys, filmsr.cli; "
                 "print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
+                f"if m == {module!r} or m.startswith({module + '.'!r})))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60,
                               cwd=tmp_path, env=env)

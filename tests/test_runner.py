@@ -1,13 +1,17 @@
 """File outputs and sweep orchestration: formats, determinism, ordering."""
 
 import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
 from filmsr import (IntegratorControl, initial_state, make_params,
                     pulse_metrics, runner)
-from filmsr.config import ScenarioConfig, SweepSpec, scenario_from_mapping
+from filmsr.config import (ScenarioConfig, SweepSpec, apply_sweep_value,
+                           scenario_from_mapping)
 from filmsr.dynamics import Trajectory
 from filmsr.observables import Branching, FinalPopulations, PulseMetrics
 from filmsr.runner import (TRAJECTORY_COLUMNS, SweepRow, emit_outputs,
@@ -132,17 +136,88 @@ class TestRunSweep:
         assert ((tmp_path / "sweep" / "run_000" / "trajectory.csv").read_bytes()
                 == (tmp_path / "direct" / "trajectory.csv").read_bytes())
 
-    def test_repeated_sweep_writes_identical_bytes(self, tmp_path):
-        spec = SweepSpec(FAST, "delta_L", (0.3, 0.5, 0.8))
+    def test_repeated_sweep_writes_identical_bytes(self, tmp_path,
+                                                   monkeypatch):
+        """A member's bytes depend on its config alone, not on the worker
+        that ran it or its place in the family: the values run twice in
+        order and once permuted, with more members than workers, and
+        every member's files equal a direct run in this process."""
+        cpus = runner._usable_cpus()
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: min(cpus, 2))
+        values = (0.3, 0.5, 0.8, 0.1, 0.65)
+        permuted = (0.65, 0.8, 0.1, 0.5, 0.3)
+        spec = SweepSpec(FAST, "delta_L", values)
         run_sweep(spec, tmp_path / "first")
         run_sweep(spec, tmp_path / "second")
-        assert ((tmp_path / "first" / "summary.csv").read_bytes()
-                == (tmp_path / "second" / "summary.csv").read_bytes())
-        for i in range(3):
-            name = f"run_{i:03d}"
-            assert ((tmp_path / "first" / name / "trajectory.csv").read_bytes()
-                    == (tmp_path / "second" / name
-                        / "trajectory.csv").read_bytes())
+        run_sweep(SweepSpec(FAST, "delta_L", permuted), tmp_path / "permuted")
+        summary = (tmp_path / "first" / "summary.csv").read_bytes()
+        assert summary == (tmp_path / "second" / "summary.csv").read_bytes()
+        header, *rows = summary.splitlines()
+        p_header, *p_rows = (tmp_path / "permuted"
+                             / "summary.csv").read_bytes().splitlines()
+        assert p_header == header
+        assert p_rows == [rows[values.index(v)] for v in permuted]
+        for i, value in enumerate(values):
+            direct = tmp_path / "direct" / str(i)
+            run_scenario(apply_sweep_value(FAST, "delta_L", value),
+                         out_dir=direct)
+            members = (tmp_path / "first" / f"run_{i:03d}",
+                       tmp_path / "second" / f"run_{i:03d}",
+                       tmp_path / "permuted"
+                       / f"run_{permuted.index(value):03d}")
+            for name in ("trajectory.csv", "metrics.json"):
+                expected = (direct / name).read_bytes()
+                for member in members:
+                    assert (member / name).read_bytes() == expected, \
+                        (member, name)
+
+    def test_members_run_in_at_most_one_worker_per_cpu(self, tmp_path,
+                                                       monkeypatch):
+        """Members run outside this process, in no more workers than
+        there are usable CPUs or members, and no worker outlives the
+        sweep."""
+        def member(cfg, value, run_dir):
+            time.sleep(0.05)
+            return SweepRow(value, None, str(os.getpid()))
+
+        monkeypatch.setattr(runner, "_sweep_one", member)
+        values = tuple(i / 8 for i in range(8))
+        rows = run_sweep(SweepSpec(FAST, "delta_L", values), tmp_path)
+        assert tuple(row.value for row in rows) == values
+        pids = {row.error for row in rows}
+        assert str(os.getpid()) not in pids
+        assert len(pids) <= min(len(values), len(os.sched_getaffinity(0)))
+        assert multiprocessing.active_children() == []
+
+    def test_unexpected_error_reaches_the_caller(self, tmp_path,
+                                                 monkeypatch):
+        """An exception that is not a run failure reaches the caller with
+        its type and message, the members not yet handed to a worker
+        never start, no worker outlives the sweep and no summary is
+        written."""
+        cpus = runner._usable_cpus()
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: min(cpus, 2))
+        started = tmp_path / "started"
+        started.mkdir()
+
+        def member(cfg, value, run_dir):
+            (started / repr(value)).touch()
+            if value == 0.0:
+                raise RuntimeError("member 0.0 broke")
+            time.sleep(0.2)
+            return SweepRow(value, None, None)
+
+        monkeypatch.setattr(runner, "_sweep_one", member)
+        values = tuple(i / 16 for i in range(12))
+        with pytest.raises(RuntimeError) as caught:
+            run_sweep(SweepSpec(FAST, "delta_L", values), tmp_path / "out")
+        assert type(caught.value) is RuntimeError
+        assert str(caught.value) == "member 0.0 broke"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "summary.csv").exists()
+        ran = {float(p.name) for p in started.iterdir()}
+        assert 0.0 in ran
+        assert values[-1] not in ran and len(ran) < len(values)
 
     def test_failed_run_recorded_in_row(self, tmp_path):
         from dataclasses import replace
