@@ -102,14 +102,10 @@ def _report(result) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(load_scenario(args.config), args)
-    _report(run_scenario(cfg))
-    return EXIT_OK
-
-
-def _cmd_preset(args) -> int:
-    cfg = _apply_overrides(load_preset(args.name), args)
-    _report(run_scenario(cfg))
+    """``run`` and ``preset``: one scenario, from a file or by name."""
+    cfg = (load_preset(args.name) if args.command == "preset"
+           else load_scenario(args.config))
+    _report(run_scenario(_apply_overrides(cfg, args)))
     return EXIT_OK
 
 
@@ -118,7 +114,7 @@ def _cmd_sweep(args) -> int:
     with _config_errors("cannot parse --values: "):
         values = tuple(float(v) for v in args.values.split(",") if v.strip())
     spec = SweepSpec(base=cfg, param=args.param, values=values)
-    out_dir = args.out_dir if args.out_dir is not None else (cfg.out_dir or ".")
+    out_dir = cfg.out_dir or "."
     rows = run_sweep(spec, out_dir)
     print(f"wrote {out_dir}/summary.csv ({len(rows)} rows)")
     failures = [row for row in rows if row.error is not None]
@@ -140,7 +136,7 @@ def _cmd_timescales(args) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
-    "preset": _cmd_preset,
+    "preset": _cmd_run,
     "timescales": _cmd_timescales,
 }
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 
 from .analytics import _inversion
@@ -165,14 +166,14 @@ def parse_config(text: str) -> dict[str, str]:
     return mapping
 
 
-def _take(mapping, converters, key, kind, required=False):
+def _take(mapping, key, kind, required=False):
     if key not in mapping:
         if required:
             raise ConfigError(f"missing required key {key!r}")
         return None
     raw = mapping.pop(key)
     try:
-        return converters[kind](raw)
+        return _CONVERTERS[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot read {raw!r} as {kind}") from exc
 
@@ -193,7 +194,7 @@ _CONVERTERS = {"float": float, "complex": complex, "bool": _to_bool,
 def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     """Build and validate a :class:`ScenarioConfig` from parsed keys."""
     m = dict(mapping)
-    take = lambda *a, **k: _take(m, _CONVERTERS, *a, **k)
+    take = partial(_take, m)
 
     def given(kind, **keys):
         """``{argument: value}`` of each ``argument=key`` the file sets, so
@@ -210,8 +211,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     init = given("complex", rho32="init.rho32", R21_0="init.R21",
                  R31_0="init.R31")
     control = IntegratorControl(
-        **given("float", rel_tol="run.rel_tol", abs_tol="run.abs_tol",
-                invariant_tol="run.invariant_tol", dt="run.dt"),
+        **given("float", rel_tol="run.rel_tol", dt="run.dt"),
         **given("bool", stop_on_quiescence="run.stop_on_quiescence"))
     t_end = take("run.t_end", "float", required=True)
     out_dir = take("output.dir", "str")
@@ -225,7 +225,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
 def physical_from_mapping(mapping: dict[str, str]) -> PhysicalInputs:
     """Build :class:`PhysicalInputs` (CGS units) from parsed keys."""
     m = dict(mapping)
-    take = lambda *a, **k: _take(m, _CONVERTERS, *a, **k)
+    take = partial(_take, m)
     with _config_errors():
         phys = PhysicalInputs(
             wavelength_c=take("physical.wavelength_c", "float", required=True),

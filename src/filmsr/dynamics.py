@@ -56,7 +56,7 @@ class NonFiniteStep(IntegrationError):
 
 
 class InvariantDrift(IntegrationError):
-    """Trace or quadratic invariant drifted beyond the configured bound."""
+    """Trace or quadratic invariant drifted beyond ``_INVARIANT_TOL``."""
 
 
 # emission is over once d(rho11)/dt stays below this rate for this long
@@ -64,6 +64,8 @@ _QUIESCENCE_RATE = 1e-8
 _QUIESCENCE_WINDOW = 10.0
 _CHECK_EVERY = 512     # most samples between checks of the invariants
 _MAX_STEPS = 20_000_000  # trial steps, accepted plus rejected, of one run
+_ABS_TOL = 1e-18       # error floor, far below rel_tol times the 1e-8 seeds
+_INVARIANT_TOL = 1e-8  # allowed drift of trace and quadratic invariant
 _MAX_SAMPLES = 10_000_000  # grid samples of one run, 96 bytes each stored
 
 
@@ -71,15 +73,11 @@ _MAX_SAMPLES = 10_000_000  # grid samples of one run, 96 bytes each stored
 class IntegratorControl:
     """Knobs of the adaptive stepper.
 
-    rel_tol / abs_tol    error control per component: a step is accepted
+    rel_tol              error control per component: a step is accepted
                          when its error estimate, weighed against
-                         abs_tol + rel_tol * |y|, is at most 1.  rel_tol
+                         _ABS_TOL + rel_tol * |y|, is at most 1.  rel_tol
                          must lie in [1e-13, 1e-9]; looser values let the
-                         quadratic invariant drift past invariant_tol.
-                         The default abs_tol lies far below rel_tol times
-                         the 1e-8 seed coherences, so error control
-                         follows their growth from the start
-    invariant_tol        allowed drift of trace and quadratic invariant
+                         quadratic invariant drift past _INVARIANT_TOL
     dt                   output grid spacing (time units of tau_R); error
                          control alone sets the steps, and samples inside
                          a step come from its continuous extension
@@ -89,11 +87,13 @@ class IntegratorControl:
                          reached 1e-8 at least once (otherwise an
                          undeveloped pulse would stop the run during its
                          quiet rise)
+
+    The error floor ``_ABS_TOL`` (1e-18) and the drift bound
+    ``_INVARIANT_TOL`` (1e-8) are fixed: a larger floor moves the linear
+    stage, a tighter bound fails valid runs and a looser one hides drift.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-18
-    invariant_tol: float = 1e-8
     dt: float = 0.01
     stop_on_quiescence: bool = True
 
@@ -101,11 +101,8 @@ class IntegratorControl:
         if not 1e-13 <= self.rel_tol <= 1e-9:
             raise ValueError(
                 f"rel_tol must lie in [1e-13, 1e-9], got {self.rel_tol!r}")
-        for name in ("abs_tol", "dt", "invariant_tol"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:    # nan fails every comparison
-                raise ValueError(
-                    f"{name} must be finite and > 0, got {value!r}")
+        if not 0 < self.dt < math.inf:    # nan fails every comparison
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         return self
 
 
@@ -804,7 +801,7 @@ def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     ``f(y_new)`` is not finite, ``abs_new`` is None and ``err`` nan.
     Otherwise ``err`` is the DOP853 error norm: with e5 and e3 the sums of
     squares of the 5th- and 3rd-order error estimates, each slot divided
-    by ``abs_tol + rel_tol * max(|y|, |y_new|)``,
+    by ``_ABS_TOL + ctrl.rel_tol * max(|y|, |y_new|)``,
     ``err = h e5 / sqrt((e5 + 0.01 e3) * 6)``.  Fresh stages per trial
     mean a rejected retry can never see stages of the trial it replaces.
     """
@@ -814,7 +811,7 @@ def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     if not (_finite(y_new) and _finite(f_new)):
         return y_new, K, None, math.nan
     abs_new = _moduli(y_new)
-    atol, rtol = ctrl.abs_tol, ctrl.rel_tol
+    atol, rtol = _ABS_TOL, ctrl.rel_tol
     w = [atol + rtol * (a if a > b else b) for a, b in zip(abs_y, abs_new)]
     e5, e3 = _sum_squares(e5, w), _sum_squares(e3, w)
     if e5 == 0.0 and e3 == 0.0:
@@ -935,7 +932,7 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     def check(upto):
         nonlocal checked
         lo, checked = checked, upto
-        _check_invariants(grid[lo:upto], ys[lo + 1:upto + 1].T, ys[0], ctrl)
+        _check_invariants(grid[lo:upto], ys[lo + 1:upto + 1].T, ys[0])
 
     def flush():
         nonlocal n
@@ -1026,11 +1023,12 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     return np.append(0.0, grid[:n]), ys[:n + 1].T, accepted, rejected, evals
 
 
-def _check_invariants(t, y, y0, ctrl: IntegratorControl) -> None:
+def _check_invariants(t, y, y0) -> None:
     """Raise :class:`InvariantDrift` at the first of the packed (6, N)
     samples ``y`` at times ``t`` whose trace or quadratic invariant, both
-    basis independent, is off that of ``y0`` by more than the bound."""
-    tol = ctrl.invariant_tol
+    basis independent, is off that of ``y0`` by more than
+    ``_INVARIANT_TOL``."""
+    tol = _INVARIANT_TOL
     trace = abs(_trace(y) - _trace(y0))
     quad = abs(_quadratic(y) - _quadratic(y0))
     drifted = np.flatnonzero((trace > tol) | (quad > tol))
@@ -1114,7 +1112,7 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     from the 7th-order continuous extension of each step (see
     :class:`IntegratorControl`).  Trace and the quadratic invariant of
     the samples are checked 512 at a time, at the end of the run and when
-    the stepper fails; drift beyond ``ctrl.invariant_tol`` raises
+    the stepper fails; drift beyond 1e-8 raises
     :class:`InvariantDrift`, naming the first drifted sample.  With
     ``stop_on_quiescence`` the run ends once d(rho11)/dt =
     2|mu21 R21 + mu31 R31|^2, computed from each sample, has stayed below

@@ -166,9 +166,9 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
     return str(csv_path), str(json_path), str(plot_path)
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir=None,
-                 write: bool = True) -> RunResult:
-    """Integrate one scenario and (by default) write its output files.
+def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
+    """Integrate one scenario and write its output files into ``out_dir``,
+    else the config's ``output.dir``, else the current directory.
 
     A run whose emission never develops is still a valid run: the
     trajectory is written and the metrics file carries an ``error``
@@ -183,10 +183,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None,
     except NoPulse as exc:
         metrics = None
         error = f"NoPulse: {exc}"
-    paths: tuple[str, ...] = ()
-    if write:
-        target = out_dir if out_dir is not None else (cfg.out_dir or ".")
-        paths = emit_outputs(traj, metrics, target, error=error)
+    target = out_dir if out_dir is not None else (cfg.out_dir or ".")
+    paths = emit_outputs(traj, metrics, target, error=error)
     return RunResult(traj, metrics, error, paths)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from filmsr import config
+from filmsr import config, dynamics
 from filmsr.cli import EXIT_INTEGRATION, EXIT_OK, EXIT_VALIDATION, main
 from conftest import poison_rhs
 
@@ -119,6 +119,19 @@ class TestValidationFailures:
         assert main(["run", str(scenario_file), "--out-dir", str(tmp_path),
                      "--dt", "0.02"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("key, value", [("run.abs_tol", "1e-12"),
+                                            ("run.invariant_tol", "1e-9")])
+    def test_fixed_tolerance_key_is_rejected(self, tmp_path, capsys, key,
+                                             value):
+        """The error floor and the drift bound are not settable: a file
+        that sets either fails as an unknown key, and nothing is run."""
+        p = tmp_path / "tol.cfg"
+        p.write_text(f"{SCENARIO}{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_sweep_values(self, scenario_file, tmp_path):
         assert main(["sweep", str(scenario_file), "--param", "delta_L",
                      "--values", "0.1,zap", "--out-dir",
@@ -162,11 +175,9 @@ class TestValidationFailures:
 
 
 class TestIntegrationFailure:
-    def test_exit_code_three(self, tmp_path):
-        p = tmp_path / "doomed.cfg"
-        p.write_text(SCENARIO + "run.invariant_tol = 1e-16\n",
-                     encoding="utf-8")
-        assert main(["run", str(p), "--out-dir",
+    def test_exit_code_three(self, scenario_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "_INVARIANT_TOL", 1e-16)
+        assert main(["run", str(scenario_file), "--out-dir",
                      str(tmp_path)]) == EXIT_INTEGRATION
 
     def test_non_finite_field_is_named(self, scenario_file, tmp_path,

@@ -43,8 +43,6 @@ SCHEMA = {
     "init.R21": ("2e-8", 2e-8 + 0j, "init.R21"),
     "init.R31": ("3e-8j", 3e-8j, "init.R31"),
     "run.rel_tol": ("1e-11", 1e-11, "control.rel_tol"),
-    "run.abs_tol": ("1e-17", 1e-17, "control.abs_tol"),
-    "run.invariant_tol": ("1e-7", 1e-7, "control.invariant_tol"),
     "run.dt": ("0.005", 0.005, "control.dt"),
     "run.stop_on_quiescence": ("no", False, "control.stop_on_quiescence"),
     "run.t_end": ("30.0", 30.0, "t_end"),

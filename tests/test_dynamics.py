@@ -110,7 +110,7 @@ class TestFieldOf:
 class TestIntegratorControl:
     def test_rejects_loose_rel_tol(self):
         """Above 1e-9 the quadratic invariant of the presets drifts past
-        the default invariant_tol; such values are refused up front."""
+        the 1e-8 drift bound; such values are refused up front."""
         for rel_tol in (3e-9, 1e-5):
             with pytest.raises(ValueError, match=r"\[1e-13, 1e-9\]"):
                 IntegratorControl(rel_tol=rel_tol).validated()
@@ -123,12 +123,11 @@ class TestIntegratorControl:
         IntegratorControl(rel_tol=1e-13).validated()
         IntegratorControl(rel_tol=1e-9).validated()
 
-    @pytest.mark.parametrize("name", ["abs_tol", "dt", "invariant_tol"])
+    @pytest.mark.parametrize("name", ["dt"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_positive_or_non_finite(self, name, value):
-        """A nan tolerance or grid spacing would otherwise pass and then
-        crash the grid set-up, fail as a non-finite vector field, or turn
-        the invariant monitor off."""
+        """A nan grid spacing would otherwise pass and then crash the
+        grid set-up."""
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             IntegratorControl(**{name: value}).validated()
 
@@ -205,9 +204,10 @@ class TestIntegrate:
             return real(y, *args)
 
         monkeypatch.setattr(dynamics, "_rhs", counted)
+        monkeypatch.setattr(dynamics, "_INVARIANT_TOL", 1e-15)
         with pytest.raises(InvariantDrift) as exc:
             integrate(initial_state(0.5, 0.5, 0.5), make_params(5.0, 0.0),
-                      14.0, IntegratorControl(invariant_tol=1e-15))
+                      14.0)
         assert str(exc.value) == ("quadratic invariant drifted by 4.371e-12 "
                                   "at t=0.02 (limit 1e-15)")
         assert calls[0] < 3133 / 2
@@ -313,7 +313,7 @@ def _monitor_reference(ctrl, y0, times, ys, rhs, args):
                 + 2.0 * (abs(y[2]) ** 2 + abs(y[0]) ** 2 + abs(y[1]) ** 2))
         return r11 + r22 + r33, quad
 
-    tol = ctrl.invariant_tol
+    tol = dynamics._INVARIANT_TOL
     trace0, quad0 = invariants(y0.tolist())
     armed, last_loud = False, 0.0
     for t, y in zip(times, ys):
@@ -331,7 +331,7 @@ def _monitor_reference(ctrl, y0, times, ys, rhs, args):
     return None, None
 
 
-def _monitor_in_blocks(monitors, ctrl, y0, times, ys, cuts):
+def _monitor_in_blocks(monitors, y0, times, ys, cuts):
     """Feed ``monitors`` the samples in blocks [cuts[k], cuts[k + 1]) until
     it stops the run, then check the invariants of the samples up to the
     stop against ``y0`` in one call (_integrate_core checks the same
@@ -347,7 +347,7 @@ def _monitor_in_blocks(monitors, ctrl, y0, times, ys, cuts):
     assert monitors.end_time == (None if index is None else times[index])
     n = len(times) if index is None else index + 1
     try:
-        dynamics._check_invariants(times[:n], ys[:n].T, y0, ctrl)
+        dynamics._check_invariants(times[:n], ys[:n].T, y0)
     except InvariantDrift as exc:
         kind, t = re.match(r"(trace|quadratic invariant) drifted by "
                            r"\S+ at t=(\S+) ", str(exc)).groups()
@@ -382,7 +382,7 @@ class TestMonitorBlocks:
         p = cfg.params
         args = constants(p.omega32, p.delta_L, p.mu21, p.mu31)
         rng = np.random.default_rng(17)
-        tol = cfg.control.invariant_tol
+        tol = dynamics._INVARIANT_TOL
         outcome, t_stop = _monitor_reference(cfg.control, y0, times, clean,
                                              rhs, args)
         assert outcome == "stop"
@@ -410,8 +410,8 @@ class TestMonitorBlocks:
                                      len(times)).tolist()
                     monitors = dynamics._Monitors(
                         ctrl, lambda b: rate(b, *args))
-                    got, index = _monitor_in_blocks(monitors, ctrl, y0,
-                                                    times, ys, cuts)
+                    got, index = _monitor_in_blocks(monitors, y0, times,
+                                                    ys, cuts)
                     assert got == (want, t), (kind, at, ctrl)
                     assert index == (stop if ctrl.stop_on_quiescence
                                      else None)
@@ -902,7 +902,7 @@ def _reference_trial(rhs, args, y, h, ctrl):
     for i in range(13, 16):
         K.append(rhs(advance(ref.A[i, :i], K), *args))
     abs_new = moduli(y_new)
-    scale = [ctrl.abs_tol + ctrl.rel_tol * max(a, b)
+    scale = [dynamics._ABS_TOL + ctrl.rel_tol * max(a, b)
              for a, b in zip(moduli(y), abs_new)]
     e5 = squares([e / w for e, w in zip(combination(ref.E5[:12], K), scale)])
     e3 = squares([e / w for e, w in zip(combination(ref.E3[:12], K), scale)])

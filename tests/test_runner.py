@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from filmsr import (IntegratorControl, initial_state, make_params,
+from filmsr import (IntegratorControl, dynamics, initial_state, make_params,
                     pulse_metrics, runner)
 from filmsr.config import (ScenarioConfig, SweepSpec, apply_sweep_value,
                            scenario_from_mapping)
@@ -75,9 +75,8 @@ class TestEmitOutputs:
 
 
 class TestRunScenario:
-    def test_in_memory_only(self):
-        result = run_scenario(FAST, write=False)
-        assert result.paths == ()
+    def test_in_memory_only(self, tmp_path):
+        result = run_scenario(FAST, out_dir=tmp_path)
         assert result.error is None
         assert result.metrics.t_peak == pytest.approx(9.037, abs=0.05)
 
@@ -219,10 +218,11 @@ class TestRunSweep:
         assert 0.0 in ran
         assert values[-1] not in ran and len(ran) < len(values)
 
-    def test_failed_run_recorded_in_row(self, tmp_path):
+    def test_failed_run_recorded_in_row(self, tmp_path, monkeypatch):
+        """The forked workers inherit the tightened drift bound."""
         from dataclasses import replace
-        doomed = replace(FAST, t_end=5.0,
-                         control=IntegratorControl(invariant_tol=1e-16))
+        monkeypatch.setattr(dynamics, "_INVARIANT_TOL", 1e-16)
+        doomed = replace(FAST, t_end=5.0)
         rows = run_sweep(SweepSpec(doomed, "delta_L", (0.3, 0.5)), tmp_path)
         assert all(row.error is not None for row in rows)
         assert all(row.metrics is None for row in rows)
