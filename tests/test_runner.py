@@ -8,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from filmsr import (IntegratorControl, dynamics, initial_state, make_params,
-                    pulse_metrics, runner)
+from filmsr import (IntegratorControl, cli, dynamics, initial_state,
+                    make_params, pulse_metrics, runner)
 from filmsr.config import (ScenarioConfig, SweepSpec, apply_sweep_value,
                            scenario_from_mapping)
 from filmsr.dynamics import Trajectory
@@ -231,6 +231,118 @@ class TestRunSweep:
         err = body[0][header.index("error")]
         assert "InvariantDrift" in err
         assert "," not in err
+
+
+def random_trajectory(rows):
+    """A trajectory of ``rows`` samples of random numbers of mixed sign
+    and magnitude, for the writer alone."""
+    rng = np.random.default_rng(rows)
+    scale = 10.0 ** rng.integers(-17, 3, (2, 6, rows))
+    parts = rng.standard_normal((2, 6, rows)) * scale
+    return Trajectory(t=np.arange(rows) * 0.002, y=parts[0] + 1j * parts[1],
+                      params=make_params(5.0, 0.5),
+                      control=IntegratorControl(dt=0.002),
+                      steps_accepted=1, steps_rejected=0, rhs_evals=12)
+
+
+class TestSplitRows:
+    """trajectory.csv rows formatted in forked children, block by block,
+    give the bytes of one process formatting them all."""
+
+    P = runner._PART_ROWS
+    # fewer rows than two blocks are written by one process
+    ROWS = (1, 2 * P - 1, 2 * P, 2 * P + 1, 3 * P + 7)
+    PARTS = {1: (1, 1, 1, 1, 1), 2: (1, 1, 2, 2, 2), 3: (1, 1, 2, 2, 3)}
+
+    @pytest.mark.parametrize("cpus", sorted(PARTS))
+    @pytest.mark.parametrize("index", range(len(ROWS)))
+    def test_split_bytes_equal_one_part(self, cpus, index, tmp_path,
+                                        monkeypatch):
+        rows = self.ROWS[index]
+        traj = random_trajectory(rows)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+        emit_outputs(traj, None, tmp_path)
+        expected = ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n"
+            for row in runner._trajectory_table(traj).tolist())
+        assert (tmp_path / "trajectory.csv").read_bytes() == expected.encode()
+        assert len(forks) == self.PARTS[cpus][index] - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_child_raises_and_is_reaped(self, tmp_path, monkeypatch,
+                                                capsys):
+        """A child that fails makes the write raise OSError naming its
+        exit status, which the CLI reports as an io error (exit 2); no
+        child is left running or unreaped."""
+        me = os.getpid()
+        real_row = runner._csv_row
+
+        def row(values):
+            if os.getpid() != me:
+                raise RuntimeError("formatter broke")
+            return real_row(values)
+
+        monkeypatch.setattr(runner, "_csv_row", row)
+        # three parts: the first child's failure leaves the second to reap
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
+        with pytest.raises(OSError, match="exited with status 1"):
+            emit_outputs(random_trajectory(3 * self.P), None,
+                         tmp_path / "direct")
+        assert not (tmp_path / "direct" / "metrics.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        scenario = tmp_path / "fast.cfg"
+        scenario.write_text("params.omega32 = 0.0\nparams.delta_L = 0.5\n"
+                            "init.rho22 = 0.5\ninit.rho33 = 0.5\n"
+                            "init.rho32 = 0.5\nrun.t_end = 14.0\n",
+                            encoding="utf-8")
+        code = cli.main(["run", str(scenario), "--out-dir",
+                         str(tmp_path / "cli")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("io error:") and "exited with status 1" in err
+        assert not (tmp_path / "cli" / "metrics.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_sweep_workers_do_not_split(self, tmp_path, monkeypatch):
+        """A sweep's workers format their rows alone, while the same
+        member run in this process splits them.  Every os.fork call
+        appends its caller's pid to a file: the pool forks its workers
+        from this process too, so a count kept here could not tell the
+        two apart."""
+        me = str(os.getpid())
+        log = tmp_path / "forks"
+        real_fork = os.fork
+
+        def fork():
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        run_sweep(SweepSpec(FAST, "delta_L", (0.3, 0.5)), tmp_path / "sweep")
+        callers = log.read_text(encoding="utf-8").split()
+        assert callers and set(callers) == {me}
+        run_scenario(apply_sweep_value(FAST, "delta_L", 0.3),
+                     out_dir=tmp_path / "direct")
+        assert log.read_text(encoding="utf-8").split() == callers + [me]
+        assert ((tmp_path / "sweep" / "run_000" / "trajectory.csv")
+                .read_bytes()
+                == (tmp_path / "direct" / "trajectory.csv").read_bytes())
 
 
 class TestGoldenBytes:
