@@ -38,10 +38,11 @@ TRAJECTORY_COLUMNS = (
     "abs_emitted", "abs_acting", "phase_unwrapped",
 )
 
-# A forked trajectory.csv formatter costs about 3 ms (fork, exit, pipe
-# copy) against about 12 us a row, so no block of rows gets fewer than
-# _PART_ROWS; the parent copies a child's bytes _COPY_CHUNK at a time.
-_PART_ROWS = 512
+# A forked trajectory.csv formatter costs about 5 ms (fork, exit, pipe
+# copy): a 601-row table took as long in two blocks as in one, so no
+# block of rows gets fewer than _PART_ROWS.  The parent copies a
+# child's bytes _COPY_CHUNK at a time.
+_PART_ROWS = 300
 _COPY_CHUNK = 1 << 16
 # set in run_sweep's workers, whose pool already holds every usable CPU
 _in_sweep_worker = False
@@ -167,12 +168,15 @@ def _row_parts(rows: int) -> int:
     return max(1, min(_usable_cpus(), rows // _PART_ROWS))
 
 
-def _fork_formatter(block: np.ndarray) -> tuple[int, int]:
+def _fork_formatter(block: np.ndarray,
+                    earlier: list[int]) -> tuple[int, int]:
     """Fork a child that writes the trajectory.csv lines of ``block`` to
     a pipe and exits; return its pid and the pipe's read end.
 
     The child formats its whole block before it writes, so it never
-    waits on a full pipe while the parent formats the first block.
+    waits on a full pipe while the parent formats the first block.  It
+    closes the read ends in ``earlier``, the pipes of the children forked
+    before it, so that closing a pipe here ends the child writing to it.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -184,7 +188,8 @@ def _fork_formatter(block: np.ndarray) -> tuple[int, int]:
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
+            for fd in (read_fd, *earlier):
+                os.close(fd)
             data = "".join([_csv_row(row.tolist()) for row in block])
             with open(write_fd, "wb") as pipe:
                 pipe.write(data.encode("utf-8"))
@@ -217,9 +222,10 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
     bounds = [len(table) * k // parts for k in range(parts + 1)]
     children = []
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_formatter(table[start:stop]))
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork_formatter(
+                    table[start:stop], [fd for _, fd in children]))
             fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
             for row in table[:bounds[1]]:
                 fh.write(_csv_row(row.tolist()))
@@ -228,11 +234,12 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
                 while chunk := os.read(read_fd, _COPY_CHUNK):
                     fh.buffer.write(chunk)
     finally:
-        # closing a pipe first ends a child blocked on writing to it
-        codes = []
-        for pid, read_fd in children:
+        # every pipe is closed before any child is waited on: a child
+        # blocked on writing to its pipe then fails and exits
+        for _, read_fd in children:
             os.close(read_fd)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _ in children]
     if any(codes):
         raise OSError(f"{csv_path}: a process formatting its rows exited "
                       f"with status {max(codes, key=abs)}")

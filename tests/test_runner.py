@@ -1,8 +1,10 @@
 """File outputs and sweep orchestration: formats, determinism, ordering."""
 
+import errno
 import json
 import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -314,6 +316,60 @@ class TestSplitRows:
         assert code == cli.EXIT_VALIDATION
         assert err.startswith("io error:") and "exited with status 1" in err
         assert not (tmp_path / "cli" / "metrics.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def alarm(self):
+        """Turn a wait on a child that never exits into a failure rather
+        than a hang."""
+        def hung(signum, frame):
+            raise AssertionError("a formatter child never exited")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_failure_here_reaps_children_blocked_on_full_pipes(
+            self, tmp_path, monkeypatch, alarm):
+        """This process failing to copy the pipes, while three children
+        each write a block of twice the fewest rows (well over the
+        64 KiB a pipe holds), raises its own error and leaves no child
+        running or unreaped."""
+        me = os.getpid()
+        real_read = os.read
+
+        def read(fd, n):
+            if os.getpid() == me:
+                raise OSError(errno.EIO, "copy failed")
+            return real_read(fd, n)
+
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
+        with pytest.raises(OSError, match="copy failed"):
+            emit_outputs(random_trajectory(6 * self.P), None, tmp_path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unopenable_file_forks_no_child(self, tmp_path, monkeypatch,
+                                            alarm):
+        """trajectory.csv is opened before any child is forked, so a file
+        that cannot be opened raises with no child made."""
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
+        (tmp_path / "trajectory.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            emit_outputs(random_trajectory(3 * self.P), None, tmp_path)
+        assert forks == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
