@@ -7,7 +7,8 @@ Subcommands:
     filmsr preset <name>                run a shipped scenario
     filmsr timescales <physical-config> estimate tau_R from lab units
 
-Exit codes: 0 success, 2 validation error, 3 integration failure.
+Exit codes: 0 success, 2 validation error or I/O failure (reported as
+``io error:``), 3 integration failure.
 """
 
 from __future__ import annotations

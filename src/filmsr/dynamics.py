@@ -876,7 +876,7 @@ def _sample_count(t_end: float, dt: float) -> int:
 
 
 def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
-                    h0: float, monitors):
+                    h0: float, monitors, on_final=None):
     """Adaptive DOP853 driver producing samples on the regular dt grid.
 
     ``rhs(y, *args) -> dy`` is the autonomous vector field on the
@@ -905,6 +905,9 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     states), which returns the index of the sample that ends the run, or
     None; the samples up to it are kept.  :func:`_check_invariants` checks
     them at every flush, so drift before a fault is the error reported.
+    Once a flush in the loop has passed both, its samples and all before
+    them are final, and ``on_final(t, y)``, where given, receives them:
+    their times from t = 0 and their packed states, one column each.
 
     Returns (t_array, y_array, accepted, rejected, rhs_evals);
     ``rhs_evals`` counts every call of ``rhs``.
@@ -1014,6 +1017,8 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                     n = checked + stop + 1
                     break
                 check(n)
+                if on_final is not None:
+                    on_final(np.append(0.0, grid[:n]), ys[:n + 1].T)
         flush()
     except IntegrationError:
         flush()         # a no-op when flush itself raised
@@ -1075,7 +1080,7 @@ class _Monitors:
 
 def _drive(state0: DensityState, params: SystemParams, t_end: float,
            ctrl: IntegratorControl | None, constants, rhs, rate,
-           frame=None) -> Trajectory:
+           frame=None, on_final=None) -> Trajectory:
     """Validate, step and sample; shared by both integration paths.
 
     ``rhs(y, *args)`` is the vector field the stepper advances, on its
@@ -1086,7 +1091,8 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     checked in the frame of ``rhs``.
     ``frame = (into, back)`` rotates the packed initial state into that
     frame and the sampled (6, N) trajectory back to the bare basis; None
-    means the bare basis.
+    means the bare basis.  ``on_final`` is passed to
+    :func:`_integrate_core`; it sees the states in the frame of ``rhs``.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
@@ -1097,14 +1103,16 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     args = constants(*_physical(params))
     monitors = _Monitors(ctrl, lambda y: rate(y, *args))
     t, y, acc, rej, evals = _integrate_core(
-        rhs, args, y0, t_end, ctrl, _initial_step(params.omega32), monitors)
+        rhs, args, y0, t_end, ctrl, _initial_step(params.omega32), monitors,
+        on_final)
     if frame is not None:
         y = frame[1](y, params)
     return Trajectory(t, y, params, ctrl, acc, rej, evals, monitors.end_time)
 
 
 def integrate(state0: DensityState, params: SystemParams, t_end: float,
-              ctrl: IntegratorControl | None = None) -> Trajectory:
+              ctrl: IntegratorControl | None = None, *,
+              on_final=None) -> Trajectory:
     """Advance the RWA equations from ``state0`` to ``t_end``.
 
     Adaptive Runge-Kutta 8(5,3) (DOP853) with error control alone setting
@@ -1118,5 +1126,12 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     2|mu21 R21 + mu31 R31|^2, computed from each sample, has stayed below
     1e-8 for 10 tau_R after emission developed, which is what "final"
     populations refer to.
+
+    ``on_final(t, y)``, where given, is called after each check in the
+    run that passes, with the samples that nothing later can change:
+    their times from t = 0 and their packed (6, n) states, the first n
+    columns of the trajectory's ``t`` and ``y``.  It is not called at
+    the end; the returned trajectory holds every sample.
     """
-    return _drive(state0, params, t_end, ctrl, _constants, _rhs, _rate)
+    return _drive(state0, params, t_end, ctrl, _constants, _rhs, _rate,
+                  on_final=on_final)

@@ -4,7 +4,8 @@ All serialization is deterministic: floats are written as their shortest
 round-trip decimal (Python ``repr``), nothing depends on wall clock or
 iteration order of anything unordered.  Re-running the same
 configuration reproduces every output byte, however many processes
-format the rows of trajectory.csv.
+format the rows of trajectory.csv and whether one of them starts while
+the stepper runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, SweepSpec, apply_sweep_value
-from .dynamics import IntegrationError, Trajectory, integrate
+from .dynamics import IntegrationError, Trajectory, _sample_count, integrate
 from .observables import NoPulse, PulseMetrics, pulse_metrics
 from .params import ParameterError
 
@@ -41,9 +42,12 @@ TRAJECTORY_COLUMNS = (
 # A forked trajectory.csv formatter costs about 5 ms (fork, exit, pipe
 # copy): a 601-row table took as long in two blocks as in one, so no
 # block of rows gets fewer than _PART_ROWS.  The parent copies a
-# child's bytes _COPY_CHUNK at a time.
+# child's bytes _COPY_CHUNK at a time.  A _Formatter helper reads its
+# pipe of row counts between chunks of _CHUNK_ROWS rows, so the parent
+# waits about a millisecond for it at the end of a run.
 _PART_ROWS = 300
 _COPY_CHUNK = 1 << 16
+_CHUNK_ROWS = 64
 # set in run_sweep's workers, whose pool already holds every usable CPU
 _in_sweep_worker = False
 
@@ -157,6 +161,11 @@ def _csv_row(values) -> str:
     return ",".join(map(repr, values)) + "\n"
 
 
+def _csv_rows(block: np.ndarray) -> str:
+    """The trajectory.csv lines of the rows of ``block``."""
+    return "".join([_csv_row(row.tolist()) for row in block])
+
+
 def _row_parts(rows: int) -> int:
     """How many processes format ``rows`` trajectory.csv rows: one where
     fork is missing, in a sweep worker, beside other threads, or for a
@@ -190,9 +199,8 @@ def _fork_formatter(block: np.ndarray,
         try:
             for fd in (read_fd, *earlier):
                 os.close(fd)
-            data = "".join([_csv_row(row.tolist()) for row in block])
             with open(write_fd, "wb") as pipe:
-                pipe.write(data.encode("utf-8"))
+                pipe.write(_csv_rows(block).encode("utf-8"))
             status = 0
         finally:
             os._exit(status)
@@ -200,39 +208,212 @@ def _fork_formatter(block: np.ndarray,
     return pid, read_fd
 
 
+def _copy_pipe(read_fd: int, fh, size: int = -1) -> None:
+    """Copy the next ``size`` bytes a child writes to ``read_fd`` into the
+    file, or, with ``size`` negative, all of them up to end of file."""
+    while size and (chunk := os.read(
+            read_fd, _COPY_CHUNK if size < 0 else min(size, _COPY_CHUNK))):
+        fh.buffer.write(chunk)
+        size -= len(chunk)
+
+
+class _Formatter:
+    """A forked helper that formats the rows of trajectory.csv while the
+    stepper runs; ``run_scenario`` makes one, ``emit_outputs`` ends it.
+
+    ``feed`` is the ``on_final`` callback of ``integrate``.  Its first call
+    forks the helper.  Each call copies the newly final samples (t and
+    the six packed states, 13 float64 per row) into an anonymous shared
+    mmap and sends their count down a pipe that never blocks this
+    process: a count the full pipe refuses is superseded by the next.
+    The helper builds ``_trajectory_table`` of the samples it has, whose
+    rows are those of the full table bit for bit, and formats them
+    ``_CHUNK_ROWS`` at a time, reading the counts between chunks; it
+    builds the table again once it has formatted all its rows.
+
+    ``finish`` sends the last samples and their count, negated.  The
+    helper then leaves the first half of the rows it has not formatted
+    to this process and takes the rest.  On a second pipe it sends the
+    bounds of this process's rows and the size of its text so far, then
+    that text, then the text of its own rows once they are formatted.
+    So this process can write its rows straight into the file between
+    the two.  ``close`` closes both pipes, which makes a helper still
+    running exit, and reaps it.
+    """
+
+    def __init__(self, rows: int, params, control):
+        self.rows, self.params, self.control = rows, params, control
+        self.pid = self.t = self.y = None
+        self.code = 0
+        self.fed = 0
+
+    def feed(self, t, y) -> None:
+        if self.pid is None:
+            self._start()
+        self._store(t, y)
+        try:
+            os.write(self.cmd, self.fed.to_bytes(8, "little", signed=True))
+        except (BlockingIOError, BrokenPipeError):
+            pass    # a helper that has exited is reported by close
+
+    def finish(self, traj: Trajectory) -> tuple[int, int, int]:
+        """Hand over every sample of ``traj``; return ``(start, stop,
+        size)``: this process formats rows start to stop of the table,
+        and the next ``size`` bytes on ``self.text`` are the rows before
+        them, the rest those after.  A helper that has exited leaves
+        every row to this process; ``close`` reports its status."""
+        self._store(traj.t, traj.y)
+        os.set_blocking(self.cmd, True)
+        try:
+            os.write(self.cmd, (-self.fed).to_bytes(8, "little", signed=True))
+            reply = os.read(self.text, 24)
+        except BrokenPipeError:
+            reply = b""
+        self._release()     # the helper keeps its own mapping of the pages
+        if len(reply) < 24:
+            return 0, self.fed, 0
+        return tuple(int.from_bytes(reply[i:i + 8], "little")
+                     for i in (0, 8, 16))
+
+    def close(self) -> int:
+        """Reap the helper, if one was forked; return its exit status."""
+        if self.pid is not None:
+            os.close(self.cmd)
+            os.close(self.text)
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            self._release()
+        return self.code
+
+    def _release(self) -> None:
+        if self.t is not None:
+            self.t = self.y = None      # no array may hold the mmap it closes
+            self.shared.close()
+
+    def _start(self) -> None:
+        import mmap     # here, so that no other command pays its import
+        rows = self.rows
+        self.shared = mmap.mmap(-1, 13 * 8 * rows)
+        self.t = np.frombuffer(self.shared, float, rows)
+        self.y = np.frombuffer(self.shared, complex, 6 * rows,
+                               8 * rows).reshape(rows, 6)
+        cmd_read, self.cmd = os.pipe()
+        self.text, text_write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (cmd_read, self.cmd, self.text, text_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            self._serve(cmd_read, text_write)
+        os.close(cmd_read)
+        os.close(text_write)
+        os.set_blocking(self.cmd, False)
+        self.pid = pid
+
+    def _store(self, t, y) -> None:
+        lo, self.fed = self.fed, t.size
+        self.t[lo:self.fed] = t[lo:]
+        self.y[lo:self.fed] = y.T[lo:]
+
+    def _table(self, rows: int) -> np.ndarray:
+        # the mmap's (rows, 6) states transposed, as integrate's y is
+        return _trajectory_table(Trajectory(
+            self.t[:rows], self.y[:rows].T, self.params, self.control,
+            0, 0, 0))
+
+    def _serve(self, cmd: int, text: int) -> None:
+        """The helper: format rows as their samples become final; exit
+        with status 1 on any exception or when this process goes away."""
+        status = 1
+        try:
+            os.close(self.cmd)
+            os.close(self.text)
+            pieces = []
+            done = ready = 0
+            table = self._table(0)
+            while True:
+                os.set_blocking(cmd, done == ready)
+                try:
+                    counts = os.read(cmd, 1 << 12)
+                except BlockingIOError:
+                    counts = None
+                if counts == b"":
+                    return
+                if counts:
+                    ready = int.from_bytes(counts[-8:], "little", signed=True)
+                    if ready < 0:
+                        break
+                # a table costs time in proportion to all its rows, so it
+                # is built again only once its rows are formatted
+                if done == len(table):
+                    table = self._table(ready)
+                stop = min(len(table), done + _CHUNK_ROWS)
+                pieces.append(_csv_rows(table[done:stop]))
+                done = stop
+            rows = -ready
+            split = done + (rows - done) // 2
+            head = "".join(pieces).encode("utf-8")
+            with open(text, "wb") as pipe:
+                pipe.write(b"".join(n.to_bytes(8, "little")
+                                    for n in (done, split, len(head))))
+                pipe.write(head)
+                pipe.flush()        # before its own rows are formatted
+                pipe.write(_csv_rows(self._table(rows)[split:]).encode("utf-8"))
+            status = 0
+        finally:
+            os._exit(status)
+
+
 def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
-                 error: str | None = None) -> tuple[str, ...]:
+                 error: str | None = None, *,
+                 formatter: _Formatter | None = None) -> tuple[str, ...]:
     """Write trajectory.csv, metrics.json and plot.py; return their paths.
 
     Floats are written as their shortest round-trip decimal (``repr``).
     The rows of trajectory.csv are split into contiguous blocks, one per
     usable CPU (see ``_row_parts``).  A forked child formats each block
     but the first into a pipe while this process writes the first; the
-    pipes are then copied into the file in order.  Every child is reaped
-    before this returns or raises, and a child that fails raises
-    ``OSError`` naming its exit status.  The bytes do not depend on the
-    number of blocks.
+    pipes are then copied into the file in order.  ``formatter`` is the
+    helper ``run_scenario`` forked while integrating ``traj``: where it
+    has started, no other child is forked, and the rows it has not
+    formatted yet are split in two, the first half written here and the
+    second formatted by it.  Every child is reaped before this
+    returns or raises, and a child that fails raises ``OSError`` naming
+    its exit status.  The bytes do not depend on the number of blocks.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     csv_path = out / "trajectory.csv"
-    table = _trajectory_table(traj)
-    parts = _row_parts(len(table))
-    bounds = [len(table) * k // parts for k in range(parts + 1)]
+    helper = (formatter if formatter is not None and formatter.pid is not None
+              else None)
     children = []
     try:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork_formatter(
-                    table[start:stop], [fd for _, fd in children]))
+            if helper is not None:
+                start, stop, head = helper.finish(traj)
+                table = _trajectory_table(traj)
+                tails = [helper.text]
+            else:
+                table = _trajectory_table(traj)
+                parts = _row_parts(len(table))
+                bounds = [len(table) * k // parts for k in range(parts + 1)]
+                for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                    children.append(_fork_formatter(
+                        table[lo:hi], [fd for _, fd in children]))
+                start, stop, head = 0, bounds[1], 0
+                tails = [fd for _, fd in children]
             fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            for row in table[:bounds[1]]:
+            fh.flush()
+            if head:
+                _copy_pipe(helper.text, fh, head)
+            for row in table[start:stop]:
                 fh.write(_csv_row(row.tolist()))
             fh.flush()
-            for pid, read_fd in children:
-                while chunk := os.read(read_fd, _COPY_CHUNK):
-                    fh.buffer.write(chunk)
+            for read_fd in tails:
+                _copy_pipe(read_fd, fh)
     finally:
         # every pipe is closed before any child is waited on: a child
         # blocked on writing to its pipe then fails and exits
@@ -240,6 +421,8 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
             os.close(read_fd)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                  for pid, _ in children]
+        if helper is not None:
+            codes.append(helper.close())
     if any(codes):
         raise OSError(f"{csv_path}: a process formatting its rows exited "
                       f"with status {max(codes, key=abs)}")
@@ -261,18 +444,37 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     A run whose emission never develops is still a valid run: the
     trajectory is written and the metrics file carries an ``error``
     field instead of pulse numbers.
+
+    Where ``emit_outputs`` would split the rows of the whole grid
+    (``_row_parts``), the first check of the invariants that passes
+    forks one helper, a :class:`_Formatter`.  It formats the rows each
+    check makes final while the stepper goes on, and ``emit_outputs``
+    splits the rows it has not reached between it and this process.
+    The bytes are those of one process writing every row.  The helper is
+    reaped before this returns or raises.
     """
     cfg = cfg.validated()
-    traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end, cfg.control)
-    metrics: PulseMetrics | None
+    # the grid, a partial last interval and t = 0
+    rows = _sample_count(cfg.t_end, cfg.control.dt) + 2
+    helper = (_Formatter(rows, cfg.params, cfg.control)
+              if _row_parts(rows) > 1 else None)
     try:
-        metrics = pulse_metrics(traj)
-        error = None
-    except NoPulse as exc:
-        metrics = None
-        error = f"NoPulse: {exc}"
-    target = out_dir if out_dir is not None else (cfg.out_dir or ".")
-    paths = emit_outputs(traj, metrics, target, error=error)
+        traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
+                         cfg.control,
+                         on_final=None if helper is None else helper.feed)
+        metrics: PulseMetrics | None
+        try:
+            metrics = pulse_metrics(traj)
+            error = None
+        except NoPulse as exc:
+            metrics = None
+            error = f"NoPulse: {exc}"
+        target = out_dir if out_dir is not None else (cfg.out_dir or ".")
+        paths = emit_outputs(traj, metrics, target, error=error,
+                             formatter=helper)
+    finally:
+        if helper is not None:
+            helper.close()
     return RunResult(traj, metrics, error, paths)
 
 

@@ -157,6 +157,41 @@ class TestIntegrate:
         with pytest.raises(ParameterError, match="grid samples"):
             dynamics._sample_count(1e5 * (1 + 1e-9), 0.01)
 
+    @pytest.mark.parametrize("preset", ["fig5", "degenerate"])
+    def test_on_final_sees_prefixes_of_the_trajectory(self, preset,
+                                                      preset_configs,
+                                                      preset_runs):
+        """Each call gets more samples than the last, each a prefix of
+        the returned trajectory bit for bit, and the trajectory is the
+        one a run without the callback returns; fig5 stops on
+        quiescence, degenerate runs on past it."""
+        cfg = preset_configs[preset]
+        calls = []
+        traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
+                         cfg.control, on_final=lambda t, y: calls.append(
+                             (t.copy(), y.copy())))
+        plain = preset_runs[preset]
+        assert traj.t.tobytes() == plain.t.tobytes()
+        assert traj.y.tobytes() == plain.y.tobytes()
+        sizes = [t.size for t, _ in calls]
+        assert sizes and sizes == sorted(set(sizes))
+        assert sizes[0] > dynamics._CHECK_EVERY
+        for t, y in calls:
+            assert y.shape == (6, t.size)
+            assert t.tobytes() == traj.t[:t.size].tobytes()
+            assert y.tobytes() == traj.y[:, :t.size].tobytes()
+
+    def test_on_final_never_sees_a_drifted_sample(self, monkeypatch):
+        """The coherent preparation over 14 tau_R with the drift bound
+        at 1e-15 drifts at t = 5.98: the first check passes and is
+        handed on, the second raises before any of its samples are."""
+        monkeypatch.setattr(dynamics, "_INVARIANT_TOL", 1e-15)
+        calls = []
+        with pytest.raises(InvariantDrift, match="t=5.98"):
+            integrate(initial_state(0.5, 0.5, 0.5), make_params(0.0, 0.5),
+                      14.0, on_final=lambda t, y: calls.append(t[-1]))
+        assert len(calls) == 1 and calls[0] < 5.98
+
     def test_zero_trigger_keeps_populations_frozen(self):
         """Without seed coherence only rho32 rotates; nothing radiates."""
         state = initial_state(0.4, 0.4, 0.2, R21_0=0.0, R31_0=0.0)

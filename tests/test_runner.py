@@ -4,7 +4,11 @@ import errno
 import json
 import multiprocessing
 import os
+import pathlib
 import signal
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -13,7 +17,7 @@ import pytest
 from filmsr import (IntegratorControl, cli, dynamics, initial_state,
                     make_params, pulse_metrics, runner)
 from filmsr.config import (ScenarioConfig, SweepSpec, apply_sweep_value,
-                           scenario_from_mapping)
+                           load_preset, scenario_from_mapping)
 from filmsr.dynamics import Trajectory
 from filmsr.observables import Branching, FinalPopulations, PulseMetrics
 from filmsr.runner import (TRAJECTORY_COLUMNS, SweepRow, emit_outputs,
@@ -247,6 +251,35 @@ def random_trajectory(rows):
                       steps_accepted=1, steps_rejected=0, rhs_evals=12)
 
 
+@pytest.fixture
+def alarm():
+    """Turn a wait on a child that never exits into a failure rather
+    than a hang."""
+    def hung(signum, frame):
+        raise AssertionError("a formatter child never exited")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def count_forks(monkeypatch):
+    """Record the pid of every child os.fork makes in this process."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 class TestSplitRows:
     """trajectory.csv rows formatted in forked children, block by block,
     give the bytes of one process formatting them all."""
@@ -262,16 +295,7 @@ class TestSplitRows:
                                         monkeypatch):
         rows = self.ROWS[index]
         traj = random_trajectory(rows)
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
+        forks = count_forks(monkeypatch)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
         emit_outputs(traj, None, tmp_path)
         expected = ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
@@ -319,19 +343,6 @@ class TestSplitRows:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.fixture
-    def alarm(self):
-        """Turn a wait on a child that never exits into a failure rather
-        than a hang."""
-        def hung(signum, frame):
-            raise AssertionError("a formatter child never exited")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(30)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
     def test_failure_here_reaps_children_blocked_on_full_pipes(
             self, tmp_path, monkeypatch, alarm):
         """This process failing to copy the pipes, while three children
@@ -357,14 +368,7 @@ class TestSplitRows:
                                             alarm):
         """trajectory.csv is opened before any child is forked, so a file
         that cannot be opened raises with no child made."""
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            forks.append(os.getpid())
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
+        forks = count_forks(monkeypatch)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
         (tmp_path / "trajectory.csv").mkdir()
         with pytest.raises(IsADirectoryError):
@@ -399,6 +403,245 @@ class TestSplitRows:
         assert ((tmp_path / "sweep" / "run_000" / "trajectory.csv")
                 .read_bytes()
                 == (tmp_path / "direct" / "trajectory.csv").read_bytes())
+
+
+def _prefix_mismatches(rows=2000, splits=40):
+    """The prefix lengths k, at random split points, for which the table
+    of the first k samples, stored as the helper stores them ((k, 6)
+    states transposed), is not bit for bit the first k rows of the table
+    of all ``rows`` samples of ``random_trajectory``."""
+    traj = random_trajectory(rows)
+    full = runner._trajectory_table(traj)
+    y_rows = np.ascontiguousarray(traj.y.T)
+    points = np.random.default_rng(splits).integers(1, rows, splits)
+    return [int(k) for k in (1, 2, *points, rows)
+            if runner._trajectory_table(Trajectory(
+                traj.t[:k], y_rows[:k].T, traj.params, traj.control, 0, 0,
+                0)).tobytes() != full[:k].tobytes()]
+
+
+_NUMPY_SIMD = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+_PREFIX_CHILD = """
+import json
+from numpy._core._multiarray_umath import __cpu_features__
+import test_runner
+print(json.dumps([test_runner._prefix_mismatches(),
+                  [f for f in test_runner._NUMPY_SIMD
+                   if __cpu_features__.get(f)]]))
+"""
+
+
+class TestFormatterHelper:
+    """run_scenario forks one helper that formats the final rows of
+    trajectory.csv while the stepper runs; the bytes do not depend on
+    it, and no child outlives a run that fails."""
+
+    DRIFT = ("params.omega32 = 0.0\nparams.delta_L = 0.5\n"
+             "init.rho22 = 0.5\ninit.rho33 = 0.5\ninit.rho32 = 0.5\n"
+             "run.t_end = 14.0\n")
+
+    @pytest.mark.parametrize("preset", ["fig4", "degenerate"])
+    def test_bytes_do_not_depend_on_the_split(self, preset, tmp_path,
+                                              monkeypatch, alarm):
+        """The helper, one process (one usable CPU) and one process
+        beside a second thread write the same bytes; only the first
+        forks, once, and it has formatted rows before the run ends."""
+        cfg = load_preset(preset)
+        forks = count_forks(monkeypatch)
+        starts = []
+        real_finish = runner._Formatter.finish
+
+        def finish(self, traj):
+            starts.append((real_finish(self, traj), traj.t.size))
+            return starts[-1][0]
+
+        monkeypatch.setattr(runner._Formatter, "finish", finish)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        run_scenario(cfg, out_dir=tmp_path / "helper")
+        assert len(forks) == 1
+        [((start, stop, head), rows)] = starts
+        assert 0 < start <= stop <= rows and head > 0
+
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+        run_scenario(cfg, out_dir=tmp_path / "one")
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            run_scenario(cfg, out_dir=tmp_path / "thread")
+        finally:
+            release.set()
+            other.join()
+        assert len(forks) == 1 and len(starts) == 1
+        for name in ("trajectory.csv", "metrics.json", "plot.py"):
+            expected = (tmp_path / "one" / name).read_bytes()
+            for case in ("helper", "thread"):
+                assert (tmp_path / case / name).read_bytes() == expected, \
+                    (case, name)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_table_of_every_prefix_is_a_prefix_of_the_table(self):
+        """np.unwrap's cumulative sum runs in order and the other columns
+        are elementwise, so the rows the helper formats from the samples
+        it has are those of the full table."""
+        assert _prefix_mismatches() == []
+
+    def test_table_prefixes_without_wide_simd(self):
+        """The same comparison with numpy's AVX2 and AVX-512 kernels
+        switched off, in a child process."""
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_NUMPY_SIMD))
+        src = pathlib.Path(runner.__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), str(pathlib.Path(__file__).resolve().parent)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-c", _PREFIX_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [[], []]
+
+    FEEDS = 20_000      # 2.4 times the counts a 64 KiB pipe holds
+
+    def feed_each_row(self, helper, traj):
+        """Feed the first FEEDS rows one at a time, as integrate would
+        if every sample were checked on its own."""
+        for k in range(1, self.FEEDS + 1):
+            helper.feed(traj.t[:k], traj.y[:, :k])
+
+    def test_a_full_pipe_never_blocks_the_stepper(self, tmp_path,
+                                                  monkeypatch, alarm):
+        """A helper that reads no count until this process has sent them
+        all neither blocks it nor loses rows: the counts the pipe refuses
+        are superseded by the last.  ``finish`` hands over the rows never
+        fed; the helper sends the rows before this process's share and
+        formats those after it."""
+        me = os.getpid()
+        gate = tmp_path / "gate"
+        # past the alarm, so that a blocked parent fails rather than hangs
+        deadline = time.monotonic() + 40
+        real_row = runner._csv_row
+
+        def row(values):
+            while (os.getpid() != me and not gate.exists()
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            return real_row(values)
+
+        monkeypatch.setattr(runner, "_csv_row", row)
+        rows = 3 * self.FEEDS
+        traj = random_trajectory(rows)
+        helper = runner._Formatter(rows, traj.params, traj.control)
+        try:
+            self.feed_each_row(helper, traj)
+            gate.touch()
+            start, stop, head = helper.finish(traj)
+            text = b"".join(iter(lambda: os.read(helper.text, 1 << 16), b""))
+        finally:
+            code = helper.close()
+        assert code == 0
+        assert 0 < start <= stop < rows
+        lines = [",".join(map(repr, r)) + "\n"
+                 for r in runner._trajectory_table(traj).tolist()]
+        assert text[:head].decode() == "".join(lines[:start])
+        assert text[head:].decode() == "".join(lines[stop:])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_failing_after_its_reply_raises(self, tmp_path,
+                                                   monkeypatch, alarm):
+        """A helper that fails once it has told this process where to
+        start, on the rows never fed, still makes emit_outputs raise
+        OSError naming its status; no metrics.json, no child."""
+        me = os.getpid()
+        real_table = runner._Formatter._table
+
+        def table(self, rows):
+            if os.getpid() != me and rows > TestFormatterHelper.FEEDS:
+                raise RuntimeError("helper broke")
+            return real_table(self, rows)
+
+        monkeypatch.setattr(runner._Formatter, "_table", table)
+        rows = 3 * self.FEEDS
+        traj = random_trajectory(rows)
+        helper = runner._Formatter(rows, traj.params, traj.control)
+        try:
+            self.feed_each_row(helper, traj)
+            with pytest.raises(OSError, match="exited with status 1"):
+                emit_outputs(traj, None, tmp_path, formatter=helper)
+        finally:
+            helper.close()
+        assert not (tmp_path / "metrics.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_integration_error_reaps_the_helper(self, tmp_path, monkeypatch,
+                                                capsys, alarm):
+        """The README's drift example fails at t = 5.98, after the first
+        check has forked the helper: exit 3, no trajectory.csv, no
+        child."""
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dynamics, "_INVARIANT_TOL", 1e-15)
+        scenario = tmp_path / "drift.cfg"
+        scenario.write_text(self.DRIFT, encoding="utf-8")
+        code = cli.main(["run", str(scenario), "--out-dir",
+                         str(tmp_path / "out")])
+        assert code == cli.EXIT_INTEGRATION
+        assert "t=5.98" in capsys.readouterr().err
+        assert len(forks) == 1
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_helper_raises_and_is_reaped(self, tmp_path, monkeypatch,
+                                                 capsys, alarm):
+        """A helper that fails makes the run raise OSError naming its exit
+        status (the CLI: exit 2, io error), writes no metrics.json and
+        leaves no child."""
+        me = os.getpid()
+        real_row = runner._csv_row
+
+        def row(values):
+            if os.getpid() != me:
+                raise RuntimeError("helper broke")
+            return real_row(values)
+
+        monkeypatch.setattr(runner, "_csv_row", row)
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        with pytest.raises(OSError, match="exited with status 1"):
+            run_scenario(FAST, out_dir=tmp_path / "direct")
+        assert len(forks) == 1
+        assert not (tmp_path / "direct" / "metrics.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        scenario = tmp_path / "fast.cfg"
+        scenario.write_text(self.DRIFT, encoding="utf-8")
+        code = cli.main(["run", str(scenario), "--out-dir",
+                         str(tmp_path / "cli")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("io error:") and "exited with status 1" in err
+        assert len(forks) == 2
+        assert not (tmp_path / "cli" / "metrics.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unwritable_output_reaps_the_helper(self, tmp_path, monkeypatch,
+                                                alarm):
+        """An output directory that cannot be made once integration has
+        finished raises its own error with the helper started and
+        leaves no child."""
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        with pytest.raises(NotADirectoryError):
+            run_scenario(FAST, out_dir=tmp_path / "file" / "out")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestGoldenBytes:
