@@ -3,8 +3,8 @@
 All serialization is deterministic: floats are written as their shortest
 round-trip decimal (Python ``repr``), nothing depends on wall clock or
 iteration order of anything unordered.  Re-running the same
-configuration reproduces every output byte, however many processes
-format the rows of trajectory.csv and whether one of them starts while
+configuration reproduces every output byte, whether a helper process
+formats part of the rows of trajectory.csv and whether it starts while
 the stepper runs.
 """
 
@@ -40,12 +40,13 @@ TRAJECTORY_COLUMNS = (
 )
 
 # A forked trajectory.csv formatter costs about 5 ms (fork, exit, pipe
-# copy): a 601-row table took as long in two blocks as in one, so no
-# block of rows gets fewer than _PART_ROWS.  The parent copies a
-# child's bytes _COPY_CHUNK at a time.  A _Formatter helper reads its
-# pipe of row counts between chunks of _CHUNK_ROWS rows, so the parent
-# waits about a millisecond for it at the end of a run.
-_PART_ROWS = 300
+# copy): a 601-row table took as long in two processes as in one, so
+# one process formats a table of fewer than _SPLIT_ROWS rows.  The
+# parent copies the helper's bytes _COPY_CHUNK at a time.  A _Formatter
+# helper reads its pipe of row counts between chunks of _CHUNK_ROWS
+# rows, so the parent waits about a millisecond for it at the end of a
+# run.
+_SPLIT_ROWS = 600
 _COPY_CHUNK = 1 << 16
 _CHUNK_ROWS = 64
 # set in run_sweep's workers, whose pool already holds every usable CPU
@@ -166,46 +167,15 @@ def _csv_rows(block: np.ndarray) -> str:
     return "".join([_csv_row(row.tolist()) for row in block])
 
 
-def _row_parts(rows: int) -> int:
-    """How many processes format ``rows`` trajectory.csv rows: one where
-    fork is missing, in a sweep worker, beside other threads, or for a
-    table too small to pay for a second process."""
+def _split_rows(rows: int) -> bool:
+    """Whether a helper process formats part of ``rows`` trajectory.csv
+    rows: not where fork is missing, in a sweep worker, beside other
+    threads, with one usable CPU, or for a table too small to pay for a
+    second process."""
     import threading        # already loaded when the interpreter starts
-    if (not hasattr(os, "fork") or _in_sweep_worker
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(_usable_cpus(), rows // _PART_ROWS))
-
-
-def _fork_formatter(block: np.ndarray,
-                    earlier: list[int]) -> tuple[int, int]:
-    """Fork a child that writes the trajectory.csv lines of ``block`` to
-    a pipe and exits; return its pid and the pipe's read end.
-
-    The child formats its whole block before it writes, so it never
-    waits on a full pipe while the parent formats the first block.  It
-    closes the read ends in ``earlier``, the pipes of the children forked
-    before it, so that closing a pipe here ends the child writing to it.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            for fd in (read_fd, *earlier):
-                os.close(fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(_csv_rows(block).encode("utf-8"))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
+    return (hasattr(os, "fork") and not _in_sweep_worker
+            and threading.active_count() == 1 and _usable_cpus() > 1
+            and rows >= _SPLIT_ROWS)
 
 
 def _copy_pipe(read_fd: int, fh, size: int = -1) -> None:
@@ -218,18 +188,22 @@ def _copy_pipe(read_fd: int, fh, size: int = -1) -> None:
 
 
 class _Formatter:
-    """A forked helper that formats the rows of trajectory.csv while the
-    stepper runs; ``run_scenario`` makes one, ``emit_outputs`` ends it.
+    """A forked helper that formats part of the rows of trajectory.csv.
+    ``run_scenario`` makes one that formats rows while the stepper runs,
+    ``emit_outputs`` one for a table it is given whole; ``emit_outputs``
+    ends either.
 
-    ``feed`` is the ``on_final`` callback of ``integrate``.  Its first call
-    forks the helper.  Each call copies the newly final samples (t and
-    the six packed states, 13 float64 per row) into an anonymous shared
-    mmap and sends their count down a pipe that never blocks this
+    ``feed`` is the ``on_final`` callback of ``integrate``.  Its first
+    call forks the helper.  Each call copies the newly final samples (t
+    and the six packed states, 13 float64 per row) into an anonymous
+    shared mmap and sends their count down a pipe that never blocks this
     process: a count the full pipe refuses is superseded by the next.
-    The helper builds ``_trajectory_table`` of the samples it has, whose
-    rows are those of the full table bit for bit, and formats them
-    ``_CHUNK_ROWS`` at a time, reading the counts between chunks; it
-    builds the table again once it has formatted all its rows.
+    ``finish`` forks a helper never fed, which takes every sample from
+    its copy of this process, so no mmap is made.  The helper builds
+    ``_trajectory_table`` of the samples it has, whose rows are those of
+    the full table bit for bit, and formats them ``_CHUNK_ROWS`` at a
+    time, reading the counts between chunks; it builds the table again
+    once it has formatted all its rows.
 
     ``finish`` sends the last samples and their count, negated.  The
     helper then leaves the first half of the rows it has not formatted
@@ -243,7 +217,7 @@ class _Formatter:
 
     def __init__(self, rows: int, params, control):
         self.rows, self.params, self.control = rows, params, control
-        self.pid = self.t = self.y = None
+        self.pid = self.t = self.y = self.shared = None
         self.code = 0
         self.fed = 0
 
@@ -257,12 +231,18 @@ class _Formatter:
             pass    # a helper that has exited is reported by close
 
     def finish(self, traj: Trajectory) -> tuple[int, int, int]:
-        """Hand over every sample of ``traj``; return ``(start, stop,
-        size)``: this process formats rows start to stop of the table,
-        and the next ``size`` bytes on ``self.text`` are the rows before
-        them, the rest those after.  A helper that has exited leaves
-        every row to this process; ``close`` reports its status."""
-        self._store(traj.t, traj.y)
+        """Hand over every sample of ``traj``, forking the helper if no
+        ``feed`` has; return ``(start, stop, size)``: this process
+        formats rows start to stop of the table, and the next ``size``
+        bytes on ``self.text`` are the rows before them, the rest those
+        after.  A helper that has exited leaves every row to this
+        process; ``close`` reports its status."""
+        if self.pid is None:
+            # the helper gets every sample with its copy of this process
+            self.t, self.y, self.fed = traj.t, traj.y.T, traj.t.size
+            self._start()
+        else:
+            self._store(traj.t, traj.y)
         os.set_blocking(self.cmd, True)
         try:
             os.write(self.cmd, (-self.fed).to_bytes(8, "little", signed=True))
@@ -282,21 +262,23 @@ class _Formatter:
             os.close(self.text)
             self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
             self.pid = None
-            self._release()
+        self._release()
         return self.code
 
     def _release(self) -> None:
-        if self.t is not None:
-            self.t = self.y = None      # no array may hold the mmap it closes
+        self.t = self.y = None      # no array may hold the mmap it closes
+        if self.shared is not None:
             self.shared.close()
+            self.shared = None
 
     def _start(self) -> None:
-        import mmap     # here, so that no other command pays its import
-        rows = self.rows
-        self.shared = mmap.mmap(-1, 13 * 8 * rows)
-        self.t = np.frombuffer(self.shared, float, rows)
-        self.y = np.frombuffer(self.shared, complex, 6 * rows,
-                               8 * rows).reshape(rows, 6)
+        if self.t is None:
+            import mmap     # here, so that no other command pays its import
+            rows = self.rows
+            self.shared = mmap.mmap(-1, 13 * 8 * rows)
+            self.t = np.frombuffer(self.shared, float, rows)
+            self.y = np.frombuffer(self.shared, complex, 6 * rows,
+                                   8 * rows).reshape(rows, 6)
         cmd_read, self.cmd = os.pipe()
         self.text, text_write = os.pipe()
         try:
@@ -318,7 +300,7 @@ class _Formatter:
         self.y[lo:self.fed] = y.T[lo:]
 
     def _table(self, rows: int) -> np.ndarray:
-        # the mmap's (rows, 6) states transposed, as integrate's y is
+        # the (rows, 6) states transposed, as integrate's y is
         return _trajectory_table(Trajectory(
             self.t[:rows], self.y[:rows].T, self.params, self.control,
             0, 0, 0))
@@ -372,60 +354,41 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
     """Write trajectory.csv, metrics.json and plot.py; return their paths.
 
     Floats are written as their shortest round-trip decimal (``repr``).
-    The rows of trajectory.csv are split into contiguous blocks, one per
-    usable CPU (see ``_row_parts``).  A forked child formats each block
-    but the first into a pipe while this process writes the first; the
-    pipes are then copied into the file in order.  ``formatter`` is the
-    helper ``run_scenario`` forked while integrating ``traj``: where it
-    has started, no other child is forked, and the rows it has not
-    formatted yet are split in two, the first half written here and the
-    second formatted by it.  Every child is reaped before this
-    returns or raises, and a child that fails raises ``OSError`` naming
-    its exit status.  The bytes do not depend on the number of blocks.
+    ``formatter`` is a helper that may have formatted rows of ``traj``
+    already, as ``run_scenario``'s does while the stepper runs.  Without
+    one, once trajectory.csv is open, this makes one where
+    ``_split_rows`` holds.  The helper leaves this process the first
+    half of the rows it has not formatted and formats the second; the
+    bytes are those of one process writing every row.  The helper is
+    reaped before this returns or raises, and one that fails raises
+    ``OSError`` naming its exit status.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     csv_path = out / "trajectory.csv"
-    helper = (formatter if formatter is not None and formatter.pid is not None
-              else None)
-    children = []
+    helper = formatter
     try:
+        out.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            if helper is not None:
-                start, stop, head = helper.finish(traj)
-                table = _trajectory_table(traj)
-                tails = [helper.text]
-            else:
-                table = _trajectory_table(traj)
-                parts = _row_parts(len(table))
-                bounds = [len(table) * k // parts for k in range(parts + 1)]
-                for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                    children.append(_fork_formatter(
-                        table[lo:hi], [fd for _, fd in children]))
-                start, stop, head = 0, bounds[1], 0
-                tails = [fd for _, fd in children]
+            if helper is None and _split_rows(traj.t.size):
+                helper = _Formatter(traj.t.size, traj.params, traj.control)
+            start, stop, head = (helper.finish(traj) if helper is not None
+                                 else (0, traj.t.size, 0))
+            table = _trajectory_table(traj)
             fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
             fh.flush()
             if head:
                 _copy_pipe(helper.text, fh, head)
             for row in table[start:stop]:
                 fh.write(_csv_row(row.tolist()))
-            fh.flush()
-            for read_fd in tails:
-                _copy_pipe(read_fd, fh)
+            if helper is not None:
+                fh.flush()
+                _copy_pipe(helper.text, fh)
     finally:
-        # every pipe is closed before any child is waited on: a child
-        # blocked on writing to its pipe then fails and exits
-        for _, read_fd in children:
-            os.close(read_fd)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid, _ in children]
-        if helper is not None:
-            codes.append(helper.close())
-    if any(codes):
+        # closing the helper's pipes ends it, even blocked on a full one
+        code = 0 if helper is None else helper.close()
+    if code:
         raise OSError(f"{csv_path}: a process formatting its rows exited "
-                      f"with status {max(codes, key=abs)}")
+                      f"with status {code}")
 
     json_path = out / "metrics.json"
     with open(json_path, "w", encoding="utf-8") as fh:
@@ -445,19 +408,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     trajectory is written and the metrics file carries an ``error``
     field instead of pulse numbers.
 
-    Where ``emit_outputs`` would split the rows of the whole grid
-    (``_row_parts``), the first check of the invariants that passes
-    forks one helper, a :class:`_Formatter`.  It formats the rows each
-    check makes final while the stepper goes on, and ``emit_outputs``
-    splits the rows it has not reached between it and this process.
-    The bytes are those of one process writing every row.  The helper is
-    reaped before this returns or raises.
+    Where ``_split_rows`` holds for the whole grid, the first check of
+    the invariants that passes forks one helper, a :class:`_Formatter`.
+    It formats the rows each check makes final while the stepper goes
+    on, and ``emit_outputs`` splits the rows it has not reached between
+    it and this process.  The bytes are those of one process writing
+    every row.  The helper is reaped before this returns or raises.
     """
     cfg = cfg.validated()
     # the grid, a partial last interval and t = 0
     rows = _sample_count(cfg.t_end, cfg.control.dt) + 2
     helper = (_Formatter(rows, cfg.params, cfg.control)
-              if _row_parts(rows) > 1 else None)
+              if _split_rows(rows) else None)
     try:
         traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
                          cfg.control,

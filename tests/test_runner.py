@@ -1,5 +1,6 @@
 """File outputs and sweep orchestration: formats, determinism, ordering."""
 
+import contextlib
 import errno
 import json
 import multiprocessing
@@ -280,34 +281,68 @@ def count_forks(monkeypatch):
     return forks
 
 
-class TestSplitRows:
-    """trajectory.csv rows formatted in forked children, block by block,
-    give the bytes of one process formatting them all."""
+@contextlib.contextmanager
+def no_fd_leak():
+    """Fail if the block leaves a file descriptor of this process open
+    that was not open before it: a pipe or a file."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to list open file descriptors")
+    before = sorted(os.listdir("/proc/self/fd"), key=int)
+    yield
+    assert sorted(os.listdir("/proc/self/fd"), key=int) == before
 
-    P = runner._PART_ROWS
-    # fewer rows than two blocks are written by one process
-    ROWS = (1, 2 * P - 1, 2 * P, 2 * P + 1, 3 * P + 7)
-    PARTS = {1: (1, 1, 1, 1, 1), 2: (1, 1, 2, 2, 2), 3: (1, 1, 2, 2, 3)}
+
+def one_process_bytes(traj):
+    """trajectory.csv as one process writing every row writes it."""
+    return (",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n"
+        for row in runner._trajectory_table(traj).tolist())).encode()
+
+
+class TestSplitRows:
+    """trajectory.csv rows formatted partly by a helper that emit_outputs
+    forks give the bytes of one process formatting them all."""
+
+    S = runner._SPLIT_ROWS
+    # fewer rows than S are written by one process
+    ROWS = (1, S - 1, S, S + 1, S + S // 2 + 7)
+    PARTS = {1: (1, 1, 1, 1, 1), 2: (1, 1, 2, 2, 2), 3: (1, 1, 2, 2, 2)}
 
     @pytest.mark.parametrize("cpus", sorted(PARTS))
     @pytest.mark.parametrize("index", range(len(ROWS)))
     def test_split_bytes_equal_one_part(self, cpus, index, tmp_path,
-                                        monkeypatch):
+                                        monkeypatch, alarm):
         rows = self.ROWS[index]
         traj = random_trajectory(rows)
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
-        emit_outputs(traj, None, tmp_path)
-        expected = ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
-            ",".join(map(repr, row)) + "\n"
-            for row in runner._trajectory_table(traj).tolist())
-        assert (tmp_path / "trajectory.csv").read_bytes() == expected.encode()
+        with no_fd_leak():
+            emit_outputs(traj, None, tmp_path)
+        assert ((tmp_path / "trajectory.csv").read_bytes()
+                == one_process_bytes(traj))
         assert len(forks) == self.PARTS[cpus][index] - 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_never_fed_helper_forks_once(self, tmp_path, monkeypatch, alarm):
+        """A helper handed to emit_outputs that no feed has started is
+        forked by it, once, even with one usable CPU, where emit_outputs
+        makes none itself; the bytes are those of one process."""
+        traj = random_trajectory(self.S + 1)
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+        helper = runner._Formatter(traj.t.size, traj.params, traj.control)
+        with no_fd_leak():
+            emit_outputs(traj, None, tmp_path, formatter=helper)
+        assert len(forks) == 1
+        assert helper.pid is None and helper.code == 0
+        assert ((tmp_path / "trajectory.csv").read_bytes()
+                == one_process_bytes(traj))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_failing_child_raises_and_is_reaped(self, tmp_path, monkeypatch,
-                                                capsys):
+                                                capsys, alarm):
         """A child that fails makes the write raise OSError naming its
         exit status, which the CLI reports as an io error (exit 2); no
         child is left running or unreaped."""
@@ -320,10 +355,10 @@ class TestSplitRows:
             return real_row(values)
 
         monkeypatch.setattr(runner, "_csv_row", row)
-        # three parts: the first child's failure leaves the second to reap
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
-        with pytest.raises(OSError, match="exited with status 1"):
-            emit_outputs(random_trajectory(3 * self.P), None,
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        with no_fd_leak(), pytest.raises(OSError,
+                                         match="exited with status 1"):
+            emit_outputs(random_trajectory(2 * self.S), None,
                          tmp_path / "direct")
         assert not (tmp_path / "direct" / "metrics.json").exists()
         with pytest.raises(ChildProcessError):
@@ -345,39 +380,40 @@ class TestSplitRows:
 
     def test_failure_here_reaps_children_blocked_on_full_pipes(
             self, tmp_path, monkeypatch, alarm):
-        """This process failing to copy the pipes, while three children
-        each write a block of twice the fewest rows (well over the
+        """This process failing to copy the helper's pipe, while the
+        helper writes half of three times the fewest rows (well over the
         64 KiB a pipe holds), raises its own error and leaves no child
-        running or unreaped."""
+        running or unreaped, and no pipe open."""
         me = os.getpid()
         real_read = os.read
 
         def read(fd, n):
-            if os.getpid() == me:
+            # the reply of the helper passes; the copy of its rows fails
+            if os.getpid() == me and n == runner._COPY_CHUNK:
                 raise OSError(errno.EIO, "copy failed")
             return real_read(fd, n)
 
         monkeypatch.setattr(os, "read", read)
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
-        with pytest.raises(OSError, match="copy failed"):
-            emit_outputs(random_trajectory(6 * self.P), None, tmp_path)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        with no_fd_leak(), pytest.raises(OSError, match="copy failed"):
+            emit_outputs(random_trajectory(3 * self.S), None, tmp_path)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_unopenable_file_forks_no_child(self, tmp_path, monkeypatch,
                                             alarm):
-        """trajectory.csv is opened before any child is forked, so a file
-        that cannot be opened raises with no child made."""
+        """trajectory.csv is opened before the helper is forked, so a
+        file that cannot be opened raises with no child made."""
         forks = count_forks(monkeypatch)
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         (tmp_path / "trajectory.csv").mkdir()
-        with pytest.raises(IsADirectoryError):
-            emit_outputs(random_trajectory(3 * self.P), None, tmp_path)
+        with no_fd_leak(), pytest.raises(IsADirectoryError):
+            emit_outputs(random_trajectory(2 * self.S), None, tmp_path)
         assert forks == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_sweep_workers_do_not_split(self, tmp_path, monkeypatch):
+    def test_sweep_workers_do_not_split(self, tmp_path, monkeypatch, alarm):
         """A sweep's workers format their rows alone, while the same
         member run in this process splits them.  Every os.fork call
         appends its caller's pid to a file: the pool forks its workers
@@ -457,7 +493,8 @@ class TestFormatterHelper:
 
         monkeypatch.setattr(runner._Formatter, "finish", finish)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
-        run_scenario(cfg, out_dir=tmp_path / "helper")
+        with no_fd_leak():
+            run_scenario(cfg, out_dir=tmp_path / "helper")
         assert len(forks) == 1
         [((start, stop, head), rows)] = starts
         assert 0 < start <= stop <= rows and head > 0
@@ -585,8 +622,9 @@ class TestFormatterHelper:
         monkeypatch.setattr(dynamics, "_INVARIANT_TOL", 1e-15)
         scenario = tmp_path / "drift.cfg"
         scenario.write_text(self.DRIFT, encoding="utf-8")
-        code = cli.main(["run", str(scenario), "--out-dir",
-                         str(tmp_path / "out")])
+        with no_fd_leak():
+            code = cli.main(["run", str(scenario), "--out-dir",
+                             str(tmp_path / "out")])
         assert code == cli.EXIT_INTEGRATION
         assert "t=5.98" in capsys.readouterr().err
         assert len(forks) == 1
@@ -610,7 +648,8 @@ class TestFormatterHelper:
         monkeypatch.setattr(runner, "_csv_row", row)
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
-        with pytest.raises(OSError, match="exited with status 1"):
+        with no_fd_leak(), pytest.raises(OSError,
+                                         match="exited with status 1"):
             run_scenario(FAST, out_dir=tmp_path / "direct")
         assert len(forks) == 1
         assert not (tmp_path / "direct" / "metrics.json").exists()
