@@ -198,8 +198,7 @@ class _Formatter:
     and the six packed states, 13 float64 per row) into an anonymous
     shared mmap and sends their count down a pipe that never blocks this
     process: a count the full pipe refuses is superseded by the next.
-    ``finish`` forks a helper never fed, which takes every sample from
-    its copy of this process, so no mmap is made.  The helper builds
+    ``finish`` forks a helper that no ``feed`` has.  The helper builds
     ``_trajectory_table`` of the samples it has, whose rows are those of
     the full table bit for bit, and formats them ``_CHUNK_ROWS`` at a
     time, reading the counts between chunks; it builds the table again
@@ -238,11 +237,8 @@ class _Formatter:
         after.  A helper that has exited leaves every row to this
         process; ``close`` reports its status."""
         if self.pid is None:
-            # the helper gets every sample with its copy of this process
-            self.t, self.y, self.fed = traj.t, traj.y.T, traj.t.size
             self._start()
-        else:
-            self._store(traj.t, traj.y)
+        self._store(traj.t, traj.y)
         os.set_blocking(self.cmd, True)
         try:
             os.write(self.cmd, (-self.fed).to_bytes(8, "little", signed=True))
@@ -272,13 +268,12 @@ class _Formatter:
             self.shared = None
 
     def _start(self) -> None:
-        if self.t is None:
-            import mmap     # here, so that no other command pays its import
-            rows = self.rows
-            self.shared = mmap.mmap(-1, 13 * 8 * rows)
-            self.t = np.frombuffer(self.shared, float, rows)
-            self.y = np.frombuffer(self.shared, complex, 6 * rows,
-                                   8 * rows).reshape(rows, 6)
+        import mmap     # here, so that no other command pays its import
+        rows = self.rows
+        self.shared = mmap.mmap(-1, 13 * 8 * rows)
+        self.t = np.frombuffer(self.shared, float, rows)
+        self.y = np.frombuffer(self.shared, complex, 6 * rows,
+                               8 * rows).reshape(rows, 6)
         cmd_read, self.cmd = os.pipe()
         self.text, text_write = os.pipe()
         try:
@@ -355,9 +350,10 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
 
     Floats are written as their shortest round-trip decimal (``repr``).
     ``formatter`` is a helper that may have formatted rows of ``traj``
-    already, as ``run_scenario``'s does while the stepper runs.  Without
-    one, once trajectory.csv is open, this makes one where
-    ``_split_rows`` holds.  The helper leaves this process the first
+    already, as ``run_scenario``'s does while the stepper runs.  Once
+    trajectory.csv is open, a helper that no feed has started, or a new
+    one if none is given, is forked only where ``_split_rows`` holds
+    for the rows of ``traj``.  The helper leaves this process the first
     half of the rows it has not formatted and formats the second; the
     bytes are those of one process writing every row.  The helper is
     reaped before this returns or raises, and one that fails raises
@@ -369,7 +365,10 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            if helper is None and _split_rows(traj.t.size):
+            if (helper is None or helper.pid is None) and not _split_rows(
+                    traj.t.size):
+                helper = None   # one no feed started holds nothing yet
+            elif helper is None:
                 helper = _Formatter(traj.t.size, traj.params, traj.control)
             start, stop, head = (helper.finish(traj) if helper is not None
                                  else (0, traj.t.size, 0))

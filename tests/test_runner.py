@@ -324,18 +324,32 @@ class TestSplitRows:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_never_fed_helper_forks_once(self, tmp_path, monkeypatch, alarm):
-        """A helper handed to emit_outputs that no feed has started is
-        forked by it, once, even with one usable CPU, where emit_outputs
-        makes none itself; the bytes are those of one process."""
-        traj = random_trajectory(self.S + 1)
+    @pytest.mark.parametrize("cpus, rows, forked", [
+        (2, S + 1, 1), (1, S + 1, 0), (2, S - 1, 0)])
+    def test_never_fed_helper_forks_where_split_rows_holds(
+            self, cpus, rows, forked, tmp_path, monkeypatch, alarm):
+        """A helper handed to emit_outputs that no feed has started, made
+        for a longer grid as run_scenario makes one, is forked by it once
+        where emit_outputs would fork a new one, and not at all elsewhere:
+        a run stopped before its first feed may have fewer than S rows.
+        The bytes are those of one process."""
+        traj = random_trajectory(rows)
         forks = count_forks(monkeypatch)
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
-        helper = runner._Formatter(traj.t.size, traj.params, traj.control)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+        helper = runner._Formatter(2 * self.S, traj.params, traj.control)
+        started = []
+        real_start = runner._Formatter._start
+
+        def start(formatter):
+            started.append(formatter)
+            real_start(formatter)
+
+        monkeypatch.setattr(runner._Formatter, "_start", start)
         with no_fd_leak():
             emit_outputs(traj, None, tmp_path, formatter=helper)
-        assert len(forks) == 1
-        assert helper.pid is None and helper.code == 0
+        assert len(forks) == forked and started == [helper] * forked
+        assert helper.pid is None and helper.shared is None
+        assert helper.code == 0
         assert ((tmp_path / "trajectory.csv").read_bytes()
                 == one_process_bytes(traj))
         with pytest.raises(ChildProcessError):
