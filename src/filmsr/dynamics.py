@@ -906,17 +906,18 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     None; the samples up to it are kept.  :func:`_check_invariants` checks
     them at every flush, so drift before a fault is the error reported.
     Once a flush in the loop has passed both, its samples and all before
-    them are final, and ``on_final(t, y)``, where given, receives them:
-    their times from t = 0 and their packed states, one column each.
+    them are final, and ``on_final(t, y)``, where given, gets views of
+    them: their times from t = 0 and their packed states, one column each.
 
     Returns (t_array, y_array, accepted, rejected, rhs_evals);
     ``rhs_evals`` counts every call of ``rhs``.
     """
     dt, budget = ctrl.dt, _MAX_STEPS
     n_grid = _sample_count(t_end, dt)
-    grid = dt * np.arange(1, n_grid + 1)
-    if n_grid == 0 or grid[-1] < t_end - 1e-12:
-        grid = np.append(grid, t_end)
+    t_out = dt * np.arange(n_grid + 1)     # the sample times: 0, the grid
+    if n_grid == 0 or t_out[-1] < t_end - 1e-12:
+        t_out = np.append(t_out, t_end)
+    grid = t_out[1:]
     times = grid.tolist()
     t_last = times[-1]
 
@@ -1018,14 +1019,14 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
                     break
                 check(n)
                 if on_final is not None:
-                    on_final(np.append(0.0, grid[:n]), ys[:n + 1].T)
+                    on_final(t_out[:n + 1], ys[:n + 1].T)
         flush()
     except IntegrationError:
         flush()         # a no-op when flush itself raised
         check(n)        # an empty range when check itself raised
         raise
     check(n)
-    return np.append(0.0, grid[:n]), ys[:n + 1].T, accepted, rejected, evals
+    return t_out[:n + 1], ys[:n + 1].T, accepted, rejected, evals
 
 
 def _check_invariants(t, y, y0) -> None:
@@ -1129,9 +1130,9 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
 
     ``on_final(t, y)``, where given, is called after each check in the
     run that passes, with the samples that nothing later can change:
-    their times from t = 0 and their packed (6, n) states, the first n
-    columns of the trajectory's ``t`` and ``y``.  It is not called at
-    the end; the returned trajectory holds every sample.
+    their times from t = 0 and their packed (6, n) states, views of the
+    first n columns of the trajectory's ``t`` and ``y``.  It is not
+    called at the end; the returned trajectory holds every sample.
     """
     return _drive(state0, params, t_end, ctrl, _constants, _rhs, _rate,
                   on_final=on_final)

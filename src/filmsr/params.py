@@ -244,7 +244,9 @@ def _check_states(values, names, pairs) -> None:
     and 1 with population 3 and ``pairs[0]`` or ``pairs[1]``.  In order:
     finiteness (ParameterError; nan passes every bound), trace 1 within
     1e-9 (TraceViolation), then within POSITIVITY_TOL populations in
-    [0, 1] and 2x2 minors |c|^2 <= p_a*p_b (PositivityViolation).
+    [0, 1], 2x2 minors |c|^2 <= p_a*p_b and the determinant, which
+    completes the principal-minor test of a positive semidefinite matrix
+    (PositivityViolation).
     """
     tol = POSITIVITY_TOL
     values = [*values[:3], *(v.real for v in values[3:])]
@@ -259,14 +261,25 @@ def _check_states(values, names, pairs) -> None:
         checks += [((p < -tol) | (p > 1.0 + tol), PositivityViolation,
                     "population {} = {!r} outside [0, 1] (tol {})", name, p,
                     tol) for name, p in zip(names[3:], values[3:])]
+        sq = [z.real * z.real + z.imag * z.imag for z in values[:3]]
         for c, a, b in ((2, 4, 5), (0, pairs[0], 3), (1, pairs[1], 3)):
-            z = values[c]
-            lhs = z.real * z.real + z.imag * z.imag
             rhs = values[a] * values[b]
-            checks.append((lhs > rhs + tol, PositivityViolation,
+            checks.append((sq[c] > rhs + tol, PositivityViolation,
                            "positivity |{}|^2 <= {}*{} violated: {!r} > {!r} "
-                           "+ {}", names[c], names[a], names[b], lhs, rhs,
+                           "+ {}", names[c], names[a], names[b], sq[c], rhs,
                            tol))
+        # det = p3 p4 p5 + 2 Re(c0 conj(c1) conj(c2)) - each population
+        # times |c|^2 of the coherence between the other two
+        c0, c1, c2 = values[:3]
+        re01 = c0.real * c1.real + c0.imag * c1.imag
+        im01 = c0.imag * c1.real - c0.real * c1.imag
+        det = (values[3] * values[4] * values[5]
+               + 2.0 * (re01 * c2.real + im01 * c2.imag)
+               - values[3] * sq[2] - values[pairs[1]] * sq[0]
+               - values[pairs[0]] * sq[1])
+        checks.append((det < -tol, PositivityViolation,
+                       "positivity det(rho) >= 0 violated: determinant {!r} "
+                       "< -{}", det, tol))
     bad = np.array([check[0] for check in checks]).reshape(len(checks), -1)
     failing = np.flatnonzero(bad.any(axis=0))
     if failing.size:

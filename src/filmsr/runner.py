@@ -2,10 +2,11 @@
 
 All serialization is deterministic: floats are written as their shortest
 round-trip decimal (Python ``repr``), nothing depends on wall clock or
-iteration order of anything unordered.  Re-running the same
-configuration reproduces every output byte, whether a helper process
-formats part of the rows of trajectory.csv and whether it starts while
-the stepper runs.
+iteration order of anything unordered.  Every trajectory.csv row is a
+row of ``_trajectory_table`` of the sample arrays written by
+``_csv_rows``, so re-running the same configuration reproduces every
+output byte, whether a helper process formats part of the rows and
+whether it starts while the stepper runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, SweepSpec, apply_sweep_value
-from .dynamics import IntegrationError, Trajectory, _sample_count, integrate
+from .dynamics import (IntegrationError, Trajectory, _emitted,
+                       _sample_count, integrate)
 from .observables import NoPulse, PulseMetrics, pulse_metrics
 from .params import ParameterError
 
@@ -78,15 +80,15 @@ class SweepRow:
     error: str | None
 
 
-def _trajectory_table(traj: Trajectory) -> np.ndarray:
-    """The TRAJECTORY_COLUMNS of every sample, one row per sample."""
-    emitted = traj.emitted_amp
+def _trajectory_table(t, y, params) -> np.ndarray:
+    """The TRAJECTORY_COLUMNS of the samples at times ``t`` with packed
+    (6, N) bare states ``y`` (R31, R21, rho32, rho11, rho22, rho33), one
+    row per sample."""
+    emitted = _emitted(y, params)
     return np.column_stack((
-        traj.t, traj.rho11, traj.rho22, traj.rho33,
-        traj.rho32.real, traj.rho32.imag,
-        traj.R21.real, traj.R21.imag,
-        traj.R31.real, traj.R31.imag,
-        np.abs(emitted), np.abs(traj.acting_amp),
+        t, y[3].real, y[4].real, y[5].real, y[2].real, y[2].imag,
+        y[1].real, y[1].imag, y[0].real, y[0].imag,
+        np.abs(emitted), np.abs((1j + params.delta_L) * emitted),
         np.unwrap(np.angle(emitted))))
 
 
@@ -156,15 +158,11 @@ print("wrote", here / "run.png")
 """
 
 
-def _csv_row(values) -> str:
-    """One trajectory.csv line: each float as its shortest round-trip
-    decimal (``repr``)."""
-    return ",".join(map(repr, values)) + "\n"
-
-
 def _csv_rows(block: np.ndarray) -> str:
-    """The trajectory.csv lines of the rows of ``block``."""
-    return "".join([_csv_row(row.tolist()) for row in block])
+    """The trajectory.csv lines of the rows of ``block``: each float as
+    its shortest round-trip decimal (``repr``)."""
+    return "".join([",".join(map(repr, row)) + "\n"
+                    for row in block.tolist()])
 
 
 def _split_rows(rows: int) -> bool:
@@ -200,22 +198,22 @@ class _Formatter:
     process: a count the full pipe refuses is superseded by the next.
     ``finish`` forks a helper that no ``feed`` has.  The helper builds
     ``_trajectory_table`` of the samples it has, whose rows are those of
-    the full table bit for bit, and formats them ``_CHUNK_ROWS`` at a
-    time, reading the counts between chunks; it builds the table again
-    once it has formatted all its rows.
+    the full table bit for bit, and formats them with ``_csv_rows``,
+    ``_CHUNK_ROWS`` at a time, reading the counts between chunks; it
+    builds the table again once it has formatted all its rows.
 
     ``finish`` sends the last samples and their count, negated.  The
     helper then leaves the first half of the rows it has not formatted
     to this process and takes the rest.  On a second pipe it sends the
     bounds of this process's rows and the size of its text so far, then
-    that text, then the text of its own rows once they are formatted.
-    So this process can write its rows straight into the file between
-    the two.  ``close`` closes both pipes, which makes a helper still
-    running exit, and reaps it.
+    that text, chunk by chunk, then the text of its own rows once they
+    are formatted.  So this process can write its rows straight into
+    the file between the two.  ``close`` closes both pipes, which makes
+    a helper still running exit, and reaps it.
     """
 
-    def __init__(self, rows: int, params, control):
-        self.rows, self.params, self.control = rows, params, control
+    def __init__(self, rows: int, params):
+        self.rows, self.params = rows, params
         self.pid = self.t = self.y = self.shared = None
         self.code = 0
         self.fed = 0
@@ -296,9 +294,7 @@ class _Formatter:
 
     def _table(self, rows: int) -> np.ndarray:
         # the (rows, 6) states transposed, as integrate's y is
-        return _trajectory_table(Trajectory(
-            self.t[:rows], self.y[:rows].T, self.params, self.control,
-            0, 0, 0))
+        return _trajectory_table(self.t[:rows], self.y[:rows].T, self.params)
 
     def _serve(self, cmd: int, text: int) -> None:
         """The helper: format rows as their samples become final; exit
@@ -331,13 +327,15 @@ class _Formatter:
                 done = stop
             rows = -ready
             split = done + (rows - done) // 2
-            head = "".join(pieces).encode("utf-8")
+            # the rows are ASCII: one byte per character
+            head = sum(map(len, pieces))
             with open(text, "wb") as pipe:
                 pipe.write(b"".join(n.to_bytes(8, "little")
-                                    for n in (done, split, len(head))))
-                pipe.write(head)
+                                    for n in (done, split, head)))
+                for piece in pieces:
+                    pipe.write(piece.encode())
                 pipe.flush()        # before its own rows are formatted
-                pipe.write(_csv_rows(self._table(rows)[split:]).encode("utf-8"))
+                pipe.write(_csv_rows(self._table(rows)[split:]).encode())
             status = 0
         finally:
             os._exit(status)
@@ -354,10 +352,10 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
     trajectory.csv is open, a helper that no feed has started, or a new
     one if none is given, is forked only where ``_split_rows`` holds
     for the rows of ``traj``.  The helper leaves this process the first
-    half of the rows it has not formatted and formats the second; the
-    bytes are those of one process writing every row.  The helper is
-    reaped before this returns or raises, and one that fails raises
-    ``OSError`` naming its exit status.
+    half of the rows it has not formatted and formats the second, both
+    with ``_csv_rows``; the bytes are those of one process writing every
+    row.  The helper is reaped before this returns or raises, and one
+    that fails raises ``OSError`` naming its exit status.
     """
     out = Path(out_dir)
     csv_path = out / "trajectory.csv"
@@ -369,16 +367,16 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
                     traj.t.size):
                 helper = None   # one no feed started holds nothing yet
             elif helper is None:
-                helper = _Formatter(traj.t.size, traj.params, traj.control)
+                helper = _Formatter(traj.t.size, traj.params)
             start, stop, head = (helper.finish(traj) if helper is not None
                                  else (0, traj.t.size, 0))
-            table = _trajectory_table(traj)
+            mine = _trajectory_table(traj.t, traj.y, traj.params)[start:stop]
             fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
             fh.flush()
             if head:
                 _copy_pipe(helper.text, fh, head)
-            for row in table[start:stop]:
-                fh.write(_csv_row(row.tolist()))
+            for lo in range(0, len(mine), _CHUNK_ROWS):
+                fh.write(_csv_rows(mine[lo:lo + _CHUNK_ROWS]))
             if helper is not None:
                 fh.flush()
                 _copy_pipe(helper.text, fh)
@@ -417,8 +415,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     cfg = cfg.validated()
     # the grid, a partial last interval and t = 0
     rows = _sample_count(cfg.t_end, cfg.control.dt) + 2
-    helper = (_Formatter(rows, cfg.params, cfg.control)
-              if _split_rows(rows) else None)
+    helper = _Formatter(rows, cfg.params) if _split_rows(rows) else None
     try:
         traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
                          cfg.control,

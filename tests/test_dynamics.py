@@ -181,6 +181,24 @@ class TestIntegrate:
             assert t.tobytes() == traj.t[:t.size].tobytes()
             assert y.tobytes() == traj.y[:, :t.size].tobytes()
 
+    @pytest.mark.parametrize("preset", ["fig5", "degenerate"])
+    def test_on_final_gets_views_of_the_trajectory(self, preset,
+                                                   preset_configs):
+        """The same with the arguments kept as they were handed on: no
+        call copies the prefix, so successive calls share memory, and no
+        sample a call saw changes later."""
+        cfg = preset_configs[preset]
+        calls = []
+        traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
+                         cfg.control,
+                         on_final=lambda t, y: calls.append((t, y)))
+        assert len(calls) > 1
+        for (t0, y0), (t1, y1) in zip(calls, calls[1:]):
+            assert np.shares_memory(t0, t1) and np.shares_memory(y0, y1)
+        for t, y in calls:
+            assert t.tobytes() == traj.t[:t.size].tobytes()
+            assert y.tobytes() == traj.y[:, :t.size].tobytes()
+
     def test_on_final_never_sees_a_drifted_sample(self, monkeypatch):
         """The coherent preparation over 14 tau_R with the drift bound
         at 1e-15 drifts at t = 5.98: the first check passes and is

@@ -6,6 +6,7 @@ class the rest of the package relies on.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -146,6 +147,48 @@ class TestDensityStateValidate:
         nan state would pass the trace and positivity bounds."""
         with pytest.raises(ParameterError, match=f"^{field} must be finite"):
             state.validate()
+
+    def test_rejects_negative_determinant_with_every_minor_valid(self):
+        """Populations 1/3 and coherences R31 = R21 = 1/3, rho32 = -1/3
+        meet every 2x2 minor, yet rho has the eigenvalues -1/3, 2/3 and
+        2/3: only the determinant, -4/27, shows it.  The same numbers in
+        the bright/dark slots, where R_plus1 pairs with rho_pp, fail the
+        same way."""
+        from filmsr.basis import BrightDarkState
+
+        slots = [(2, 0), (1, 0), (2, 1), (0, 0), (1, 1), (2, 2)]
+        third = 1.0 / 3.0
+        y = np.array([third, third, -third, third, third, third], complex)
+        rho = np.zeros((3, 3), complex)
+        for (i, j), v in zip(slots, y):
+            rho[i, j], rho[j, i] = v, np.conj(v)
+        np.testing.assert_allclose(np.linalg.eigvalsh(rho),
+                                   [-third, 2 * third, 2 * third])
+        want = r"^positivity det\(rho\) >= 0 violated: determinant -0\.148"
+        with pytest.raises(PositivityViolation, match=want):
+            initial_state(third, third, rho32=-third, R21_0=third,
+                          R31_0=third)
+        with pytest.raises(PositivityViolation, match=want):
+            BrightDarkState(*y[:3].tolist(), third, third, third).validate()
+
+    def test_random_mixed_states_pass(self):
+        """Mixtures of up to three pure states, so of rank 1 to 3, and
+        their bright/dark rotations pass every check."""
+        from filmsr.basis import BrightDarkState, _bare_to_bd
+        from conftest import random_pure_state
+
+        rng = np.random.default_rng(11)
+        params = make_params(5.0, 0.5, 1.2, math.sqrt(0.56))
+        for _ in range(100):
+            states = [random_pure_state(rng) for _ in range(rng.integers(3))]
+            weights = rng.random(len(states) + 1)
+            weights /= weights.sum()
+            y = sum(w * np.array(astuple(s), complex)
+                    for w, s in zip(weights, [random_pure_state(rng)]
+                                    + states))
+            DensityState(*y[:3], *y[3:].real.tolist()).validate()
+            bd = _bare_to_bd(y, params)
+            BrightDarkState(*bd[:3], *bd[3:].real.tolist()).validate()
 
     def test_random_pure_states_pass(self):
         from conftest import random_pure_state

@@ -17,8 +17,9 @@ import pytest
 
 from filmsr import (IntegratorControl, cli, dynamics, initial_state,
                     make_params, pulse_metrics, runner)
-from filmsr.config import (ScenarioConfig, SweepSpec, apply_sweep_value,
-                           load_preset, scenario_from_mapping)
+from filmsr.config import (PRESET_NAMES, ScenarioConfig, SweepSpec,
+                           apply_sweep_value, load_preset,
+                           scenario_from_mapping)
 from filmsr.dynamics import Trajectory
 from filmsr.observables import Branching, FinalPopulations, PulseMetrics
 from filmsr.runner import (TRAJECTORY_COLUMNS, SweepRow, emit_outputs,
@@ -296,7 +297,39 @@ def one_process_bytes(traj):
     """trajectory.csv as one process writing every row writes it."""
     return (",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
         ",".join(map(repr, row)) + "\n"
-        for row in runner._trajectory_table(traj).tolist())).encode()
+        for row in runner._trajectory_table(
+            traj.t, traj.y, traj.params).tolist())).encode()
+
+
+def property_table(traj):
+    """The trajectory.csv columns built from the Trajectory properties."""
+    emitted = traj.emitted_amp
+    return np.column_stack((
+        traj.t, traj.rho11, traj.rho22, traj.rho33,
+        traj.rho32.real, traj.rho32.imag, traj.R21.real, traj.R21.imag,
+        traj.R31.real, traj.R31.imag,
+        np.abs(emitted), np.abs(traj.acting_amp),
+        np.unwrap(np.angle(emitted))))
+
+
+class TestTrajectoryTable:
+    """_trajectory_table of the sample arrays is, bit for bit, the table
+    the Trajectory properties give, whatever the layout of ``y``."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_matches_the_properties_on_the_presets(self, preset,
+                                                   preset_runs):
+        traj = preset_runs[preset]
+        assert not traj.y.flags.c_contiguous    # a transposed (n, 6) store
+        assert (runner._trajectory_table(traj.t, traj.y, traj.params)
+                .tobytes() == property_table(traj).tobytes())
+
+    def test_matches_the_properties_on_a_bright_dark_run(self,
+                                                         preset_bd_runs):
+        traj = preset_bd_runs["fig5"]
+        assert traj.y.flags.c_contiguous        # rotated into a new array
+        assert (runner._trajectory_table(traj.t, traj.y, traj.params)
+                .tobytes() == property_table(traj).tobytes())
 
 
 class TestSplitRows:
@@ -336,7 +369,7 @@ class TestSplitRows:
         traj = random_trajectory(rows)
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
-        helper = runner._Formatter(2 * self.S, traj.params, traj.control)
+        helper = runner._Formatter(2 * self.S, traj.params)
         started = []
         real_start = runner._Formatter._start
 
@@ -361,14 +394,14 @@ class TestSplitRows:
         exit status, which the CLI reports as an io error (exit 2); no
         child is left running or unreaped."""
         me = os.getpid()
-        real_row = runner._csv_row
+        real_rows = runner._csv_rows
 
-        def row(values):
+        def csv_rows(block):
             if os.getpid() != me:
                 raise RuntimeError("formatter broke")
-            return real_row(values)
+            return real_rows(block)
 
-        monkeypatch.setattr(runner, "_csv_row", row)
+        monkeypatch.setattr(runner, "_csv_rows", csv_rows)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         with no_fd_leak(), pytest.raises(OSError,
                                          match="exited with status 1"):
@@ -461,13 +494,13 @@ def _prefix_mismatches(rows=2000, splits=40):
     states transposed), is not bit for bit the first k rows of the table
     of all ``rows`` samples of ``random_trajectory``."""
     traj = random_trajectory(rows)
-    full = runner._trajectory_table(traj)
+    full = runner._trajectory_table(traj.t, traj.y, traj.params)
     y_rows = np.ascontiguousarray(traj.y.T)
     points = np.random.default_rng(splits).integers(1, rows, splits)
     return [int(k) for k in (1, 2, *points, rows)
-            if runner._trajectory_table(Trajectory(
-                traj.t[:k], y_rows[:k].T, traj.params, traj.control, 0, 0,
-                0)).tobytes() != full[:k].tobytes()]
+            if runner._trajectory_table(
+                traj.t[:k], y_rows[:k].T, traj.params).tobytes()
+            != full[:k].tobytes()]
 
 
 _NUMPY_SIMD = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
@@ -571,18 +604,18 @@ class TestFormatterHelper:
         gate = tmp_path / "gate"
         # past the alarm, so that a blocked parent fails rather than hangs
         deadline = time.monotonic() + 40
-        real_row = runner._csv_row
+        real_rows = runner._csv_rows
 
-        def row(values):
+        def csv_rows(block):
             while (os.getpid() != me and not gate.exists()
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            return real_row(values)
+            return real_rows(block)
 
-        monkeypatch.setattr(runner, "_csv_row", row)
+        monkeypatch.setattr(runner, "_csv_rows", csv_rows)
         rows = 3 * self.FEEDS
         traj = random_trajectory(rows)
-        helper = runner._Formatter(rows, traj.params, traj.control)
+        helper = runner._Formatter(rows, traj.params)
         try:
             self.feed_each_row(helper, traj)
             gate.touch()
@@ -593,7 +626,8 @@ class TestFormatterHelper:
         assert code == 0
         assert 0 < start <= stop < rows
         lines = [",".join(map(repr, r)) + "\n"
-                 for r in runner._trajectory_table(traj).tolist()]
+                 for r in runner._trajectory_table(
+                     traj.t, traj.y, traj.params).tolist()]
         assert text[:head].decode() == "".join(lines[:start])
         assert text[head:].decode() == "".join(lines[stop:])
         with pytest.raises(ChildProcessError):
@@ -615,7 +649,7 @@ class TestFormatterHelper:
         monkeypatch.setattr(runner._Formatter, "_table", table)
         rows = 3 * self.FEEDS
         traj = random_trajectory(rows)
-        helper = runner._Formatter(rows, traj.params, traj.control)
+        helper = runner._Formatter(rows, traj.params)
         try:
             self.feed_each_row(helper, traj)
             with pytest.raises(OSError, match="exited with status 1"):
@@ -652,14 +686,14 @@ class TestFormatterHelper:
         status (the CLI: exit 2, io error), writes no metrics.json and
         leaves no child."""
         me = os.getpid()
-        real_row = runner._csv_row
+        real_rows = runner._csv_rows
 
-        def row(values):
+        def csv_rows(block):
             if os.getpid() != me:
                 raise RuntimeError("helper broke")
-            return real_row(values)
+            return real_rows(block)
 
-        monkeypatch.setattr(runner, "_csv_row", row)
+        monkeypatch.setattr(runner, "_csv_rows", csv_rows)
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         with no_fd_leak(), pytest.raises(OSError,
