@@ -167,4 +167,4 @@ def integrate_bright_dark(state0: DensityState, params: SystemParams,
     basis.
     """
     return _drive(state0, params, t_end, ctrl, _constants_bd, _rhs_bd,
-                  _rate_bd, (_bare_to_bd, _bd_to_bare))
+                  _rate_bd, (4, 5), (_bare_to_bd, _bd_to_bare))

@@ -27,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .params import (_BARE, DensityState, ParameterError, SystemParams,
-                     _check_states)
+                     _check_states, _det)
 
 __all__ = [
     "IntegrationError",
@@ -56,7 +56,8 @@ class NonFiniteStep(IntegrationError):
 
 
 class InvariantDrift(IntegrationError):
-    """Trace or quadratic invariant drifted beyond ``_INVARIANT_TOL``."""
+    """Trace, quadratic invariant or determinant drifted beyond
+    ``_INVARIANT_TOL``."""
 
 
 # emission is over once d(rho11)/dt stays below this rate for this long
@@ -65,7 +66,7 @@ _QUIESCENCE_WINDOW = 10.0
 _CHECK_EVERY = 512     # most samples between checks of the invariants
 _MAX_STEPS = 20_000_000  # trial steps, accepted plus rejected, of one run
 _ABS_TOL = 1e-18       # error floor, far below rel_tol times the 1e-8 seeds
-_INVARIANT_TOL = 1e-8  # allowed drift of trace and quadratic invariant
+_INVARIANT_TOL = 1e-8  # allowed drift of trace, quadratic invariant, det
 _MAX_SAMPLES = 10_000_000  # grid samples of one run, 96 bytes each stored
 
 
@@ -229,7 +230,8 @@ def field_of(state: DensityState,
 class Trajectory:
     """Grid-sampled solution of one integration.
 
-    t        sample times, strictly increasing, spacing ``control.dt``
+    t        sample times, strictly increasing: 0, then spacing
+             ``control.dt``, with t_end after a partial last interval
     y        complex array of shape (6, len(t)) in packed order
     params   the :class:`SystemParams` the run used
     control  the :class:`IntegratorControl` the run used
@@ -875,14 +877,25 @@ def _sample_count(t_end: float, dt: float) -> int:
     return n_grid
 
 
-def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
+def _sample_times(t_end: float, dt: float) -> np.ndarray:
+    """The sample times of a run to t_end on the grid dt: 0, the grid
+    times k*dt, and t_end after a partial last interval."""
+    n_grid = _sample_count(t_end, dt)
+    t = dt * np.arange(n_grid + 1)
+    if n_grid == 0 or t[-1] < t_end - 1e-12:
+        t = np.append(t, t_end)
+    return t
+
+
+def _integrate_core(rhs, args, y0, pairs, t_end, ctrl: IntegratorControl,
                     h0: float, monitors, on_final=None):
     """Adaptive DOP853 driver producing samples on the regular dt grid.
 
     ``rhs(y, *args) -> dy`` is the autonomous vector field on the
     stepper's six Python numbers (see :func:`_scalars`); ``y0`` is the
-    packed initial state.  Error control alone sets the step; only the last
-    step is shortened to end on the last sample.  A sample inside an
+    packed initial state and ``pairs`` its slot pairing; the samples lie
+    at :func:`_sample_times`.  Error control alone sets the step; only the
+    last step is shortened to end on the last sample.  A sample inside an
     accepted step is read from the step's continuous extension, so only
     steps that contain a sample before their end pay for its three extra
     stages.  At most ``_MAX_STEPS`` trial steps (accepted plus rejected)
@@ -912,11 +925,8 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     Returns (t_array, y_array, accepted, rejected, rhs_evals);
     ``rhs_evals`` counts every call of ``rhs``.
     """
-    dt, budget = ctrl.dt, _MAX_STEPS
-    n_grid = _sample_count(t_end, dt)
-    t_out = dt * np.arange(n_grid + 1)     # the sample times: 0, the grid
-    if n_grid == 0 or t_out[-1] < t_end - 1e-12:
-        t_out = np.append(t_out, t_end)
+    budget = _MAX_STEPS
+    t_out = _sample_times(t_end, ctrl.dt)
     grid = t_out[1:]
     times = grid.tolist()
     t_last = times[-1]
@@ -936,7 +946,8 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     def check(upto):
         nonlocal checked
         lo, checked = checked, upto
-        _check_invariants(grid[lo:upto], ys[lo + 1:upto + 1].T, ys[0])
+        _check_invariants(grid[lo:upto], ys[lo + 1:upto + 1].T, ys[0],
+                          pairs)
 
     def flush():
         nonlocal n
@@ -1029,19 +1040,20 @@ def _integrate_core(rhs, args, y0, t_end, ctrl: IntegratorControl,
     return t_out[:n + 1], ys[:n + 1].T, accepted, rejected, evals
 
 
-def _check_invariants(t, y, y0) -> None:
+def _check_invariants(t, y, y0, pairs) -> None:
     """Raise :class:`InvariantDrift` at the first of the packed (6, N)
-    samples ``y`` at times ``t`` whose trace or quadratic invariant, both
-    basis independent, is off that of ``y0`` by more than
-    ``_INVARIANT_TOL``."""
+    samples ``y`` at times ``t`` whose trace, quadratic invariant or
+    determinant, all basis independent, is off that of ``y0`` by more
+    than ``_INVARIANT_TOL``; ``pairs`` pairs the slots for
+    :func:`params._det`."""
     tol = _INVARIANT_TOL
-    trace = abs(_trace(y) - _trace(y0))
-    quad = abs(_quadratic(y) - _quadratic(y0))
-    drifted = np.flatnonzero((trace > tol) | (quad > tol))
+    drifts = (("trace", abs(_trace(y) - _trace(y0))),
+              ("quadratic invariant", abs(_quadratic(y) - _quadratic(y0))),
+              ("determinant", abs(_det(y, pairs) - _det(y0, pairs))))
+    drifted = np.flatnonzero(np.any([d > tol for _, d in drifts], axis=0))
     if drifted.size:
         i = drifted[0]
-        what, by = (("trace", trace[i]) if trace[i] > tol
-                    else ("quadratic invariant", quad[i]))
+        what, by = next((w, d[i]) for w, d in drifts if d[i] > tol)
         raise InvariantDrift(f"{what} drifted by {by:.3e} at "
                              f"t={t[i]:.4g} (limit {tol:g})")
 
@@ -1080,7 +1092,7 @@ class _Monitors:
 
 
 def _drive(state0: DensityState, params: SystemParams, t_end: float,
-           ctrl: IntegratorControl | None, constants, rhs, rate,
+           ctrl: IntegratorControl | None, constants, rhs, rate, pairs,
            frame=None, on_final=None) -> Trajectory:
     """Validate, step and sample; shared by both integration paths.
 
@@ -1089,7 +1101,8 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     mu31)`` is built once per run; ``rate(block, *args)`` is its slot 3,
     d(rho11)/dt, as an array over the rows of an (m, 6) block of packed
     states, which the quiescence detector reads; the invariants are
-    checked in the frame of ``rhs``.
+    checked in the frame of ``rhs``, whose slot pairing (see
+    :func:`params._check_states`) is ``pairs``.
     ``frame = (into, back)`` rotates the packed initial state into that
     frame and the sampled (6, N) trajectory back to the bare basis; None
     means the bare basis.  ``on_final`` is passed to
@@ -1104,8 +1117,8 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     args = constants(*_physical(params))
     monitors = _Monitors(ctrl, lambda y: rate(y, *args))
     t, y, acc, rej, evals = _integrate_core(
-        rhs, args, y0, t_end, ctrl, _initial_step(params.omega32), monitors,
-        on_final)
+        rhs, args, y0, pairs, t_end, ctrl, _initial_step(params.omega32),
+        monitors, on_final)
     if frame is not None:
         y = frame[1](y, params)
     return Trajectory(t, y, params, ctrl, acc, rej, evals, monitors.end_time)
@@ -1119,9 +1132,9 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     Adaptive Runge-Kutta 8(5,3) (DOP853) with error control alone setting
     the step; the trajectory is sampled on the regular grid ``ctrl.dt``
     from the 7th-order continuous extension of each step (see
-    :class:`IntegratorControl`).  Trace and the quadratic invariant of
-    the samples are checked 512 at a time, at the end of the run and when
-    the stepper fails; drift beyond 1e-8 raises
+    :class:`IntegratorControl`).  Trace, quadratic invariant and
+    determinant of the samples are checked 512 at a time, at the end of
+    the run and when the stepper fails; drift beyond 1e-8 raises
     :class:`InvariantDrift`, naming the first drifted sample.  With
     ``stop_on_quiescence`` the run ends once d(rho11)/dt =
     2|mu21 R21 + mu31 R31|^2, computed from each sample, has stayed below
@@ -1135,4 +1148,4 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     called at the end; the returned trajectory holds every sample.
     """
     return _drive(state0, params, t_end, ctrl, _constants, _rhs, _rate,
-                  on_final=on_final)
+                  _BARE[1], on_final=on_final)

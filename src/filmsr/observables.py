@@ -118,14 +118,24 @@ class PulseMetrics:
     branching: Branching
 
 
+def _grid_size(t: np.ndarray) -> int:
+    """The number of samples on the dt grid: all of them, but for a last
+    one that a partial last interval, shorter than the first, puts off
+    it (by more than the rounding of the grid times)."""
+    partial = t.size > 2 and t[-1] - t[-2] < (1.0 - 1e-6) * (t[1] - t[0])
+    return t.size - int(partial)
+
+
 def smoothed_envelope(traj: Trajectory) -> np.ndarray:
-    """|emitted_amp| with the doublet-splitting modulation averaged out.
+    """|emitted_amp| with the doublet-splitting modulation averaged out,
+    at the samples on the dt grid: a sample that ends a partial last
+    interval is left out.
 
     Moving average of width one beat period 2*pi/omega32 (reflect-padded,
-    so the array keeps its length and the edges are unbiased); the raw
-    magnitude when omega32 = 0.
+    so the array keeps the grid's length and the edges are unbiased); the
+    raw magnitude when omega32 = 0.
     """
-    abs_s = np.abs(traj.emitted_amp)
+    abs_s = np.abs(traj.emitted_amp[:_grid_size(traj.t)])
     om = abs(traj.params.omega32)
     if om == 0.0:
         return abs_s
@@ -224,12 +234,14 @@ def pulse_metrics(traj: Trajectory) -> PulseMetrics:
     """Delay time, width, modulation line and population bookkeeping.
 
     The run should have ended (quiescence fired or the pulse clearly
-    over); final populations are read from the last sample.  Raises
-    :class:`NoPulse` when the envelope never rose a factor 1e3 above its
-    initial value.
+    over); final populations and branching are read from the last
+    sample, the pulse shape from the samples on the dt grid (see
+    :func:`smoothed_envelope`).  Raises :class:`NoPulse` when the
+    envelope never rose a factor 1e3 above its initial value.
     """
     env = smoothed_envelope(traj)
-    t_peak, peak_amp, i_peak = _refine_peak(traj.t, env)
+    t = traj.t[:env.size]
+    t_peak, peak_amp, i_peak = _refine_peak(t, env)
     if peak_amp <= 0.0 or peak_amp < _PULSE_GAIN * env[0]:
         raise NoPulse(
             f"envelope peaked at {peak_amp:.3e}, seed {env[0]:.3e}: "
@@ -238,10 +250,10 @@ def pulse_metrics(traj: Trajectory) -> PulseMetrics:
     bd = to_bright_dark(final, traj.params)
     return PulseMetrics(
         t_peak=t_peak,
-        fwhm=_fwhm(traj.t, env, i_peak),
+        fwhm=_fwhm(t, env, i_peak),
         peak_amp=peak_amp,
-        oscillation_freq=_modulation_line(traj.t, np.abs(traj.emitted_amp),
-                                          env, i_peak),
+        oscillation_freq=_modulation_line(
+            t, np.abs(traj.emitted_amp[:env.size]), env, i_peak),
         final_pops=FinalPopulations(final.rho11, final.rho22, final.rho33,
                                     bd.rho_pp, bd.rho_mm),
         branching=branching_summary(traj),

@@ -235,6 +235,22 @@ class DensityState:
 _BARE = (tuple(f.name for f in fields(DensityState)), (5, 4))
 
 
+def _det(values, pairs):
+    """det(rho) of the six packed components ``values``, paired as
+    :func:`_check_states` pairs them, for one state or length-N arrays:
+    p3 p4 p5 + 2 Re(c0 conj(c1) conj(c2)) minus each population times
+    |c|^2 of the coherence between the other two, in + - * on split
+    parts."""
+    c0, c1, c2 = values[:3]
+    p = [v.real for v in values]
+    re01 = c0.real * c1.real + c0.imag * c1.imag
+    im01 = c0.imag * c1.real - c0.real * c1.imag
+    return (p[3] * p[4] * p[5] + 2.0 * (re01 * c2.real + im01 * c2.imag)
+            - p[3] * (c2.real * c2.real + c2.imag * c2.imag)
+            - p[pairs[1]] * (c0.real * c0.real + c0.imag * c0.imag)
+            - p[pairs[0]] * (c1.real * c1.real + c1.imag * c1.imag))
+
+
 def _check_states(values, names, pairs) -> None:
     """Raise at the first packed state that is not a valid density matrix.
 
@@ -268,15 +284,7 @@ def _check_states(values, names, pairs) -> None:
                            "positivity |{}|^2 <= {}*{} violated: {!r} > {!r} "
                            "+ {}", names[c], names[a], names[b], sq[c], rhs,
                            tol))
-        # det = p3 p4 p5 + 2 Re(c0 conj(c1) conj(c2)) - each population
-        # times |c|^2 of the coherence between the other two
-        c0, c1, c2 = values[:3]
-        re01 = c0.real * c1.real + c0.imag * c1.imag
-        im01 = c0.imag * c1.real - c0.real * c1.imag
-        det = (values[3] * values[4] * values[5]
-               + 2.0 * (re01 * c2.real + im01 * c2.imag)
-               - values[3] * sq[2] - values[pairs[1]] * sq[0]
-               - values[pairs[0]] * sq[1])
+        det = _det(values, pairs)
         checks.append((det < -tol, PositivityViolation,
                        "positivity det(rho) >= 0 violated: determinant {!r} "
                        "< -{}", det, tol))

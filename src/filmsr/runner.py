@@ -5,8 +5,8 @@ round-trip decimal (Python ``repr``), nothing depends on wall clock or
 iteration order of anything unordered.  Every trajectory.csv row is a
 row of ``_trajectory_table`` of the sample arrays written by
 ``_csv_rows``, so re-running the same configuration reproduces every
-output byte, whether a helper process formats part of the rows and
-whether it starts while the stepper runs.
+output byte, whether or not a helper process, forked before the
+stepper runs, formats part of the rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ScenarioConfig, SweepSpec, apply_sweep_value
 from .dynamics import (IntegrationError, Trajectory, _emitted,
-                       _sample_count, integrate)
+                       _sample_times, integrate)
 from .observables import NoPulse, PulseMetrics, pulse_metrics
 from .params import ParameterError
 
@@ -187,22 +187,23 @@ def _copy_pipe(read_fd: int, fh, size: int = -1) -> None:
 
 class _Formatter:
     """A forked helper that formats part of the rows of trajectory.csv.
-    ``run_scenario`` makes one that formats rows while the stepper runs,
-    ``emit_outputs`` one for a table it is given whole; ``emit_outputs``
-    ends either.
+    ``run_scenario`` makes one before the stepper runs, ``emit_outputs``
+    one for a table it is given whole; ``emit_outputs`` ends either.
 
-    ``feed`` is the ``on_final`` callback of ``integrate``.  Its first
-    call forks the helper.  Each call copies the newly final samples (t
-    and the six packed states, 13 float64 per row) into an anonymous
-    shared mmap and sends their count down a pipe that never blocks this
+    Like ``subprocess.Popen``, it starts its child when it is made: it
+    maps an anonymous shared mmap for the (rows, 6) packed states of the
+    sample times ``t``, opens two pipes and forks.  The helper inherits
+    ``t`` through the fork.  ``feed`` is the ``on_final`` callback of
+    ``integrate``: each call copies the newly final states into the
+    mmap and sends their count down a pipe that never blocks this
     process: a count the full pipe refuses is superseded by the next.
-    ``finish`` forks a helper that no ``feed`` has.  The helper builds
-    ``_trajectory_table`` of the samples it has, whose rows are those of
-    the full table bit for bit, and formats them with ``_csv_rows``,
-    ``_CHUNK_ROWS`` at a time, reading the counts between chunks; it
-    builds the table again once it has formatted all its rows.
+    The helper builds ``_trajectory_table`` of the samples it has, whose
+    rows are those of the full table bit for bit, and formats them with
+    ``_csv_rows``, ``_CHUNK_ROWS`` at a time, reading the counts between
+    chunks; it builds the table again once it has formatted all its
+    rows.
 
-    ``finish`` sends the last samples and their count, negated.  The
+    ``finish`` sends the last states and their count, negated.  The
     helper then leaves the first half of the rows it has not formatted
     to this process and takes the rest.  On a second pipe it sends the
     bounds of this process's rows and the size of its text so far, then
@@ -212,31 +213,43 @@ class _Formatter:
     a helper still running exit, and reaps it.
     """
 
-    def __init__(self, rows: int, params):
-        self.rows, self.params = rows, params
-        self.pid = self.t = self.y = self.shared = None
-        self.code = 0
-        self.fed = 0
+    def __init__(self, t, params):
+        import mmap     # here, so that no other command pays its import
+        self.t, self.params = t, params
+        self.code = self.fed = 0
+        self.shared = mmap.mmap(-1, 6 * 16 * t.size)
+        self.y = np.frombuffer(self.shared, complex).reshape(t.size, 6)
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            self._release()
+            raise
+        cmd_read, self.cmd, self.text, text_write = fds
+        if self.pid == 0:
+            self._serve(cmd_read, text_write)
+        os.close(cmd_read)
+        os.close(text_write)
+        os.set_blocking(self.cmd, False)
 
     def feed(self, t, y) -> None:
-        if self.pid is None:
-            self._start()
-        self._store(t, y)
+        self._store(y)      # the helper inherited the times
         try:
             os.write(self.cmd, self.fed.to_bytes(8, "little", signed=True))
         except (BlockingIOError, BrokenPipeError):
             pass    # a helper that has exited is reported by close
 
     def finish(self, traj: Trajectory) -> tuple[int, int, int]:
-        """Hand over every sample of ``traj``, forking the helper if no
-        ``feed`` has; return ``(start, stop, size)``: this process
-        formats rows start to stop of the table, and the next ``size``
-        bytes on ``self.text`` are the rows before them, the rest those
-        after.  A helper that has exited leaves every row to this
-        process; ``close`` reports its status."""
-        if self.pid is None:
-            self._start()
-        self._store(traj.t, traj.y)
+        """Hand over every sample of ``traj``; return ``(start, stop,
+        size)``: this process formats rows start to stop of the table,
+        and the next ``size`` bytes on ``self.text`` are the rows before
+        them, the rest those after.  A helper that has exited leaves
+        every row to this process; ``close`` reports its status."""
+        self._store(traj.y)
         os.set_blocking(self.cmd, True)
         try:
             os.write(self.cmd, (-self.fed).to_bytes(8, "little", signed=True))
@@ -250,7 +263,7 @@ class _Formatter:
                      for i in (0, 8, 16))
 
     def close(self) -> int:
-        """Reap the helper, if one was forked; return its exit status."""
+        """Reap the helper, if not yet reaped; return its exit status."""
         if self.pid is not None:
             os.close(self.cmd)
             os.close(self.text)
@@ -260,36 +273,13 @@ class _Formatter:
         return self.code
 
     def _release(self) -> None:
-        self.t = self.y = None      # no array may hold the mmap it closes
+        self.y = None       # no array may hold the mmap it closes
         if self.shared is not None:
             self.shared.close()
             self.shared = None
 
-    def _start(self) -> None:
-        import mmap     # here, so that no other command pays its import
-        rows = self.rows
-        self.shared = mmap.mmap(-1, 13 * 8 * rows)
-        self.t = np.frombuffer(self.shared, float, rows)
-        self.y = np.frombuffer(self.shared, complex, 6 * rows,
-                               8 * rows).reshape(rows, 6)
-        cmd_read, self.cmd = os.pipe()
-        self.text, text_write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (cmd_read, self.cmd, self.text, text_write):
-                os.close(fd)
-            raise
-        if pid == 0:
-            self._serve(cmd_read, text_write)
-        os.close(cmd_read)
-        os.close(text_write)
-        os.set_blocking(self.cmd, False)
-        self.pid = pid
-
-    def _store(self, t, y) -> None:
-        lo, self.fed = self.fed, t.size
-        self.t[lo:self.fed] = t[lo:]
+    def _store(self, y) -> None:
+        lo, self.fed = self.fed, y.shape[1]
         self.y[lo:self.fed] = y.T[lo:]
 
     def _table(self, rows: int) -> np.ndarray:
@@ -348,14 +338,14 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
 
     Floats are written as their shortest round-trip decimal (``repr``).
     ``formatter`` is a helper that may have formatted rows of ``traj``
-    already, as ``run_scenario``'s does while the stepper runs.  Once
-    trajectory.csv is open, a helper that no feed has started, or a new
-    one if none is given, is forked only where ``_split_rows`` holds
-    for the rows of ``traj``.  The helper leaves this process the first
-    half of the rows it has not formatted and formats the second, both
-    with ``_csv_rows``; the bytes are those of one process writing every
-    row.  The helper is reaped before this returns or raises, and one
-    that fails raises ``OSError`` naming its exit status.
+    already, as ``run_scenario``'s does while the stepper runs.  With
+    none given, one is forked once trajectory.csv is open, where
+    ``_split_rows`` holds for the rows of ``traj``.  The helper leaves
+    this process the first half of the rows it has not formatted and
+    formats the second, both with ``_csv_rows``; the bytes are those of
+    one process writing every row.  The helper is reaped before this
+    returns or raises, and one that fails raises ``OSError`` naming its
+    exit status.
     """
     out = Path(out_dir)
     csv_path = out / "trajectory.csv"
@@ -363,11 +353,8 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            if (helper is None or helper.pid is None) and not _split_rows(
-                    traj.t.size):
-                helper = None   # one no feed started holds nothing yet
-            elif helper is None:
-                helper = _Formatter(traj.t.size, traj.params)
+            if helper is None and _split_rows(traj.t.size):
+                helper = _Formatter(traj.t, traj.params)
             start, stop, head = (helper.finish(traj) if helper is not None
                                  else (0, traj.t.size, 0))
             mine = _trajectory_table(traj.t, traj.y, traj.params)[start:stop]
@@ -405,17 +392,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     trajectory is written and the metrics file carries an ``error``
     field instead of pulse numbers.
 
-    Where ``_split_rows`` holds for the whole grid, the first check of
-    the invariants that passes forks one helper, a :class:`_Formatter`.
-    It formats the rows each check makes final while the stepper goes
-    on, and ``emit_outputs`` splits the rows it has not reached between
-    it and this process.  The bytes are those of one process writing
-    every row.  The helper is reaped before this returns or raises.
+    Where ``_split_rows`` holds for the whole grid, one helper, a
+    :class:`_Formatter`, is forked before the stepper runs.  It formats
+    the rows each passing check of the invariants makes final while the
+    stepper goes on, and ``emit_outputs`` splits the rows it has not
+    reached between it and this process.  The bytes are those of one
+    process writing every row.  The helper is reaped before this
+    returns or raises.
     """
     cfg = cfg.validated()
-    # the grid, a partial last interval and t = 0
-    rows = _sample_count(cfg.t_end, cfg.control.dt) + 2
-    helper = _Formatter(rows, cfg.params) if _split_rows(rows) else None
+    t = _sample_times(cfg.t_end, cfg.control.dt)
+    helper = _Formatter(t, cfg.params) if _split_rows(t.size) else None
     try:
         traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
                          cfg.control,

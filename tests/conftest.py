@@ -6,12 +6,26 @@ the shipped preset configurations (or documented small variations) at
 default integrator settings.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from filmsr import (IntegratorControl, initial_state, integrate,
                     integrate_bright_dark, make_params)
 from filmsr.config import PRESET_NAMES, load_preset
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process of this one running or
+    unreaped: after it, this process must have no child at all."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left: waitpid(-1, WNOHANG) gave {left}")
 
 
 @pytest.fixture(scope="session")

@@ -265,6 +265,36 @@ class TestIntegrate:
                                   "at t=0.02 (limit 1e-15)")
         assert calls[0] < 3133 / 2
 
+    def test_determinant_drift_is_named(self, monkeypatch):
+        """Turning the phase of R31 by pi/2 in the samples after t = 10
+        keeps their trace and quadratic invariant but moves det(rho): the
+        run raises naming the determinant at the first of them."""
+        real_chunk = dynamics._dense_chunk
+
+        def chunk(steps, grid):
+            at, block = real_chunk(steps, grid)
+            late = grid[at] > 10.0
+            turned = (block[late, 0] + 1j * block[late, 1]) * 1j
+            block[late, 0], block[late, 1] = turned.real, turned.imag
+            return at, block
+
+        monkeypatch.setattr(dynamics, "_dense_chunk", chunk)
+        with pytest.raises(InvariantDrift, match=r"^determinant drifted by "
+                           r"\S+ at t=10.01 \(limit 1e-08\)$"):
+            integrate(initial_state(0.5, 0.5, 0.5), make_params(5.0, 1.0),
+                      14.0)
+
+    @pytest.mark.parametrize("t_end", [40.0, 40.005, 0.005],
+                             ids=["grid", "partial", "below_dt"])
+    def test_sample_times_are_the_trajectory_times(self, t_end):
+        """_sample_times, which run_scenario sizes its helper by, gives
+        the times of a run to t_end bit for bit: on the grid, after a
+        partial last interval, and with t_end below dt."""
+        traj = integrate(initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.5),
+                         t_end, IntegratorControl(stop_on_quiescence=False))
+        assert (dynamics._sample_times(t_end, 0.01).tobytes()
+                == traj.t.tobytes())
+
     def test_quadratic_invariant_is_plain_arithmetic(self):
         """The quadratic invariant of random (6, N) and (6,) arrays equals
         the same sum in Python float arithmetic on each state bit for
@@ -384,7 +414,7 @@ def _monitor_reference(ctrl, y0, times, ys, rhs, args):
     return None, None
 
 
-def _monitor_in_blocks(monitors, y0, times, ys, cuts):
+def _monitor_in_blocks(monitors, y0, pairs, times, ys, cuts):
     """Feed ``monitors`` the samples in blocks [cuts[k], cuts[k + 1]) until
     it stops the run, then check the invariants of the samples up to the
     stop against ``y0`` in one call (_integrate_core checks the same
@@ -400,7 +430,7 @@ def _monitor_in_blocks(monitors, y0, times, ys, cuts):
     assert monitors.end_time == (None if index is None else times[index])
     n = len(times) if index is None else index + 1
     try:
-        dynamics._check_invariants(times[:n], ys[:n].T, y0)
+        dynamics._check_invariants(times[:n], ys[:n].T, y0, pairs)
     except InvariantDrift as exc:
         kind, t = re.match(r"(trace|quadratic invariant) drifted by "
                            r"\S+ at t=(\S+) ", str(exc)).groups()
@@ -411,13 +441,14 @@ def _monitor_in_blocks(monitors, y0, times, ys, cuts):
 
 
 class TestMonitorBlocks:
-    @pytest.mark.parametrize("constants, rhs, rate, frame", [
-        (dynamics._constants, dynamics._rhs, dynamics._rate, None),
-        (basis._constants_bd, _rhs_bd, basis._rate_bd, basis._bare_to_bd),
+    @pytest.mark.parametrize("constants, rhs, rate, pairs, frame", [
+        (dynamics._constants, dynamics._rhs, dynamics._rate, (5, 4), None),
+        (basis._constants_bd, _rhs_bd, basis._rate_bd, (4, 5),
+         basis._bare_to_bd),
     ], ids=["bare", "bright_dark"])
     def test_blocks_match_per_sample_reference(self, preset_configs,
                                                preset_runs, constants, rhs,
-                                               rate, frame):
+                                               rate, pairs, frame):
         """Fed fig5's samples in blocks cut at random points and then
         checked once up to the stop, the monitor stops at the same
         sample, or raises the same drift at the same sample time, as a
@@ -463,8 +494,8 @@ class TestMonitorBlocks:
                                      len(times)).tolist()
                     monitors = dynamics._Monitors(
                         ctrl, lambda b: rate(b, *args))
-                    got, index = _monitor_in_blocks(monitors, y0, times,
-                                                    ys, cuts)
+                    got, index = _monitor_in_blocks(monitors, y0, pairs,
+                                                    times, ys, cuts)
                     assert got == (want, t), (kind, at, ctrl)
                     assert index == (stop if ctrl.stop_on_quiescence
                                      else None)

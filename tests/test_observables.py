@@ -89,6 +89,33 @@ class TestSplitDoubletMetrics:
         assert m.oscillation_freq is not None
         assert m.oscillation_freq == pytest.approx(5.0, rel=0.1)
 
+    def test_partial_last_interval_leaves_the_pulse_shape(self):
+        """A run to 40.005 at dt 0.01 ends on a sample 0.005 after 40.0.
+        The pulse shape is read on the dt grid alone, so it is that of
+        the run to 40.0, whose samples agree to about 2e-12; the final
+        populations are those at t = 40.005."""
+        state, params = initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.5)
+        ctrl = IntegratorControl(dt=0.01, stop_on_quiescence=False)
+        grid = pulse_metrics(integrate(state, params, 40.0, ctrl))
+        traj = integrate(state, params, 40.005, ctrl)
+        partial = pulse_metrics(traj)
+        assert (partial.t_peak, partial.fwhm, partial.peak_amp) == (
+            grid.t_peak, grid.fwhm, grid.peak_amp)
+        assert partial.oscillation_freq == pytest.approx(
+            grid.oscillation_freq, rel=1e-9, abs=0.0)
+        assert traj.t[-1] == 40.005
+        final = traj.state_at(traj.t.size - 1)
+        assert (partial.final_pops.rho11, partial.final_pops.rho22,
+                partial.final_pops.rho33) == (final.rho11, final.rho22,
+                                              final.rho33)
+
+    def test_evenly_spaced_times_keep_every_sample(self):
+        """Hand-built, evenly spaced times have no partial last interval,
+        whatever their rounding."""
+        for t in (np.linspace(0.0, 10.0, 1001), 0.002 * np.arange(5001)):
+            traj = synthetic_trajectory(t, np.exp(-(t - 5.0) ** 2) + 0j)
+            assert smoothed_envelope(traj).size == t.size
+
     def test_smoothing_removes_beat(self, preset_runs):
         traj = preset_runs["fig2"]
         env = smoothed_envelope(traj)

@@ -357,34 +357,47 @@ class TestSplitRows:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("cpus, rows, forked", [
-        (2, S + 1, 1), (1, S + 1, 0), (2, S - 1, 0)])
-    def test_never_fed_helper_forks_where_split_rows_holds(
-            self, cpus, rows, forked, tmp_path, monkeypatch, alarm):
-        """A helper handed to emit_outputs that no feed has started, made
-        for a longer grid as run_scenario makes one, is forked by it once
-        where emit_outputs would fork a new one, and not at all elsewhere:
-        a run stopped before its first feed may have fewer than S rows.
-        The bytes are those of one process."""
+    @pytest.mark.parametrize("rows", [S + 1, S - 1])
+    def test_helper_for_a_longer_grid_forks_once_when_made(
+            self, rows, tmp_path, monkeypatch, alarm):
+        """A helper made for a longer grid than the trajectory, as
+        run_scenario makes one for a run that stops early, forks once,
+        when it is made, and emit_outputs forks nothing more, even for
+        fewer than S rows.  The bytes are those of one process."""
         traj = random_trajectory(rows)
         forks = count_forks(monkeypatch)
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
-        helper = runner._Formatter(2 * self.S, traj.params)
-        started = []
-        real_start = runner._Formatter._start
-
-        def start(formatter):
-            started.append(formatter)
-            real_start(formatter)
-
-        monkeypatch.setattr(runner._Formatter, "_start", start)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         with no_fd_leak():
+            helper = runner._Formatter(random_trajectory(2 * self.S).t,
+                                       traj.params)
+            assert len(forks) == 1
             emit_outputs(traj, None, tmp_path, formatter=helper)
-        assert len(forks) == forked and started == [helper] * forked
+        assert len(forks) == 1
         assert helper.pid is None and helper.shared is None
         assert helper.code == 0
         assert ((tmp_path / "trajectory.csv").read_bytes()
                 == one_process_bytes(traj))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cpu_makes_no_helper(self, tmp_path, monkeypatch, alarm):
+        """run_scenario with one usable CPU makes no helper and forks
+        nothing; with two it makes one, which forks once."""
+        forks = count_forks(monkeypatch)
+        made = []
+        real_formatter = runner._Formatter
+
+        def formatter(*args):
+            made.append(args)
+            return real_formatter(*args)
+
+        monkeypatch.setattr(runner, "_Formatter", formatter)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+        run_scenario(FAST, out_dir=tmp_path)
+        assert made == [] and forks == []
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        run_scenario(FAST, out_dir=tmp_path)
+        assert len(made) == 1 and len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -457,6 +470,37 @@ class TestSplitRows:
         with no_fd_leak(), pytest.raises(IsADirectoryError):
             emit_outputs(random_trajectory(2 * self.S), None, tmp_path)
         assert forks == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_failed_start_leaves_nothing_open(self, failing, tmp_path,
+                                              monkeypatch):
+        """A helper whose second pipe or fork fails raises that error
+        with no pipe left open, no child and no trajectory.csv rows."""
+        calls = []
+        real_pipe, real_fork = os.pipe, os.fork
+
+        def pipe():
+            calls.append("pipe")
+            if failing == "pipe" and calls.count("pipe") == 2:
+                raise OSError(errno.EMFILE, "no pipe")
+            return real_pipe()
+
+        def fork():
+            calls.append("fork")
+            if failing == "fork":
+                raise OSError(errno.EAGAIN, "no fork")
+            return real_fork()
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        with no_fd_leak(), pytest.raises(OSError, match=f"no {failing}"):
+            emit_outputs(random_trajectory(2 * self.S), None, tmp_path)
+        assert calls == (["pipe", "pipe"] if failing == "pipe"
+                         else ["pipe", "pipe", "fork"])
+        assert (tmp_path / "trajectory.csv").read_bytes() == b""
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -566,6 +610,26 @@ class TestFormatterHelper:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_helper_forks_before_the_stepper_runs(self, tmp_path,
+                                                  monkeypatch, alarm):
+        """run_scenario forks its helper before it calls integrate, and
+        forks no other."""
+        forks = count_forks(monkeypatch)
+        seen = []
+        real_integrate = runner.integrate
+
+        def integrate(*args, **kwargs):
+            seen.append(len(forks))
+            return real_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "integrate", integrate)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        with no_fd_leak():
+            run_scenario(FAST, out_dir=tmp_path)
+        assert seen == [1] and len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_table_of_every_prefix_is_a_prefix_of_the_table(self):
         """np.unwrap's cumulative sum runs in order and the other columns
         are elementwise, so the rows the helper formats from the samples
@@ -615,7 +679,7 @@ class TestFormatterHelper:
         monkeypatch.setattr(runner, "_csv_rows", csv_rows)
         rows = 3 * self.FEEDS
         traj = random_trajectory(rows)
-        helper = runner._Formatter(rows, traj.params)
+        helper = runner._Formatter(traj.t, traj.params)
         try:
             self.feed_each_row(helper, traj)
             gate.touch()
@@ -649,7 +713,7 @@ class TestFormatterHelper:
         monkeypatch.setattr(runner._Formatter, "_table", table)
         rows = 3 * self.FEEDS
         traj = random_trajectory(rows)
-        helper = runner._Formatter(rows, traj.params)
+        helper = runner._Formatter(traj.t, traj.params)
         try:
             self.feed_each_row(helper, traj)
             with pytest.raises(OSError, match="exited with status 1"):
@@ -662,9 +726,8 @@ class TestFormatterHelper:
 
     def test_integration_error_reaps_the_helper(self, tmp_path, monkeypatch,
                                                 capsys, alarm):
-        """The README's drift example fails at t = 5.98, after the first
-        check has forked the helper: exit 3, no trajectory.csv, no
-        child."""
+        """The README's drift example fails at t = 5.98, with the helper
+        forked before the run: exit 3, no trajectory.csv, no child."""
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(dynamics, "_INVARIANT_TOL", 1e-15)
