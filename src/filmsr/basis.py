@@ -53,8 +53,12 @@ class BrightDarkState:
     def validate(self) -> "BrightDarkState":
         """As ``DensityState.validate``, with R_plus1 paired with rho_pp and
         R_minus1 with rho_mm; returns self."""
-        _check_states(astuple(self), [f.name for f in fields(self)], (4, 5))
+        _check_states(astuple(self), *_BRIGHT_DARK)
         return self
+
+
+# names and slot pairing of the bright/dark basis, as params._BARE
+_BRIGHT_DARK = (tuple(f.name for f in fields(BrightDarkState)), (4, 5))
 
 
 def _bare_to_bd(y, params: SystemParams) -> np.ndarray:
@@ -161,10 +165,10 @@ def integrate_bright_dark(state0: DensityState, params: SystemParams,
                           ctrl: IntegratorControl | None = None) -> Trajectory:
     """Advance the motion in the bright/dark basis; return bare-basis samples.
 
-    Uses the same stepper, grid and monitors as :func:`dynamics.integrate`,
+    Runs the stepping driver of :func:`dynamics.integrate`, ``_drive``,
     so the two paths are directly comparable sample by sample.  The
     returned :class:`Trajectory` is already rotated back to the bare
     basis.
     """
     return _drive(state0, params, t_end, ctrl, _constants_bd, _rhs_bd,
-                  _rate_bd, (4, 5), (_bare_to_bd, _bd_to_bare))
+                  _rate_bd, _BRIGHT_DARK[1], (_bare_to_bd, _bd_to_bare))

@@ -887,17 +887,79 @@ def _sample_times(t_end: float, dt: float) -> np.ndarray:
     return t
 
 
-def _integrate_core(rhs, args, y0, pairs, t_end, ctrl: IntegratorControl,
-                    h0: float, monitors, on_final=None):
-    """Adaptive DOP853 driver producing samples on the regular dt grid.
+def _check_invariants(t, y, y0, pairs) -> None:
+    """Raise :class:`InvariantDrift` at the first of the packed (6, N)
+    samples ``y`` at times ``t`` whose trace, quadratic invariant or
+    determinant, all basis independent, is off that of ``y0`` by more
+    than ``_INVARIANT_TOL``; ``pairs`` pairs the slots for
+    :func:`params._det`."""
+    tol = _INVARIANT_TOL
+    drifts = (("trace", abs(_trace(y) - _trace(y0))),
+              ("quadratic invariant", abs(_quadratic(y) - _quadratic(y0))),
+              ("determinant", abs(_det(y, pairs) - _det(y0, pairs))))
+    drifted = np.flatnonzero(np.any([d > tol for _, d in drifts], axis=0))
+    if drifted.size:
+        i = drifted[0]
+        what, by = next((w, d[i]) for w, d in drifts if d[i] > tol)
+        raise InvariantDrift(f"{what} drifted by {by:.3e} at "
+                             f"t={t[i]:.4g} (limit {tol:g})")
 
-    ``rhs(y, *args) -> dy`` is the autonomous vector field on the
-    stepper's six Python numbers (see :func:`_scalars`); ``y0`` is the
-    packed initial state and ``pairs`` its slot pairing; the samples lie
-    at :func:`_sample_times`.  Error control alone sets the step; only the
-    last step is shortened to end on the last sample.  A sample inside an
-    accepted step is read from the step's continuous extension, so only
-    steps that contain a sample before their end pay for its three extra
+
+class _Monitors:
+    """Quiescence detector of :func:`_drive`: it reads d(rho11)/dt,
+    ``rate(y)``, of each chunk of samples it is fed in one array pass."""
+
+    def __init__(self, ctrl, rate):
+        self.on = ctrl.stop_on_quiescence
+        self.rate = rate
+        self.armed = False
+        self.ref = 0.0      # last loud sample once armed, else last fed
+        self.end_time = None
+
+    def due(self, t) -> bool:
+        """Whether a sample at ``t`` could end the run: it must lie a
+        window after the last loud sample, which is not before ``ref``."""
+        return self.on and t - self.ref >= _QUIESCENCE_WINDOW
+
+    def __call__(self, t, y) -> int | None:
+        if not self.on:
+            return None
+        loud = self.rate(y) >= _QUIESCENCE_RATE
+        # the last loud time up to each sample, where armed by then
+        last = np.maximum.accumulate(np.where(loud, t, self.ref))
+        armed = np.logical_or.accumulate(loud) | self.armed
+        quiet = np.flatnonzero(armed & ~loud
+                               & (t - last >= _QUIESCENCE_WINDOW))
+        if quiet.size:
+            self.end_time = float(t[quiet[0]])
+            return int(quiet[0])
+        self.armed = bool(armed[-1])
+        self.ref = float(last[-1] if self.armed else t[-1])
+        return None
+
+
+def _drive(state0: DensityState, params: SystemParams, t_end: float,
+           ctrl: IntegratorControl | None, constants, rhs, rate, pairs,
+           frame=None, on_final=None) -> Trajectory:
+    """Validate, step with DOP853 and sample on the regular dt grid; the
+    one driver of both integration paths.
+
+    ``rhs(y, *args)`` is the autonomous vector field the stepper
+    advances, on its six Python numbers (see :func:`_scalars`), where
+    ``args = constants(omega32, delta_L, mu21, mu31)`` is built once per
+    run; ``rate(block, *args)`` is its slot 3, d(rho11)/dt, as an array
+    over the rows of an (m, 6) block of packed states, which the
+    quiescence detector, a :class:`_Monitors`, reads.  The invariants are
+    checked in the frame of ``rhs``, whose slot pairing (see
+    :func:`params._check_states`) is ``pairs``.  ``frame = (into, back)``
+    rotates the packed initial state into that frame and the sampled
+    (6, N) trajectory back to the bare basis; None means the bare basis.
+
+    The samples lie at :func:`_sample_times`.  Error control alone sets
+    the step, from :func:`_initial_step` on; only the last step is
+    shortened to end on the last sample.  A sample inside an accepted
+    step is read from the step's continuous extension, so only steps
+    that contain a sample before their end pay for its three extra
     stages.  At most ``_MAX_STEPS`` trial steps (accepted plus rejected)
     are taken.
 
@@ -914,30 +976,36 @@ def _integrate_core(rhs, args, y0, pairs, t_end, ctrl: IntegratorControl,
     sample could end the run (``monitors.due``), at the end, and before an
     :class:`IntegrationError` escapes.  With finite stages only overflow
     makes a sample non-finite, which raises :class:`NonFiniteStep`.  The
-    first two feed the new samples to ``monitors(t, y)`` (times, (m, 6)
-    states), which returns the index of the sample that ends the run, or
-    None; the samples up to it are kept.  :func:`_check_invariants` checks
-    them at every flush, so drift before a fault is the error reported.
-    Once a flush in the loop has passed both, its samples and all before
-    them are final, and ``on_final(t, y)``, where given, gets views of
-    them: their times from t = 0 and their packed states, one column each.
-
-    Returns (t_array, y_array, accepted, rejected, rhs_evals);
-    ``rhs_evals`` counts every call of ``rhs``.
+    first two feed the new samples to the quiescence detector, which
+    returns the index of the sample that ends the run, or None; the
+    samples up to it are kept.  :func:`_check_invariants` checks them at
+    every flush, so drift before a fault is the error reported.  Once a
+    flush in the loop has passed both, its samples and all before them
+    are final, and ``on_final(t, y)``, where given, gets views of them:
+    their times from t = 0 and their packed states in the frame of
+    ``rhs``, one column each.
     """
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    ctrl = (ctrl or IntegratorControl()).validated()
+    y0 = _pack(state0.validate())
+    if frame is not None:
+        y0 = frame[0](y0, params)
+    args = constants(*_physical(params))
+    monitors = _Monitors(ctrl, lambda y: rate(y, *args))
     budget = _MAX_STEPS
     t_out = _sample_times(t_end, ctrl.dt)
     grid = t_out[1:]
     times = grid.tolist()
     t_last = times[-1]
 
-    ys = np.empty((grid.size + 1, np.size(y0)), dtype=complex)
+    ys = np.empty((grid.size + 1, 6), dtype=complex)
     ys[0] = y0
     t, y = 0.0, _scalars(ys[0])
     abs_y = _moduli(y)
     k1 = rhs(y, *args)
     evals = 1
-    h = h0
+    h = _initial_step(params.omega32)
     n = checked = 0         # samples stored after t = 0, and checked
     accepted = rejected = 0
     nonfinite = retried = False
@@ -1037,91 +1105,12 @@ def _integrate_core(rhs, args, y0, pairs, t_end, ctrl: IntegratorControl,
         check(n)        # an empty range when check itself raised
         raise
     check(n)
-    return t_out[:n + 1], ys[:n + 1].T, accepted, rejected, evals
-
-
-def _check_invariants(t, y, y0, pairs) -> None:
-    """Raise :class:`InvariantDrift` at the first of the packed (6, N)
-    samples ``y`` at times ``t`` whose trace, quadratic invariant or
-    determinant, all basis independent, is off that of ``y0`` by more
-    than ``_INVARIANT_TOL``; ``pairs`` pairs the slots for
-    :func:`params._det`."""
-    tol = _INVARIANT_TOL
-    drifts = (("trace", abs(_trace(y) - _trace(y0))),
-              ("quadratic invariant", abs(_quadratic(y) - _quadratic(y0))),
-              ("determinant", abs(_det(y, pairs) - _det(y0, pairs))))
-    drifted = np.flatnonzero(np.any([d > tol for _, d in drifts], axis=0))
-    if drifted.size:
-        i = drifted[0]
-        what, by = next((w, d[i]) for w, d in drifts if d[i] > tol)
-        raise InvariantDrift(f"{what} drifted by {by:.3e} at "
-                             f"t={t[i]:.4g} (limit {tol:g})")
-
-
-class _Monitors:
-    """Quiescence detector of _integrate_core: it reads d(rho11)/dt,
-    ``rate(y)``, of each chunk of samples it is fed in one array pass."""
-
-    def __init__(self, ctrl, rate):
-        self.on = ctrl.stop_on_quiescence
-        self.rate = rate
-        self.armed = False
-        self.ref = 0.0      # last loud sample once armed, else last fed
-        self.end_time = None
-
-    def due(self, t) -> bool:
-        """Whether a sample at ``t`` could end the run: it must lie a
-        window after the last loud sample, which is not before ``ref``."""
-        return self.on and t - self.ref >= _QUIESCENCE_WINDOW
-
-    def __call__(self, t, y) -> int | None:
-        if not self.on:
-            return None
-        loud = self.rate(y) >= _QUIESCENCE_RATE
-        # the last loud time up to each sample, where armed by then
-        last = np.maximum.accumulate(np.where(loud, t, self.ref))
-        armed = np.logical_or.accumulate(loud) | self.armed
-        quiet = np.flatnonzero(armed & ~loud
-                               & (t - last >= _QUIESCENCE_WINDOW))
-        if quiet.size:
-            self.end_time = float(t[quiet[0]])
-            return int(quiet[0])
-        self.armed = bool(armed[-1])
-        self.ref = float(last[-1] if self.armed else t[-1])
-        return None
-
-
-def _drive(state0: DensityState, params: SystemParams, t_end: float,
-           ctrl: IntegratorControl | None, constants, rhs, rate, pairs,
-           frame=None, on_final=None) -> Trajectory:
-    """Validate, step and sample; shared by both integration paths.
-
-    ``rhs(y, *args)`` is the vector field the stepper advances, on its
-    six Python numbers, where ``args = constants(omega32, delta_L, mu21,
-    mu31)`` is built once per run; ``rate(block, *args)`` is its slot 3,
-    d(rho11)/dt, as an array over the rows of an (m, 6) block of packed
-    states, which the quiescence detector reads; the invariants are
-    checked in the frame of ``rhs``, whose slot pairing (see
-    :func:`params._check_states`) is ``pairs``.
-    ``frame = (into, back)`` rotates the packed initial state into that
-    frame and the sampled (6, N) trajectory back to the bare basis; None
-    means the bare basis.  ``on_final`` is passed to
-    :func:`_integrate_core`; it sees the states in the frame of ``rhs``.
-    """
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-    ctrl = (ctrl or IntegratorControl()).validated()
-    y0 = _pack(state0.validate())
-    if frame is not None:
-        y0 = frame[0](y0, params)
-    args = constants(*_physical(params))
-    monitors = _Monitors(ctrl, lambda y: rate(y, *args))
-    t, y, acc, rej, evals = _integrate_core(
-        rhs, args, y0, pairs, t_end, ctrl, _initial_step(params.omega32),
-        monitors, on_final)
+    del times   # its floats are freed before the back-rotation allocates
+    y = ys[:n + 1].T
     if frame is not None:
         y = frame[1](y, params)
-    return Trajectory(t, y, params, ctrl, acc, rej, evals, monitors.end_time)
+    return Trajectory(t_out[:n + 1], y, params, ctrl, accepted, rejected,
+                      evals, monitors.end_time)
 
 
 def integrate(state0: DensityState, params: SystemParams, t_end: float,
@@ -1141,11 +1130,12 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     1e-8 for 10 tau_R after emission developed, which is what "final"
     populations refer to.
 
-    ``on_final(t, y)``, where given, is called after each check in the
-    run that passes, with the samples that nothing later can change:
-    their times from t = 0 and their packed (6, n) states, views of the
-    first n columns of the trajectory's ``t`` and ``y``.  It is not
-    called at the end; the returned trajectory holds every sample.
+    ``on_final(t, y)``, where given, is called by the stepping driver,
+    :func:`_drive`, after each check in the run that passes, with the
+    samples that nothing later can change: their times from t = 0 and
+    their packed (6, n) states, views of the first n columns of the
+    trajectory's ``t`` and ``y``.  It is not called at the end; the
+    returned trajectory holds every sample.
     """
     return _drive(state0, params, t_end, ctrl, _constants, _rhs, _rate,
                   _BARE[1], on_final=on_final)

@@ -8,7 +8,14 @@ and compares the two listings.  The runs, each in a temporary directory:
   ``emit_outputs`` (``fine_grid/``);
 - a delta_L sweep on fig4 over 0, 0.1, 1/7 and 0.3 (``sweep/``).
 
-It prints one ``sha256  relative/path`` line per file, sorted by path:
+It prints one ``sha256  relative/path`` line per file, sorted by path.
+The bright/dark path writes no file, so one more line per preset and
+grid, ``sha256  bright_dark/<name>@<dt>``, hashes what
+``integrate_bright_dark`` returns at the preset's own dt and at 0.002:
+the ``t`` and ``y`` bytes, the three step counters and the stop time.
+
+``filmsr`` is imported from ``PYTHONPATH``, so the same script can hash
+the outputs of another checkout's ``src``:
 
     PYTHONPATH=src python tests/output_digest.py > digest.txt
 """
@@ -45,6 +52,25 @@ def write_outputs(root: pathlib.Path) -> None:
                         (0.0, 0.1, 1 / 7, 0.3)), root / "sweep")
 
 
+def bright_dark_lines() -> list[str]:
+    from filmsr.basis import integrate_bright_dark
+    from filmsr.config import PRESET_NAMES, load_preset
+
+    lines = []
+    for name in PRESET_NAMES:
+        cfg = load_preset(name)
+        for dt in (cfg.control.dt, 0.002):
+            control = replace(cfg.control, dt=dt)
+            traj = integrate_bright_dark(cfg.initial_state(), cfg.params,
+                                         cfg.t_end, control)
+            h = hashlib.sha256(traj.t.tobytes())
+            h.update(traj.y.tobytes())
+            h.update(repr((traj.steps_accepted, traj.steps_rejected,
+                           traj.rhs_evals, traj.end_of_run_time)).encode())
+            lines.append(f"{h.hexdigest()}  bright_dark/{name}@{dt!r}")
+    return lines
+
+
 def digest_lines(root: pathlib.Path) -> list[str]:
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
             f"{path.relative_to(root).as_posix()}"
@@ -55,7 +81,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         write_outputs(root)
-        print("\n".join(digest_lines(root)))
+        print("\n".join(digest_lines(root) + bright_dark_lines()))
     return 0
 
 

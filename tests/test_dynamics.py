@@ -86,6 +86,43 @@ class TestRhs:
             assert np.max(np.abs(d - expected)) < 1e-14
 
 
+class TestSpectrum:
+    """A completed pulse ends with rho11 at the largest eigenvalue of
+    rho(0).
+
+    The field is -i[H(rho), rho] with H Hermitian (pinned by
+    ``TestRhs.test_matches_mean_field_commutator``), so rho(t) =
+    U rho(0) U^dagger and the eigenvalues of rho are constants of the
+    motion.  rho11 = <1|rho|1> never exceeds the largest of them, and it
+    never decreases: d(rho11)/dt = 2|S|^2.  Once emission is over, both
+    optical coherences are gone (the doublet splitting turns any dark
+    part of them bright, which radiates), so |1> is an eigenvector of
+    rho and rho11 one of its eigenvalues.  A rest point below the
+    largest is unstable: a seed coherence between |1> and the eigenvector
+    of the largest radiates, as an inverted pair does.  So rho11(end) is
+    the largest eigenvalue.  Points where quiescence has not fired by
+    t = 80 are left out: their pulse is not complete.
+    """
+
+    # (rho22, rho33, rho32, omega32, delta_L)
+    POINTS = [(0.6, 0.3, 0.2, 5.0, 0.2), (0.6, 0.3, 0.1 + 0.15j, 10.0, 0.5),
+              (0.45, 0.45, 0.3j, 5.0, 1.0), (0.7, 0.2, 0.0, 5.0, 0.3),
+              (0.5, 0.5, 0.15, 10.0, 0.3), (0.5, 0.5, 0.3, 5.0, 0.3),
+              (0.5, 0.5, 0.0, 5.0, 1 / 7), (0.5, 0.5, 0.5, 5.0, 1.0)]
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_final_ground_population_is_the_largest_eigenvalue(self, point):
+        rho22, rho33, rho32, omega32, delta_L = point
+        s = initial_state(rho22, rho33, rho32)
+        rho0 = np.array([[s.rho11, np.conj(s.R21), np.conj(s.R31)],
+                         [s.R21, s.rho22, np.conj(s.rho32)],
+                         [s.R31, s.rho32, s.rho33]])
+        top = np.linalg.eigvalsh(rho0)[-1]
+        traj = integrate(s, make_params(omega32, delta_L), 80.0)
+        assert traj.end_of_run_time is not None
+        assert abs(traj.rho11[-1] - top) <= 1e-9
+
+
 class TestFieldOf:
     def test_emitted_and_acting_no_lfc(self):
         s = DensityState(1e-8 + 0j, 1e-8 + 0j, 0j, 1.0, 0.0, 0.0)
@@ -417,7 +454,7 @@ def _monitor_reference(ctrl, y0, times, ys, rhs, args):
 def _monitor_in_blocks(monitors, y0, pairs, times, ys, cuts):
     """Feed ``monitors`` the samples in blocks [cuts[k], cuts[k + 1]) until
     it stops the run, then check the invariants of the samples up to the
-    stop against ``y0`` in one call (_integrate_core checks the same
+    stop against ``y0`` in one call (_drive checks the same
     samples 512 at a time).  Returns (outcome, time) in the form of
     :func:`_monitor_reference`, and the index of the stop sample (None
     when the detector never stopped the run)."""

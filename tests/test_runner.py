@@ -405,7 +405,7 @@ class TestSplitRows:
                                                 capsys, alarm):
         """A child that fails makes the write raise OSError naming its
         exit status, which the CLI reports as an io error (exit 2); no
-        child is left running or unreaped."""
+        trajectory.csv is left, and no child running or unreaped."""
         me = os.getpid()
         real_rows = runner._csv_rows
 
@@ -420,6 +420,7 @@ class TestSplitRows:
                                          match="exited with status 1"):
             emit_outputs(random_trajectory(2 * self.S), None,
                          tmp_path / "direct")
+        assert not (tmp_path / "direct" / "trajectory.csv").exists()
         assert not (tmp_path / "direct" / "metrics.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -434,6 +435,7 @@ class TestSplitRows:
         err = capsys.readouterr().err
         assert code == cli.EXIT_VALIDATION
         assert err.startswith("io error:") and "exited with status 1" in err
+        assert not (tmp_path / "cli" / "trajectory.csv").exists()
         assert not (tmp_path / "cli" / "metrics.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -443,7 +445,7 @@ class TestSplitRows:
         """This process failing to copy the helper's pipe, while the
         helper writes half of three times the fewest rows (well over the
         64 KiB a pipe holds), raises its own error and leaves no child
-        running or unreaped, and no pipe open."""
+        running or unreaped, no pipe open and no trajectory.csv."""
         me = os.getpid()
         real_read = os.read
 
@@ -457,19 +459,48 @@ class TestSplitRows:
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         with no_fd_leak(), pytest.raises(OSError, match="copy failed"):
             emit_outputs(random_trajectory(3 * self.S), None, tmp_path)
+        assert not (tmp_path / "trajectory.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_dead_before_its_reply_leaves_no_rows(
+            self, tmp_path, monkeypatch, alarm):
+        """A helper that exits before it replies leaves this process no
+        rows to format: the write raises OSError naming the helper's
+        status, and no trajectory.csv is left."""
+        me = os.getpid()
+        mine = []
+        real_rows = runner._csv_rows
+
+        def csv_rows(block):
+            if os.getpid() == me:
+                mine.append(len(block))
+            return real_rows(block)
+
+        monkeypatch.setattr(runner._Formatter, "_serve",
+                            lambda self, cmd, text: os._exit(1))
+        monkeypatch.setattr(runner, "_csv_rows", csv_rows)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        with no_fd_leak(), pytest.raises(OSError,
+                                         match="exited with status 1"):
+            emit_outputs(random_trajectory(2 * self.S), None, tmp_path)
+        assert sum(mine) == 0
+        assert not (tmp_path / "trajectory.csv").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_unopenable_file_forks_no_child(self, tmp_path, monkeypatch,
                                             alarm):
         """trajectory.csv is opened before the helper is forked, so a
-        file that cannot be opened raises with no child made."""
+        file that cannot be opened raises with no child made; the
+        directory in its place stays."""
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         (tmp_path / "trajectory.csv").mkdir()
         with no_fd_leak(), pytest.raises(IsADirectoryError):
             emit_outputs(random_trajectory(2 * self.S), None, tmp_path)
         assert forks == []
+        assert (tmp_path / "trajectory.csv").is_dir()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -477,7 +508,7 @@ class TestSplitRows:
     def test_failed_start_leaves_nothing_open(self, failing, tmp_path,
                                               monkeypatch):
         """A helper whose second pipe or fork fails raises that error
-        with no pipe left open, no child and no trajectory.csv rows."""
+        with no pipe left open, no child and no trajectory.csv."""
         calls = []
         real_pipe, real_fork = os.pipe, os.fork
 
@@ -500,7 +531,7 @@ class TestSplitRows:
             emit_outputs(random_trajectory(2 * self.S), None, tmp_path)
         assert calls == (["pipe", "pipe"] if failing == "pipe"
                          else ["pipe", "pipe", "fork"])
-        assert (tmp_path / "trajectory.csv").read_bytes() == b""
+        assert not (tmp_path / "trajectory.csv").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -701,7 +732,8 @@ class TestFormatterHelper:
                                                    monkeypatch, alarm):
         """A helper that fails once it has told this process where to
         start, on the rows never fed, still makes emit_outputs raise
-        OSError naming its status; no metrics.json, no child."""
+        OSError naming its status; no trajectory.csv, no metrics.json,
+        no child."""
         me = os.getpid()
         real_table = runner._Formatter._table
 
@@ -720,6 +752,7 @@ class TestFormatterHelper:
                 emit_outputs(traj, None, tmp_path, formatter=helper)
         finally:
             helper.close()
+        assert not (tmp_path / "trajectory.csv").exists()
         assert not (tmp_path / "metrics.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -746,8 +779,8 @@ class TestFormatterHelper:
     def test_failing_helper_raises_and_is_reaped(self, tmp_path, monkeypatch,
                                                  capsys, alarm):
         """A helper that fails makes the run raise OSError naming its exit
-        status (the CLI: exit 2, io error), writes no metrics.json and
-        leaves no child."""
+        status (the CLI: exit 2, io error), leaves no trajectory.csv,
+        writes no metrics.json and leaves no child."""
         me = os.getpid()
         real_rows = runner._csv_rows
 
@@ -763,6 +796,7 @@ class TestFormatterHelper:
                                          match="exited with status 1"):
             run_scenario(FAST, out_dir=tmp_path / "direct")
         assert len(forks) == 1
+        assert not (tmp_path / "direct" / "trajectory.csv").exists()
         assert not (tmp_path / "direct" / "metrics.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -775,6 +809,7 @@ class TestFormatterHelper:
         assert code == cli.EXIT_VALIDATION
         assert err.startswith("io error:") and "exited with status 1" in err
         assert len(forks) == 2
+        assert not (tmp_path / "cli" / "trajectory.csv").exists()
         assert not (tmp_path / "cli" / "metrics.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
