@@ -10,13 +10,14 @@ which is unitary because the transition moments are normalised to
 mu21^2 + mu31^2 = 2.  Only the bright coherence R_plus1 couples to the
 field; the doublet splitting omega32 mixes the two channels.
 
-Integrating in this basis is an independent consistency path: transform
-the initial state, advance with :func:`rhs_bright_dark`, and map back.
+Integrating in this basis is an independent consistency path:
+:func:`integrate_bright_dark` rotates the initial state, advances it with
+the field of :func:`rhs_bright_dark` and rotates the samples back.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -165,10 +166,12 @@ def integrate_bright_dark(state0: DensityState, params: SystemParams,
                           ctrl: IntegratorControl | None = None) -> Trajectory:
     """Advance the motion in the bright/dark basis; return bare-basis samples.
 
-    Runs the stepping driver of :func:`dynamics.integrate`, ``_drive``,
-    so the two paths are directly comparable sample by sample.  The
-    returned :class:`Trajectory` is already rotated back to the bare
-    basis.
+    The bare ``state0`` is validated first, so its errors name bare
+    fields.  The stepping driver of :func:`dynamics.integrate`, ``_drive``,
+    then advances its rotation, so the two paths are directly comparable
+    sample by sample, and the samples are rotated back to the bare basis.
     """
-    return _drive(state0, params, t_end, ctrl, _constants_bd, _rhs_bd,
-                  _rate_bd, _BRIGHT_DARK[1], (_bare_to_bd, _bd_to_bare))
+    bd = to_bright_dark(state0.validate(), params)
+    traj = _drive(bd, params, t_end, ctrl, _constants_bd, _rhs_bd, _rate_bd,
+                  _BRIGHT_DARK[1])
+    return replace(traj, y=_bd_to_bare(traj.y, params))

@@ -23,11 +23,15 @@ from dataclasses import astuple, dataclass
 from itertools import chain
 from math import sqrt
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .params import (_BARE, DensityState, ParameterError, SystemParams,
                      _check_states, _det)
+
+if TYPE_CHECKING:
+    from .basis import BrightDarkState
 
 __all__ = [
     "IntegrationError",
@@ -938,9 +942,9 @@ class _Monitors:
         return None
 
 
-def _drive(state0: DensityState, params: SystemParams, t_end: float,
-           ctrl: IntegratorControl | None, constants, rhs, rate, pairs,
-           frame=None, on_final=None) -> Trajectory:
+def _drive(state0: DensityState | BrightDarkState, params: SystemParams,
+           t_end: float, ctrl: IntegratorControl | None, constants, rhs, rate,
+           pairs, on_final=None) -> Trajectory:
     """Validate, step with DOP853 and sample on the regular dt grid; the
     one driver of both integration paths.
 
@@ -949,11 +953,9 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     ``args = constants(omega32, delta_L, mu21, mu31)`` is built once per
     run; ``rate(block, *args)`` is its slot 3, d(rho11)/dt, as an array
     over the rows of an (m, 6) block of packed states, which the
-    quiescence detector, a :class:`_Monitors`, reads.  The invariants are
-    checked in the frame of ``rhs``, whose slot pairing (see
-    :func:`params._check_states`) is ``pairs``.  ``frame = (into, back)``
-    rotates the packed initial state into that frame and the sampled
-    (6, N) trajectory back to the bare basis; None means the bare basis.
+    quiescence detector, a :class:`_Monitors`, reads.  ``state0``, the
+    samples and the checks of the invariants are in the frame of ``rhs``,
+    whose slot pairing (see :func:`params._check_states`) is ``pairs``.
 
     The samples lie at :func:`_sample_times`.  Error control alone sets
     the step, from :func:`_initial_step` on; only the last step is
@@ -981,16 +983,14 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
     samples up to it are kept.  :func:`_check_invariants` checks them at
     every flush, so drift before a fault is the error reported.  Once a
     flush in the loop has passed both, its samples and all before them
-    are final, and ``on_final(t, y)``, where given, gets views of them:
-    their times from t = 0 and their packed states in the frame of
-    ``rhs``, one column each.
+    are final, and ``on_final(rows)``, where given, gets a view of them:
+    the (n, 6) block of their packed states from t = 0, one row each, as
+    the run stores them.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     ctrl = (ctrl or IntegratorControl()).validated()
     y0 = _pack(state0.validate())
-    if frame is not None:
-        y0 = frame[0](y0, params)
     args = constants(*_physical(params))
     monitors = _Monitors(ctrl, lambda y: rate(y, *args))
     budget = _MAX_STEPS
@@ -1098,19 +1098,15 @@ def _drive(state0: DensityState, params: SystemParams, t_end: float,
                     break
                 check(n)
                 if on_final is not None:
-                    on_final(t_out[:n + 1], ys[:n + 1].T)
+                    on_final(ys[:n + 1])
         flush()
     except IntegrationError:
         flush()         # a no-op when flush itself raised
         check(n)        # an empty range when check itself raised
         raise
     check(n)
-    del times   # its floats are freed before the back-rotation allocates
-    y = ys[:n + 1].T
-    if frame is not None:
-        y = frame[1](y, params)
-    return Trajectory(t_out[:n + 1], y, params, ctrl, accepted, rejected,
-                      evals, monitors.end_time)
+    return Trajectory(t_out[:n + 1], ys[:n + 1].T, params, ctrl, accepted,
+                      rejected, evals, monitors.end_time)
 
 
 def integrate(state0: DensityState, params: SystemParams, t_end: float,
@@ -1130,12 +1126,12 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     1e-8 for 10 tau_R after emission developed, which is what "final"
     populations refer to.
 
-    ``on_final(t, y)``, where given, is called by the stepping driver,
+    ``on_final(rows)``, where given, is called by the stepping driver,
     :func:`_drive`, after each check in the run that passes, with the
-    samples that nothing later can change: their times from t = 0 and
-    their packed (6, n) states, views of the first n columns of the
-    trajectory's ``t`` and ``y``.  It is not called at the end; the
-    returned trajectory holds every sample.
+    samples that nothing later can change: an (n, 6) view of their
+    packed states from t = 0, the transpose of the first n columns of the
+    trajectory's ``y``, at the first n :func:`_sample_times`.  It is not
+    called at the end; the returned trajectory holds every sample.
     """
     return _drive(state0, params, t_end, ctrl, _constants, _rhs, _rate,
                   _BARE[1], on_final=on_final)

@@ -196,9 +196,9 @@ class _Formatter:
     maps an anonymous shared mmap for the (rows, 6) packed states of the
     sample times ``t``, opens two pipes and forks.  The helper inherits
     ``t`` through the fork.  ``feed`` is the ``on_final`` callback of
-    ``integrate``: each call copies the newly final states into the
-    mmap and sends their count down a pipe that never blocks this
-    process: a count the full pipe refuses is superseded by the next.
+    ``integrate``: each call copies the new final rows, in the mmap's
+    layout, into it and sends their count down a pipe that never blocks
+    this process: a count the full pipe refuses is superseded by the next.
     The helper builds ``_trajectory_table`` of the samples it has, whose
     rows are those of the full table bit for bit, and formats them with
     ``_csv_rows``, ``_CHUNK_ROWS`` at a time, reading the counts between
@@ -238,8 +238,9 @@ class _Formatter:
         os.close(text_write)
         os.set_blocking(self.cmd, False)
 
-    def feed(self, t, y) -> None:
-        self._store(y)      # the helper inherited the times
+    def feed(self, rows) -> None:
+        """Store ``rows``, the (n, 6) states of ``on_final``; send n."""
+        self._store(rows)   # the helper inherited the times
         try:
             os.write(self.cmd, self.fed.to_bytes(8, "little", signed=True))
         except (BlockingIOError, BrokenPipeError):
@@ -252,7 +253,7 @@ class _Formatter:
         them, the rest those after.  A helper that has exited before its
         reply leaves this process no rows, ``(0, 0, 0)``: the write has
         failed, and ``close`` reports the helper's status."""
-        self._store(traj.y)
+        self._store(traj.y.T)
         os.set_blocking(self.cmd, True)
         try:
             os.write(self.cmd, (-self.fed).to_bytes(8, "little", signed=True))
@@ -281,9 +282,9 @@ class _Formatter:
             self.shared.close()
             self.shared = None
 
-    def _store(self, y) -> None:
-        lo, self.fed = self.fed, y.shape[1]
-        self.y[lo:self.fed] = y.T[lo:]
+    def _store(self, rows) -> None:
+        lo, self.fed = self.fed, len(rows)
+        self.y[lo:self.fed] = rows[lo:]
 
     def _table(self, rows: int) -> np.ndarray:
         # the (rows, 6) states transposed, as integrate's y is

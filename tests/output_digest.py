@@ -18,14 +18,24 @@ the ``t`` and ``y`` bytes, the three step counters and the stop time.
 the outputs of another checkout's ``src``:
 
     PYTHONPATH=src python tests/output_digest.py > digest.txt
+
+With ``--against SRC`` it compares this listing with that of the
+``filmsr`` in ``SRC``, which it takes by running itself again in a second
+interpreter with ``PYTHONPATH=SRC``.  It prints both listings, then every
+line found in only one of them, and exits 1 on any difference, else 0:
+
+    PYTHONPATH=src python tests/output_digest.py --against ../parent/src
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -77,12 +87,34 @@ def digest_lines(root: pathlib.Path) -> list[str]:
             for path in sorted(p for p in root.rglob("*") if p.is_file())]
 
 
-def main() -> int:
+def digest() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         write_outputs(root)
-        print("\n".join(digest_lines(root) + bright_dark_lines()))
-    return 0
+        return digest_lines(root) + bright_dark_lines()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="SRC",
+                        help="a src directory whose digest to compare")
+    args = parser.parse_args(argv)
+    mine = digest()
+    if args.against is None:
+        print("\n".join(mine))
+        return 0
+    theirs = subprocess.run(
+        [sys.executable, __file__], stdout=subprocess.PIPE, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=args.against),
+    ).stdout.splitlines()
+    print("# this checkout", *mine, f"# {args.against}", *theirs, sep="\n")
+    differ = sorted(set(mine) ^ set(theirs),
+                    key=lambda line: (line.split("  ", 1)[-1],
+                                      line not in mine))
+    print(f"# {len(differ)} differing lines",
+          *(f"{'<' if line in mine else '>'} {line}" for line in differ),
+          sep="\n")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -170,15 +170,34 @@ class TestIntegratorControl:
 
 
 class TestIntegrate:
-    def test_rejects_nonpositive_horizon(self):
-        with pytest.raises(ValueError):
-            integrate(initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.0), 0.0)
-
-    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
-    def test_rejects_non_finite_horizon(self, t_end):
-        with pytest.raises(ValueError, match="t_end must be finite"):
-            integrate(initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.0),
-                      t_end)
+    @pytest.mark.parametrize("t_end, ctrl, state, error, message", [
+        (0.0, None, None, ValueError, r"t_end must be finite and > 0"),
+        (math.nan, None, None, ValueError, r"t_end must be finite and > 0"),
+        (math.inf, None, None, ValueError, r"t_end must be finite and > 0"),
+        (10.0, IntegratorControl(rel_tol=1e-3), None, ValueError,
+         r"rel_tol must lie in \[1e-13, 1e-9\]"),
+        (10.0, IntegratorControl(dt=math.nan), None, ValueError,
+         r"dt must be finite and > 0"),
+        (10.0, None, DensityState(0j, 0j, 0.3 + 0j, 0.5, 0.25, 0.25),
+         PositivityViolation, r"positivity \|rho32\|\^2 <= rho22\*rho33"),
+        (10.0, None, DensityState(1e-8 + 0j, complex(math.nan), 0j, 1.0,
+                                  0.0, 0.0), ParameterError,
+         r"R21 must be finite"),
+        (10.0, None, DensityState(0j, 0j, 0j, 0.6, 0.25, 0.25),
+         TraceViolation, r"rho11 \+ rho22 \+ rho33 = "),
+    ], ids=["t_end_0", "t_end_nan", "t_end_inf", "rel_tol", "dt_nan",
+            "rho32_minor", "R21_nan", "trace"])
+    def test_both_paths_reject_a_bad_input_alike(self, t_end, ctrl, state,
+                                                 error, message):
+        """The bare and the bright/dark path raise the same exception,
+        with the same message in bare field names, for each bad input."""
+        state = state or initial_state(0.5, 0.5, 0.0)
+        raised = []
+        for integrator in (integrate, integrate_bright_dark):
+            with pytest.raises(error, match=f"^{message}") as info:
+                integrator(state, make_params(5.0, 0.5), t_end, ctrl)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
     @pytest.mark.parametrize("integrator", [integrate, integrate_bright_dark])
     def test_rejects_grid_too_large_to_store(self, integrator):
@@ -198,43 +217,42 @@ class TestIntegrate:
     def test_on_final_sees_prefixes_of_the_trajectory(self, preset,
                                                       preset_configs,
                                                       preset_runs):
-        """Each call gets more samples than the last, each a prefix of
-        the returned trajectory bit for bit, and the trajectory is the
-        one a run without the callback returns; fig5 stops on
-        quiescence, degenerate runs on past it."""
-        cfg = preset_configs[preset]
-        calls = []
-        traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
-                         cfg.control, on_final=lambda t, y: calls.append(
-                             (t.copy(), y.copy())))
-        plain = preset_runs[preset]
-        assert traj.t.tobytes() == plain.t.tobytes()
-        assert traj.y.tobytes() == plain.y.tobytes()
-        sizes = [t.size for t, _ in calls]
-        assert sizes and sizes == sorted(set(sizes))
-        assert sizes[0] > dynamics._CHECK_EVERY
-        for t, y in calls:
-            assert y.shape == (6, t.size)
-            assert t.tobytes() == traj.t[:t.size].tobytes()
-            assert y.tobytes() == traj.y[:, :t.size].tobytes()
-
-    @pytest.mark.parametrize("preset", ["fig5", "degenerate"])
-    def test_on_final_gets_views_of_the_trajectory(self, preset,
-                                                   preset_configs):
-        """The same with the arguments kept as they were handed on: no
-        call copies the prefix, so successive calls share memory, and no
-        sample a call saw changes later."""
+        """Each call gets more samples than the last, as (n, 6) rows
+        that are the first n columns of the returned trajectory bit for
+        bit, whose times are the first of ``_sample_times``, and the
+        trajectory is the one a run without the callback returns; fig5
+        stops on quiescence, degenerate runs on past it."""
         cfg = preset_configs[preset]
         calls = []
         traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
                          cfg.control,
-                         on_final=lambda t, y: calls.append((t, y)))
+                         on_final=lambda rows: calls.append(rows.copy()))
+        plain = preset_runs[preset]
+        assert traj.t.tobytes() == plain.t.tobytes()
+        assert traj.y.tobytes() == plain.y.tobytes()
+        times = dynamics._sample_times(cfg.t_end, cfg.control.dt)
+        assert traj.t.tobytes() == times[:traj.t.size].tobytes()
+        sizes = [len(rows) for rows in calls]
+        assert sizes and sizes == sorted(set(sizes))
+        assert sizes[0] > dynamics._CHECK_EVERY
+        for rows in calls:
+            assert rows.shape == (len(rows), 6)
+            assert rows.tobytes() == traj.y[:, :len(rows)].T.tobytes()
+
+    @pytest.mark.parametrize("preset", ["fig5", "degenerate"])
+    def test_on_final_gets_views_of_the_trajectory(self, preset,
+                                                   preset_configs):
+        """The same with the rows kept as they were handed on: no call
+        copies the prefix, so every call's rows share memory with the
+        returned trajectory, and no sample a call saw changes later."""
+        cfg = preset_configs[preset]
+        calls = []
+        traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
+                         cfg.control, on_final=calls.append)
         assert len(calls) > 1
-        for (t0, y0), (t1, y1) in zip(calls, calls[1:]):
-            assert np.shares_memory(t0, t1) and np.shares_memory(y0, y1)
-        for t, y in calls:
-            assert t.tobytes() == traj.t[:t.size].tobytes()
-            assert y.tobytes() == traj.y[:, :t.size].tobytes()
+        for rows in calls:
+            assert np.shares_memory(rows, traj.y)
+            assert rows.tobytes() == traj.y[:, :len(rows)].T.tobytes()
 
     def test_on_final_never_sees_a_drifted_sample(self, monkeypatch):
         """The coherent preparation over 14 tau_R with the drift bound
@@ -244,8 +262,9 @@ class TestIntegrate:
         calls = []
         with pytest.raises(InvariantDrift, match="t=5.98"):
             integrate(initial_state(0.5, 0.5, 0.5), make_params(0.0, 0.5),
-                      14.0, on_final=lambda t, y: calls.append(t[-1]))
-        assert len(calls) == 1 and calls[0] < 5.98
+                      14.0, on_final=lambda rows: calls.append(len(rows)))
+        times = dynamics._sample_times(14.0, IntegratorControl().dt)
+        assert len(calls) == 1 and times[calls[0] - 1] < 5.98
 
     def test_zero_trigger_keeps_populations_frozen(self):
         """Without seed coherence only rho32 rotates; nothing radiates."""

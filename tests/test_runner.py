@@ -686,7 +686,7 @@ class TestFormatterHelper:
         """Feed the first FEEDS rows one at a time, as integrate would
         if every sample were checked on its own."""
         for k in range(1, self.FEEDS + 1):
-            helper.feed(traj.t[:k], traj.y[:, :k])
+            helper.feed(traj.y.T[:k])
 
     def test_a_full_pipe_never_blocks_the_stepper(self, tmp_path,
                                                   monkeypatch, alarm):
