@@ -84,10 +84,8 @@ class ScenarioConfig:
         return self.init
 
     def validated(self) -> "ScenarioConfig":
-        """Check cross-field consistency (raises ConfigError)."""
-        if not (self.t_end > 0 and math.isfinite(self.t_end)):
-            raise ConfigError(f"run.t_end must be finite and > 0, "
-                              f"got {self.t_end!r}")
+        """Check cross-field consistency (raises ConfigError): t_end and
+        the grid by the rule of :func:`dynamics._sample_count`."""
         with _config_errors():
             self.control.validated()
             self.init.validate()

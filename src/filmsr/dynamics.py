@@ -235,7 +235,8 @@ class Trajectory:
     """Grid-sampled solution of one integration.
 
     t        sample times, strictly increasing: 0, then spacing
-             ``control.dt``, with t_end after a partial last interval
+             ``control.dt``, and t_end where :func:`_sample_count` finds
+             a partial last interval
     y        complex array of shape (6, len(t)) in packed order
     params   the :class:`SystemParams` the run used
     control  the :class:`IntegratorControl` the run used
@@ -865,30 +866,33 @@ def _dense_chunk(steps, grid):
     return at, y[step] + h[:, None] * s
 
 
-def _sample_count(t_end: float, dt: float) -> int:
-    """The number of grid times k*dt, k >= 1, up to t_end; a partial last
-    interval then ends on one more sample, at t_end.  Raises
-    ParameterError, before anything is allocated, when t_end / dt exceeds
-    ``_MAX_SAMPLES``."""
+def _sample_count(t_end: float, dt: float) -> tuple[int, bool]:
+    """Where a run to t_end on the grid dt ends, decided here only:
+    ``(n_grid, partial)``, the number of grid times k*dt, k >= 1, up to
+    t_end, and whether a partial last interval then ends on one more
+    sample, at t_end.  A t_end within 1e-9*max(1, t_end) of a grid time
+    k*dt, k >= 1, is that grid time.  Raises ValueError unless t_end is
+    finite and > 0, and ParameterError, before anything is allocated,
+    when t_end / dt exceeds ``_MAX_SAMPLES``."""
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     if t_end / dt > _MAX_SAMPLES:
         raise ParameterError(
             f"dt = {dt:g} and t_end = {t_end:g} ask for {t_end / dt:.3g} "
             f"grid samples; at most {_MAX_SAMPLES} are allowed")
     n_grid = int(round(t_end / dt))
-    if abs(n_grid * dt - t_end) > 1e-9 * max(1.0, t_end):
-        # keep the final partial interval; sampling stays on the dt comb
-        n_grid = int(math.floor(t_end / dt + 1e-12))
-    return n_grid
+    if n_grid and abs(n_grid * dt - t_end) <= 1e-9 * max(1.0, t_end):
+        return n_grid, False
+    return int(math.floor(t_end / dt)), True
 
 
 def _sample_times(t_end: float, dt: float) -> np.ndarray:
     """The sample times of a run to t_end on the grid dt: 0, the grid
-    times k*dt, and t_end after a partial last interval."""
-    n_grid = _sample_count(t_end, dt)
+    times k*dt, and t_end where :func:`_sample_count` finds a partial
+    last interval."""
+    n_grid, partial = _sample_count(t_end, dt)
     t = dt * np.arange(n_grid + 1)
-    if n_grid == 0 or t[-1] < t_end - 1e-12:
-        t = np.append(t, t_end)
-    return t
+    return np.append(t, t_end) if partial else t
 
 
 def _check_invariants(t, y, y0, pairs) -> None:
@@ -987,8 +991,6 @@ def _drive(state0: DensityState | BrightDarkState, params: SystemParams,
     the (n, 6) block of their packed states from t = 0, one row each, as
     the run stores them.
     """
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     ctrl = (ctrl or IntegratorControl()).validated()
     y0 = _pack(state0.validate())
     args = constants(*_physical(params))

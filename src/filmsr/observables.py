@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import to_bright_dark
-from .dynamics import Trajectory, _pack, _quadratic, _trace
+from .dynamics import Trajectory, _pack, _quadratic, _sample_count, _trace
 from .params import DensityState
 
 __all__ = [
@@ -120,16 +120,15 @@ class PulseMetrics:
 
 def _grid_size(t: np.ndarray) -> int:
     """The number of samples on the dt grid: all of them, but for a last
-    one that a partial last interval, shorter than the first, puts off
-    it (by more than the rounding of the grid times)."""
-    partial = t.size > 2 and t[-1] - t[-2] < (1.0 - 1e-6) * (t[1] - t[0])
-    return t.size - int(partial)
+    one that ends a partial last interval, as :func:`_sample_count`
+    decides for the last time with dt = t[1] - t[0]."""
+    return t.size - _sample_count(t[-1], t[1] - t[0])[1]
 
 
 def smoothed_envelope(traj: Trajectory) -> np.ndarray:
     """|emitted_amp| with the doublet-splitting modulation averaged out,
-    at the samples on the dt grid: a sample that ends a partial last
-    interval is left out.
+    at the samples on the dt grid: a last sample that ends a partial last
+    interval, by the rule of :func:`dynamics._sample_count`, is left out.
 
     Moving average of width one beat period 2*pi/omega32 (reflect-padded,
     so the array keeps the grid's length and the edges are unbiased); the

@@ -4,6 +4,8 @@ A change that promises the same output bytes runs this before and after
 and compares the two listings.  The runs, each in a temporary directory:
 
 - the five shipped presets through ``cli.main`` (``presets/<name>/``);
+- fig4 through ``cli.main`` with ``--t-end 40.005``, whose last grid
+  interval is partial, 0.005 at dt 0.01 (``off_grid/``);
 - fig5 at dt 0.002 through ``integrate``, ``pulse_metrics`` and
   ``emit_outputs`` (``fine_grid/``);
 - a delta_L sweep on fig4 over 0, 0.1, 1/7 and 0.3 (``sweep/``).
@@ -46,12 +48,13 @@ def write_outputs(root: pathlib.Path) -> None:
     from filmsr.config import PRESET_NAMES, SweepSpec, load_preset
     from filmsr.runner import emit_outputs, run_sweep
 
-    for name in PRESET_NAMES:
+    runs = [(["preset", name], f"presets/{name}") for name in PRESET_NAMES]
+    runs.append((["preset", "fig4", "--t-end", "40.005"], "off_grid"))
+    for args, out in runs:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["preset", name, "--out-dir",
-                             str(root / "presets" / name)])
+            code = cli.main([*args, "--out-dir", str(root / out)])
         if code != cli.EXIT_OK:
-            raise SystemExit(f"preset {name} exited with {code}")
+            raise SystemExit(f"{' '.join(args)} exited with {code}")
 
     cfg = load_preset("fig5")
     cfg = replace(cfg, control=replace(cfg.control, dt=0.002)).validated()

@@ -209,7 +209,8 @@ class TestIntegrate:
                        40.0, IntegratorControl(dt=1e-12))
 
     def test_sample_bound_is_on_t_end_over_dt(self):
-        assert dynamics._sample_count(1e5, 0.01) == dynamics._MAX_SAMPLES
+        assert dynamics._sample_count(1e5, 0.01) == (dynamics._MAX_SAMPLES,
+                                                     False)
         with pytest.raises(ParameterError, match="grid samples"):
             dynamics._sample_count(1e5 * (1 + 1e-9), 0.01)
 
@@ -340,16 +341,36 @@ class TestIntegrate:
             integrate(initial_state(0.5, 0.5, 0.5), make_params(5.0, 1.0),
                       14.0)
 
-    @pytest.mark.parametrize("t_end", [40.0, 40.005, 0.005],
-                             ids=["grid", "partial", "below_dt"])
-    def test_sample_times_are_the_trajectory_times(self, t_end):
+    @pytest.mark.parametrize("t_end, last", [
+        (40.0, 40.0), (40.005, 40.005), (0.005, 0.005),
+        (40.0 + 5e-10, 40.0), (40.0 - 5e-10, 40.0),
+    ], ids=["grid", "partial", "below_dt", "grid_plus_5e-10",
+            "grid_minus_5e-10"])
+    def test_sample_times_are_the_trajectory_times(self, t_end, last):
         """_sample_times, which run_scenario sizes its helper by, gives
         the times of a run to t_end bit for bit: on the grid, after a
-        partial last interval, and with t_end below dt."""
+        partial last interval, and with t_end below dt.  A t_end within
+        1e-9*t_end of the grid time 40.0 ends on it, as the run to 40.0
+        does, with no interval of 5e-10 after it."""
         traj = integrate(initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.5),
                          t_end, IntegratorControl(stop_on_quiescence=False))
         assert (dynamics._sample_times(t_end, 0.01).tobytes()
-                == traj.t.tobytes())
+                == traj.t.tobytes()
+                == dynamics._sample_times(last, 0.01).tobytes())
+        assert traj.t[-1] == last
+
+    def test_t_end_within_the_tolerance_is_the_grid_run(self):
+        """A run to 40.0 + 5e-10 at dt 0.01 is the run to 40.0: the same
+        t and y bytes and the same counters."""
+        state, params = initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.5)
+        ctrl = IntegratorControl(stop_on_quiescence=False)
+        grid, near = (integrate(state, params, t_end, ctrl)
+                      for t_end in (40.0, 40.0 + 5e-10))
+        assert ((near.t.tobytes(), near.y.tobytes(), near.steps_accepted,
+                 near.steps_rejected, near.rhs_evals, near.end_of_run_time)
+                == (grid.t.tobytes(), grid.y.tobytes(), grid.steps_accepted,
+                    grid.steps_rejected, grid.rhs_evals,
+                    grid.end_of_run_time))
 
     def test_quadratic_invariant_is_plain_arithmetic(self):
         """The quadratic invariant of random (6, N) and (6,) arrays equals

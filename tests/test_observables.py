@@ -14,6 +14,8 @@ from filmsr import (Branching, DensityState, IntegratorControl, NoPulse,
                     instantaneous_frequency, integrate, make_params,
                     pulse_metrics, quadratic_invariant, smoothed_envelope,
                     trace_of)
+from filmsr.dynamics import _sample_count, _sample_times
+from filmsr.observables import _grid_size
 
 DEGENERATE_SOL = degenerate_solution(0.5, np.sqrt(2.0) * 1e-8, 1.0)
 
@@ -108,6 +110,36 @@ class TestSplitDoubletMetrics:
         assert (partial.final_pops.rho11, partial.final_pops.rho22,
                 partial.final_pops.rho33) == (final.rho11, final.rho22,
                                               final.rho33)
+
+    def test_t_end_within_the_tolerance_leaves_the_metrics(self):
+        """A run to 40.0 + 5e-10 at dt 0.01 ends on the grid time 40.0,
+        so its metrics, final populations included, are the 40.0 run's."""
+        state, params = initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.5)
+        ctrl = IntegratorControl(dt=0.01, stop_on_quiescence=False)
+        assert (pulse_metrics(integrate(state, params, 40.0 + 5e-10, ctrl))
+                == pulse_metrics(integrate(state, params, 40.0, ctrl)))
+
+    @pytest.mark.parametrize("t_end", [
+        40.0, 40.005, 0.005, 40.0 + 5e-10, 40.0 - 5e-10,
+    ], ids=["grid", "partial", "below_dt", "grid_plus_5e-10",
+            "grid_minus_5e-10"])
+    def test_grid_size_is_the_run_grid(self, t_end):
+        """The samples the pulse shape is read from are t = 0 and the
+        grid times that the dynamics rule gives a run to t_end, with
+        _sample_times as its times.  Below dt the one interval, t_end
+        long, is the spacing read off the times, so both samples count."""
+        n_grid, _ = _sample_count(t_end, min(t_end, 0.01))
+        assert _grid_size(_sample_times(t_end, 0.01)) == n_grid + 1
+
+    def test_grid_size_of_a_quiescence_stop(self, preset_configs,
+                                            preset_runs):
+        """fig5 stops on quiescence before t_end, on a grid time: every
+        sample is on the grid, as the dynamics rule gives for the stop."""
+        traj, dt = preset_runs["fig5"], preset_configs["fig5"].control.dt
+        assert traj.end_of_run_time < preset_configs["fig5"].t_end
+        assert _sample_count(traj.end_of_run_time, dt) == (traj.t.size - 1,
+                                                           False)
+        assert _grid_size(traj.t) == traj.t.size
 
     def test_evenly_spaced_times_keep_every_sample(self):
         """Hand-built, evenly spaced times have no partial last interval,
