@@ -75,19 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    """The config with the command-line overrides; ``run_scenario`` and
-    ``SweepSpec.validated`` check the result before anything runs."""
-    control = cfg.control
-    if args.rel_tol is not None:
-        control = replace(control, rel_tol=args.rel_tol)
-    if args.dt is not None:
-        control = replace(control, dt=args.dt)
-    cfg = replace(cfg, control=control)
-    if args.t_end is not None:
-        cfg = replace(cfg, t_end=args.t_end)
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
-    return cfg
+    """The config with the --rel-tol, --dt and --t-end overrides, made in
+    one step, so that only the final config is checked."""
+    control = {k: v for k, v in (("rel_tol", args.rel_tol), ("dt", args.dt))
+               if v is not None}
+    changes = {} if args.t_end is None else {"t_end": args.t_end}
+    with _config_errors():
+        if control:
+            changes["control"] = replace(cfg.control, **control)
+        return replace(cfg, **changes) if changes else cfg
 
 
 def _report(result) -> None:
@@ -106,7 +102,7 @@ def _cmd_run(args) -> int:
     """``run`` and ``preset``: one scenario, from a file or by name."""
     cfg = (load_preset(args.name) if args.command == "preset"
            else load_scenario(args.config))
-    _report(run_scenario(_apply_overrides(cfg, args)))
+    _report(run_scenario(_apply_overrides(cfg, args), args.out_dir))
     return EXIT_OK
 
 
@@ -115,7 +111,7 @@ def _cmd_sweep(args) -> int:
     with _config_errors("cannot parse --values: "):
         values = tuple(float(v) for v in args.values.split(",") if v.strip())
     spec = SweepSpec(base=cfg, param=args.param, values=values)
-    out_dir = cfg.out_dir or "."
+    out_dir = (cfg.out_dir if args.out_dir is None else args.out_dir) or "."
     rows = run_sweep(spec, out_dir)
     print(f"wrote {out_dir}/summary.csv ({len(rows)} rows)")
     failures = [row for row in rows if row.error is not None]

@@ -96,19 +96,19 @@ class IntegratorControl:
     The error floor ``_ABS_TOL`` (1e-18) and the drift bound
     ``_INVARIANT_TOL`` (1e-8) are fixed: a larger floor moves the linear
     stage, a tighter bound fails valid runs and a looser one hides drift.
+    Construction, ``dataclasses.replace`` included, checks rel_tol and dt.
     """
 
     rel_tol: float = 1e-10
     dt: float = 0.01
     stop_on_quiescence: bool = True
 
-    def validated(self) -> "IntegratorControl":
+    def __post_init__(self):
         if not 1e-13 <= self.rel_tol <= 1e-9:
             raise ValueError(
                 f"rel_tol must lie in [1e-13, 1e-9], got {self.rel_tol!r}")
         if not 0 < self.dt < math.inf:    # nan fails every comparison
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        return self
 
 
 def _constants(omega32, delta_L, mu21, mu31) -> tuple:
@@ -991,7 +991,7 @@ def _drive(state0: DensityState | BrightDarkState, params: SystemParams,
     the (n, 6) block of their packed states from t = 0, one row each, as
     the run stores them.
     """
-    ctrl = (ctrl or IntegratorControl()).validated()
+    ctrl = ctrl or IntegratorControl()
     y0 = _pack(state0.validate())
     args = constants(*_physical(params))
     monitors = _Monitors(ctrl, lambda y: rate(y, *args))

@@ -118,11 +118,11 @@ class PulseMetrics:
     branching: Branching
 
 
-def _grid_size(t: np.ndarray) -> int:
-    """The number of samples on the dt grid: all of them, but for a last
-    one that ends a partial last interval, as :func:`_sample_count`
-    decides for the last time with dt = t[1] - t[0]."""
-    return t.size - _sample_count(t[-1], t[1] - t[0])[1]
+def _grid_size(t: np.ndarray, dt: float) -> int:
+    """The number of samples of ``t`` on the grid ``dt``: all of them,
+    but for a last one that ends a partial last interval, as
+    :func:`_sample_count` decides for the last time."""
+    return t.size - _sample_count(t[-1], dt)[1]
 
 
 def smoothed_envelope(traj: Trajectory) -> np.ndarray:
@@ -134,11 +134,11 @@ def smoothed_envelope(traj: Trajectory) -> np.ndarray:
     so the array keeps the grid's length and the edges are unbiased); the
     raw magnitude when omega32 = 0.
     """
-    abs_s = np.abs(traj.emitted_amp[:_grid_size(traj.t)])
+    dt = traj.control.dt
+    abs_s = np.abs(traj.emitted_amp[:_grid_size(traj.t, dt)])
     om = abs(traj.params.omega32)
     if om == 0.0:
         return abs_s
-    dt = float(traj.t[1] - traj.t[0])
     w = max(1, int(round((2.0 * np.pi / om) / dt)))
     if w % 2 == 0:
         w += 1
@@ -149,7 +149,8 @@ def smoothed_envelope(traj: Trajectory) -> np.ndarray:
     return np.convolve(ext, np.ones(w) / w, mode="valid")
 
 
-def _refine_peak(t: np.ndarray, env: np.ndarray) -> tuple[float, float, int]:
+def _refine_peak(t: np.ndarray, env: np.ndarray,
+                 dt: float) -> tuple[float, float, int]:
     """Parabolic sub-sample refinement of the envelope maximum."""
     i = int(np.argmax(env))
     off = 0.0
@@ -158,7 +159,7 @@ def _refine_peak(t: np.ndarray, env: np.ndarray) -> tuple[float, float, int]:
         den = a - 2.0 * b + c
         if den != 0.0:
             off = 0.5 * (a - c) / den
-    return float(t[i] + off * (t[1] - t[0])), float(env[i]), i
+    return float(t[i] + off * dt), float(env[i]), i
 
 
 def _fwhm(t: np.ndarray, env: np.ndarray, i_peak: int) -> float:
@@ -181,7 +182,7 @@ def _fwhm(t: np.ndarray, env: np.ndarray, i_peak: int) -> float:
     return float(t_hi - t_lo)
 
 
-def _modulation_line(t, abs_s, env, i_peak) -> float | None:
+def _modulation_line(dt, abs_s, env, i_peak) -> float | None:
     """Dominant post-peak modulation frequency, if one line dominates.
 
     Rectangular-window periodogram of the detrended magnitude
@@ -195,7 +196,6 @@ def _modulation_line(t, abs_s, env, i_peak) -> float | None:
     n = sig.size
     if n < 64:
         return None
-    dt = float(t[1] - t[0])
     p_un = np.abs(np.fft.rfft(sig)) ** 2
     total = float(np.sum(p_un[1:]))
     if total <= 0.0:
@@ -239,8 +239,8 @@ def pulse_metrics(traj: Trajectory) -> PulseMetrics:
     envelope never rose a factor 1e3 above its initial value.
     """
     env = smoothed_envelope(traj)
-    t = traj.t[:env.size]
-    t_peak, peak_amp, i_peak = _refine_peak(t, env)
+    t, dt = traj.t[:env.size], traj.control.dt
+    t_peak, peak_amp, i_peak = _refine_peak(t, env, dt)
     if peak_amp <= 0.0 or peak_amp < _PULSE_GAIN * env[0]:
         raise NoPulse(
             f"envelope peaked at {peak_amp:.3e}, seed {env[0]:.3e}: "
@@ -252,7 +252,7 @@ def pulse_metrics(traj: Trajectory) -> PulseMetrics:
         fwhm=_fwhm(t, env, i_peak),
         peak_amp=peak_amp,
         oscillation_freq=_modulation_line(
-            t, np.abs(traj.emitted_amp[:env.size]), env, i_peak),
+            dt, np.abs(traj.emitted_amp[:env.size]), env, i_peak),
         final_pops=FinalPopulations(final.rho11, final.rho22, final.rho33,
                                     bd.rho_pp, bd.rho_mm),
         branching=branching_summary(traj),

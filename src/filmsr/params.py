@@ -81,8 +81,10 @@ class SystemParams:
     mu31     normalized dipole moment d31/d of the 3->1 transition
 
     The normalization d = sqrt((d31**2 + d21**2)/2) forces
-    mu21**2 + mu31**2 = 2.  Use :func:`make_params` to construct
-    validated instances.
+    mu21**2 + mu31**2 = 2.  Construction, ``dataclasses.replace`` included,
+    checks the values as given: finite (else ParameterError), delta_L >= 0
+    (NegativeLfc), dipole ratios >= 0 and within 1e-9 of that norm
+    (NormalizationViolation).  It then stores them as floats.
     """
 
     omega32: float
@@ -90,26 +92,27 @@ class SystemParams:
     mu21: float = 1.0
     mu31: float = 1.0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            _require_finite(name, value)
+        if self.delta_L < 0:
+            raise NegativeLfc(f"delta_L must be >= 0, got {self.delta_L}")
+        if self.mu21 < 0 or self.mu31 < 0:
+            raise NormalizationViolation(
+                f"dipole ratios must be nonnegative, got mu21={self.mu21}, "
+                f"mu31={self.mu31}")
+        norm = self.mu21 * self.mu21 + self.mu31 * self.mu31
+        if abs(norm - 2.0) > 1e-9:
+            raise NormalizationViolation(
+                f"mu21**2 + mu31**2 = {norm!r}, expected 2 (within 1e-9)")
+        for name, value in list(vars(self).items()):
+            object.__setattr__(self, name, float(value))
+
 
 def make_params(omega32, delta_L, mu21=1.0, mu31=1.0) -> SystemParams:
-    """Validate and build a :class:`SystemParams`.
-
-    Raises NegativeLfc for delta_L < 0 and NormalizationViolation when the
-    dipole ratios are negative or |mu21**2 + mu31**2 - 2| > 1e-9.
-    """
-    for name, value in (("omega32", omega32), ("delta_L", delta_L),
-                        ("mu21", mu21), ("mu31", mu31)):
-        _require_finite(name, value)
-    if delta_L < 0:
-        raise NegativeLfc(f"delta_L must be >= 0, got {delta_L}")
-    if mu21 < 0 or mu31 < 0:
-        raise NormalizationViolation(
-            f"dipole ratios must be nonnegative, got mu21={mu21}, mu31={mu31}")
-    norm = mu21 * mu21 + mu31 * mu31
-    if abs(norm - 2.0) > 1e-9:
-        raise NormalizationViolation(
-            f"mu21**2 + mu31**2 = {norm!r}, expected 2 (within 1e-9)")
-    return SystemParams(float(omega32), float(delta_L), float(mu21), float(mu31))
+    """A :class:`SystemParams` of these values as floats; raises what its
+    construction raises."""
+    return SystemParams(omega32, delta_L, mu21, mu31)
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,7 @@ class PhysicalInputs:
     tau0: float
 
     def __post_init__(self):
-        for name in ("wavelength_c", "thickness", "dipole21", "dipole31",
-                     "concentration", "tau0"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             _require_finite(name, value)
             if value <= 0:
                 raise ParameterError(f"{name} must be > 0, got {value}")

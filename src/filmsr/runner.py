@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, SweepSpec, apply_sweep_value
+from .config import ScenarioConfig, SweepSpec
 from .dynamics import (IntegrationError, Trajectory, _emitted,
                        _sample_times, integrate)
 from .observables import NoPulse, PulseMetrics, pulse_metrics
@@ -397,8 +397,9 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
-    """Integrate one scenario and write its output files into ``out_dir``,
-    else the config's ``output.dir``, else the current directory.
+    """Integrate one scenario, which was checked when it was made, and
+    write its output files into ``out_dir``, else the config's
+    ``output.dir``, else the current directory.
 
     A run whose emission never develops is still a valid run: the
     trajectory is written and the metrics file carries an ``error``
@@ -412,7 +413,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunResult:
     process writing every row.  The helper is reaped before this
     returns or raises.
     """
-    cfg = cfg.validated()
     t = _sample_times(cfg.t_end, cfg.control.dt)
     helper = _Formatter(t, cfg.params) if _split_rows(t.size) else None
     try:
@@ -459,7 +459,7 @@ def _usable_cpus() -> int:
 
 
 def run_sweep(spec: SweepSpec, out_dir=".") -> list[SweepRow]:
-    """Run the family, one subdirectory per value, plus summary.csv.
+    """Run the spec's members, one subdirectory each, plus summary.csv.
 
     Members run in worker processes, one per usable CPU up to the number
     of members; each writes only its own ``run_NNN/``, so every output
@@ -474,20 +474,17 @@ def run_sweep(spec: SweepSpec, out_dir=".") -> list[SweepRow]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    spec = spec.validated()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    members = [apply_sweep_value(spec.base, spec.param, v)
-               for v in spec.values]
-    run_dirs = [out / f"run_{i:03d}" for i in range(len(members))]
+    run_dirs = [out / f"run_{i:03d}" for i in range(len(spec.values))]
     # fork, where offered, lets the workers inherit the imported package
     # instead of importing numpy and filmsr again
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(min(len(members), _usable_cpus()),
+    with ProcessPoolExecutor(min(len(spec.values), _usable_cpus()),
                              mp_context=context) as pool:
-        rows = list(pool.map(_sweep_member, members, spec.values, run_dirs,
-                             chunksize=1))
+        rows = list(pool.map(_sweep_member, spec.members, spec.values,
+                             run_dirs, chunksize=1))
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_SUMMARY_COLUMNS) + "\n")

@@ -57,7 +57,7 @@ def write_outputs(root: pathlib.Path) -> None:
             raise SystemExit(f"{' '.join(args)} exited with {code}")
 
     cfg = load_preset("fig5")
-    cfg = replace(cfg, control=replace(cfg.control, dt=0.002)).validated()
+    cfg = replace(cfg, control=replace(cfg.control, dt=0.002))
     traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end, cfg.control)
     emit_outputs(traj, pulse_metrics(traj), root / "fine_grid")
 

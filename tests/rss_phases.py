@@ -41,7 +41,7 @@ def main() -> int:
     from filmsr.config import load_preset
 
     cfg = load_preset("fig5")
-    cfg = replace(cfg, control=replace(cfg.control, dt=0.002)).validated()
+    cfg = replace(cfg, control=replace(cfg.control, dt=0.002))
     state0 = cfg.initial_state()
     print(f"{peak_mb():8.2f} MB  start")
     bare = dynamics.integrate(state0, cfg.params, cfg.t_end, cfg.control)

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from filmsr import config, dynamics
-from filmsr.cli import EXIT_INTEGRATION, EXIT_OK, EXIT_VALIDATION, main
+from filmsr.cli import (EXIT_INTEGRATION, EXIT_OK, EXIT_VALIDATION,
+                        _apply_overrides, build_parser, main)
+from filmsr.config import load_preset
 from conftest import poison_rhs
 
 SCENARIO = """\
@@ -73,11 +75,10 @@ class TestRun:
                      "--t-end", "5"]) == EXIT_OK
         assert len(calls) == 1
 
-    def test_preset_validates_the_config_twice(self, tmp_path,
-                                               monkeypatch):
-        """Loading a preset checks the file's config and ``run_scenario``
-        checks the overridden one; the overrides are not checked a third
-        time on their own."""
+    def test_preset_validates_the_config_once(self, tmp_path, monkeypatch):
+        """Loading a preset makes, and so checks, the file's config; with
+        no override to make a second one, nothing checks it again, not
+        ``--out-dir`` and not ``run_scenario``."""
         real, calls = config.ScenarioConfig.validated, []
 
         def counted(cfg):
@@ -86,7 +87,16 @@ class TestRun:
 
         monkeypatch.setattr(config.ScenarioConfig, "validated", counted)
         assert main(["preset", "fig4", "--out-dir", str(tmp_path)]) == EXIT_OK
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_overrides_are_checked_together(self):
+        """--dt 1e-6 with --t-end 1 asks for 1e6 samples, which a run may
+        store; fig4's t_end of 40 at that dt, 4e7 samples, may not, so the
+        overrides must be made in one step."""
+        args = build_parser().parse_args(["preset", "fig4", "--dt", "1e-6",
+                                          "--t-end", "1"])
+        cfg = _apply_overrides(load_preset("fig4"), args)
+        assert (cfg.t_end, cfg.control.dt) == (1.0, 1e-6)
 
     def test_preset_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "deg"
@@ -111,9 +121,12 @@ class TestValidationFailures:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == EXIT_VALIDATION
 
-    def test_rel_tol_override_out_of_range(self, scenario_file, tmp_path):
+    def test_rel_tol_override_out_of_range(self, scenario_file, tmp_path,
+                                           capsys):
         assert main(["run", str(scenario_file), "--out-dir", str(tmp_path),
                      "--rel-tol", "1e-4"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("error: rel_tol must lie in "
+                                           "[1e-13, 1e-9], got 0.0001\n")
 
     def test_dt_override_too_coarse(self, scenario_file, tmp_path):
         assert main(["run", str(scenario_file), "--out-dir", str(tmp_path),

@@ -1,6 +1,7 @@
 """Config parsing, scenario assembly, presets and sweep specifications."""
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,34 @@ class TestScenarioFromMapping:
         assert cfg.control.dt == 0.05
 
 
+class TestScenarioConfig:
+    FIG4 = load_preset("fig4")
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("t_end", 0.0, "t_end must be finite and > 0, got 0.0"),
+        ("t_end", np.nan, "t_end must be finite and > 0, got nan"),
+        ("dt", 0.02, "run.dt = 0.02 too coarse for the fastest phase "
+                     "scale; need dt <= 0.01257"),
+        ("dt", 1e-12, "dt = 1e-12 and t_end = 40 ask for 4e+13 grid "
+                      "samples; at most 10000000 are allowed"),
+        ("rho32", 0.6 + 0j, "positivity |rho32|^2 <= rho22*rho33 "
+                            "violated: 0.36 > 0.25 + 1e-09"),
+    ], ids=["t_end_0", "t_end_nan", "dt_coarse", "dt_too_many", "rho32"])
+    def test_replace_is_checked(self, name, value, message):
+        """A config changed by ``dataclasses.replace`` is checked at the
+        replace: a bad t_end, dt or state raises ConfigError there."""
+        cfg = self.FIG4
+        if name == "dt":
+            changes = {"control": replace(cfg.control, dt=value)}
+        elif name == "rho32":
+            changes = {"init": replace(cfg.init, rho32=value)}
+        else:
+            changes = {name: value}
+        with pytest.raises(ConfigError) as caught:
+            replace(cfg, **changes)
+        assert str(caught.value) == message
+
+
 class TestPresets:
     def test_all_presets_load(self):
         for name in PRESET_NAMES:
@@ -211,24 +240,25 @@ class TestSweepSpec:
     BASE = scenario_from_mapping(mapping())
 
     def test_valid_sweep(self):
-        spec = SweepSpec(self.BASE, "delta_L", (0.0, 0.5, 1.0)).validated()
+        spec = SweepSpec(self.BASE, "delta_L", (0.0, 0.5, 1.0))
         assert spec.values == (0.0, 0.5, 1.0)
+        assert [m.params.delta_L for m in spec.members] == [0.0, 0.5, 1.0]
 
     def test_unsweepable_parameter(self):
         with pytest.raises(ConfigError, match="mu21"):
-            SweepSpec(self.BASE, "mu21", (1.0,)).validated()
+            SweepSpec(self.BASE, "mu21", (1.0,))
 
     def test_empty_values(self):
         with pytest.raises(ConfigError):
-            SweepSpec(self.BASE, "delta_L", ()).validated()
+            SweepSpec(self.BASE, "delta_L", ())
 
     def test_nonfinite_value(self):
         with pytest.raises(ConfigError):
-            SweepSpec(self.BASE, "delta_L", (0.0, np.nan)).validated()
+            SweepSpec(self.BASE, "delta_L", (0.0, np.nan))
 
     def test_value_breaking_base_rejected_up_front(self):
         with pytest.raises(ConfigError):
-            SweepSpec(self.BASE, "delta_L", (0.0, -1.0)).validated()
+            SweepSpec(self.BASE, "delta_L", (0.0, -1.0))
 
     @pytest.mark.parametrize("param, values, message", [
         ("rho32_0", (0.0, 0.6), "sweep value 0.6 is invalid: positivity"),
@@ -238,13 +268,13 @@ class TestSweepSpec:
         """A member that fails the state or grid check of the scenario
         names its value, as a member failing in make_params does."""
         with pytest.raises(ConfigError, match=message):
-            SweepSpec(self.BASE, param, values).validated()
+            SweepSpec(self.BASE, param, values)
 
     def test_apply_each_parameter(self):
         assert apply_sweep_value(self.BASE, "delta_L",
                                  0.3).params.delta_L == 0.3
         assert apply_sweep_value(self.BASE, "omega32",
-                                 7.0).params.omega32 == 7.0
+                                 6.0).params.omega32 == 6.0
         assert apply_sweep_value(self.BASE, "rho32_0",
                                  0.4).init.rho32 == 0.4 + 0j
 

@@ -150,15 +150,15 @@ class TestIntegratorControl:
         the 1e-8 drift bound; such values are refused up front."""
         for rel_tol in (3e-9, 1e-5):
             with pytest.raises(ValueError, match=r"\[1e-13, 1e-9\]"):
-                IntegratorControl(rel_tol=rel_tol).validated()
+                IntegratorControl(rel_tol=rel_tol)
 
     def test_rejects_tight_rel_tol(self):
         with pytest.raises(ValueError):
-            IntegratorControl(rel_tol=1e-14).validated()
+            IntegratorControl(rel_tol=1e-14)
 
     def test_accepts_bounds(self):
-        IntegratorControl(rel_tol=1e-13).validated()
-        IntegratorControl(rel_tol=1e-9).validated()
+        IntegratorControl(rel_tol=1e-13)
+        IntegratorControl(rel_tol=1e-9)
 
     @pytest.mark.parametrize("name", ["dt"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
@@ -166,7 +166,19 @@ class TestIntegratorControl:
         """A nan grid spacing would otherwise pass and then crash the
         grid set-up."""
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            IntegratorControl(**{name: value}).validated()
+            IntegratorControl(**{name: value})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rel_tol": 1e-3}, r"rel_tol must lie in \[1e-13, 1e-9\]"),
+        ({"dt": math.nan}, r"dt must be finite and > 0"),
+    ], ids=["rel_tol", "dt_nan"])
+    def test_construction_rejects(self, kwargs, message):
+        """A bad control cannot reach either integration path: making it
+        raises, ``dataclasses.replace`` included."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            IntegratorControl(**kwargs)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(IntegratorControl(), **kwargs)
 
 
 class TestIntegrate:
@@ -174,10 +186,6 @@ class TestIntegrate:
         (0.0, None, None, ValueError, r"t_end must be finite and > 0"),
         (math.nan, None, None, ValueError, r"t_end must be finite and > 0"),
         (math.inf, None, None, ValueError, r"t_end must be finite and > 0"),
-        (10.0, IntegratorControl(rel_tol=1e-3), None, ValueError,
-         r"rel_tol must lie in \[1e-13, 1e-9\]"),
-        (10.0, IntegratorControl(dt=math.nan), None, ValueError,
-         r"dt must be finite and > 0"),
         (10.0, None, DensityState(0j, 0j, 0.3 + 0j, 0.5, 0.25, 0.25),
          PositivityViolation, r"positivity \|rho32\|\^2 <= rho22\*rho33"),
         (10.0, None, DensityState(1e-8 + 0j, complex(math.nan), 0j, 1.0,
@@ -185,8 +193,8 @@ class TestIntegrate:
          r"R21 must be finite"),
         (10.0, None, DensityState(0j, 0j, 0j, 0.6, 0.25, 0.25),
          TraceViolation, r"rho11 \+ rho22 \+ rho33 = "),
-    ], ids=["t_end_0", "t_end_nan", "t_end_inf", "rel_tol", "dt_nan",
-            "rho32_minor", "R21_nan", "trace"])
+    ], ids=["t_end_0", "t_end_nan", "t_end_inf", "rho32_minor", "R21_nan",
+            "trace"])
     def test_both_paths_reject_a_bad_input_alike(self, t_end, ctrl, state,
                                                  error, message):
         """The bare and the bright/dark path raise the same exception,

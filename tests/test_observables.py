@@ -27,8 +27,9 @@ def synthetic_trajectory(t, s):
     y[1] = s
     y[3] = 0.5
     y[4] = 0.5
-    return Trajectory(t, y, make_params(5.0, 0.0), IntegratorControl(),
-                      n - 1, 0, 1 + 12 * (n - 1), None)
+    return Trajectory(t, y, make_params(5.0, 0.0),
+                      IntegratorControl(dt=t[1] - t[0]), n - 1, 0,
+                      1 + 12 * (n - 1), None)
 
 
 class TestInvariants:
@@ -126,10 +127,21 @@ class TestSplitDoubletMetrics:
     def test_grid_size_is_the_run_grid(self, t_end):
         """The samples the pulse shape is read from are t = 0 and the
         grid times that the dynamics rule gives a run to t_end, with
-        _sample_times as its times.  Below dt the one interval, t_end
-        long, is the spacing read off the times, so both samples count."""
-        n_grid, _ = _sample_count(t_end, min(t_end, 0.01))
-        assert _grid_size(_sample_times(t_end, 0.01)) == n_grid + 1
+        _sample_times as its times.  Below dt the one interval is
+        partial, so only t = 0 counts."""
+        n_grid, _ = _sample_count(t_end, 0.01)
+        assert _grid_size(_sample_times(t_end, 0.01), 0.01) == n_grid + 1
+
+    def test_run_shorter_than_dt_has_one_grid_sample(self):
+        """A run to 0.005 at dt 0.01 has the samples t = 0 and t = 0.005,
+        and only t = 0 lies on the grid: the envelope has one sample and
+        the pulse never developed."""
+        traj = integrate(initial_state(0.5, 0.5, 0.0), make_params(5.0, 0.5),
+                         0.005, IntegratorControl(dt=0.01))
+        assert traj.t.tolist() == [0.0, 0.005]
+        assert smoothed_envelope(traj).size == 1
+        with pytest.raises(NoPulse):
+            pulse_metrics(traj)
 
     def test_grid_size_of_a_quiescence_stop(self, preset_configs,
                                             preset_runs):
@@ -139,7 +151,7 @@ class TestSplitDoubletMetrics:
         assert traj.end_of_run_time < preset_configs["fig5"].t_end
         assert _sample_count(traj.end_of_run_time, dt) == (traj.t.size - 1,
                                                            False)
-        assert _grid_size(traj.t) == traj.t.size
+        assert _grid_size(traj.t, dt) == traj.t.size
 
     def test_evenly_spaced_times_keep_every_sample(self):
         """Hand-built, evenly spaced times have no partial last interval,

@@ -6,14 +6,15 @@ class the rest of the package relies on.
 """
 
 import math
-from dataclasses import astuple
+import re
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from filmsr import (DensityState, FilmTooThick, NegativeLfc,
                     NormalizationViolation, PhysicalInputs,
-                    PositivityViolation, TraceViolation,
+                    PositivityViolation, SystemParams, TraceViolation,
                     derive_dimensionless, estimate_timescales, initial_state,
                     make_params)
 from filmsr.params import HBAR_CGS, ParameterError
@@ -51,6 +52,38 @@ class TestMakeParams:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             make_params(float("nan"), 0.0)
+
+    @pytest.mark.parametrize("values, make, error", [
+        ((5.0, -1.0), lambda v: SystemParams(*v), NegativeLfc),
+        ((5.0, -2.0), lambda v: replace(make_params(5.0, 0.5),
+                                        delta_L=v[1]), NegativeLfc),
+        ((5.0, 0.5, 3.0, 1.0), lambda v: SystemParams(*v),
+         NormalizationViolation),
+    ], ids=["direct", "replace", "denormalized"])
+    def test_every_instance_raises_the_make_params_error(self, values, make,
+                                                         error):
+        """However a SystemParams is made, bad values raise what
+        make_params raises for them, with the same message."""
+        with pytest.raises(error) as expected:
+            make_params(*values)
+        message = re.escape(str(expected.value))
+        with pytest.raises(error, match=f"^{message}$"):
+            make(values)
+
+    def test_messages_name_the_values_as_given(self):
+        """The values are checked as given, before they are stored as
+        floats."""
+        with pytest.raises(NegativeLfc, match=r"^delta_L must be >= 0, "
+                                              r"got -1$"):
+            make_params(5, -1)
+        with pytest.raises(NormalizationViolation,
+                           match=r"^mu21\*\*2 \+ mu31\*\*2 = 10.0, "):
+            SystemParams(5.0, 0.5, 3.0, 1.0)
+
+    def test_stores_floats(self):
+        p = replace(make_params(5, 0), delta_L=np.float64(0.5), mu21=1)
+        assert [type(v) for v in astuple(p)] == [float] * 4
+        assert astuple(p) == (5.0, 0.5, 1.0, 1.0)
 
 
 class TestDeriveDimensionless:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from filmsr import (IntegratorControl, cli, dynamics, initial_state,
+from filmsr import (IntegratorControl, cli, config, dynamics, initial_state,
                     make_params, pulse_metrics, runner)
 from filmsr.config import (PRESET_NAMES, ScenarioConfig, SweepSpec,
                            apply_sweep_value, load_preset,
@@ -177,6 +177,25 @@ class TestRunSweep:
                 for member in members:
                     assert (member / name).read_bytes() == expected, \
                         (member, name)
+
+    def test_members_are_built_once(self, tmp_path, monkeypatch):
+        """Making the spec builds and checks each member; run_sweep runs
+        those, so a 4-member sweep calls apply_sweep_value 4 times in
+        this process, wherever it is looked up."""
+        real, calls = config.apply_sweep_value, []
+
+        def counted(base, param, value):
+            calls.append(value)
+            return real(base, param, value)
+
+        monkeypatch.setattr(config, "apply_sweep_value", counted)
+        monkeypatch.setattr(runner, "apply_sweep_value", counted,
+                            raising=False)
+        monkeypatch.setattr(runner, "_sweep_one", lambda cfg, value, run_dir:
+                            SweepRow(value, None, None))
+        values = (0.1, 0.2, 0.3, 0.4)
+        run_sweep(SweepSpec(FAST, "delta_L", values), tmp_path)
+        assert calls == list(values)
 
     def test_members_run_in_at_most_one_worker_per_cpu(self, tmp_path,
                                                        monkeypatch):
