@@ -78,11 +78,15 @@ _MAX_SAMPLES = 10_000_000  # grid samples of one run, 96 bytes each stored
 class IntegratorControl:
     """Knobs of the adaptive stepper.
 
-    rel_tol              error control per component: a step is accepted
-                         when its error estimate, weighed against
-                         _ABS_TOL + rel_tol * |y|, is at most 1.  rel_tol
-                         must lie in [1e-13, 1e-9]; looser values let the
-                         quadratic invariant drift past _INVARIANT_TOL
+    rel_tol              error control per block: a step is accepted when
+                         its error estimate, each slot weighed against
+                         _ABS_TOL + rel_tol * M, is at most 1, where M is
+                         the largest modulus in the slot's block, the
+                         optical coherences, the upper doublet or rho11
+                         (see _weights), so that the weights hardly
+                         depend on the frame.  rel_tol must lie in
+                         [1e-13, 1e-9]; looser values let the quadratic
+                         invariant drift past _INVARIANT_TOL
     dt                   output grid spacing (time units of tau_R); error
                          control alone sets the steps, and samples inside
                          a step come from its continuous extension
@@ -391,6 +395,24 @@ def _moduli(y):
             sqrt(z1.real * z1.real + z1.imag * z1.imag),
             sqrt(z2.real * z2.real + z2.imag * z2.imag),
             abs(x3), abs(x4), abs(x5)]
+
+
+def _weights(abs_y, abs_new, rel_tol) -> list:
+    """The error weight of each slot, from the moduli of a step's two
+    states, by block: with m_i = max(|y_i|, |y_new,i|), slots 0 and 1 (the
+    optical coherences) share ``_ABS_TOL + rel_tol * max(m0, m1)``, slots
+    2, 4 and 5 (the upper doublet) share ``_ABS_TOL + rel_tol *
+    max(m2, m4, m5)``, and slot 3 (rho11) keeps its own.  The bright/dark
+    rotation maps each block into itself and moves its largest modulus by
+    at most a factor 2, so the weights hardly depend on the frame, and a
+    slot near zero in one frame does not force short steps there."""
+    m0, m1, m2, m3, m4, m5 = [a if a > b else b
+                              for a, b in zip(abs_y, abs_new)]
+    m24 = m2 if m2 > m4 else m4
+    optical = _ABS_TOL + rel_tol * (m0 if m0 > m1 else m1)
+    doublet = _ABS_TOL + rel_tol * (m24 if m24 > m5 else m5)
+    return [optical, optical, doublet, _ABS_TOL + rel_tol * m3,
+            doublet, doublet]
 
 
 def _sum_squares(e, w) -> float:
@@ -808,8 +830,10 @@ def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     ``f(y_new)`` is not finite, ``abs_new`` is None and ``err`` nan.
     Otherwise ``err`` is the DOP853 error norm: with e5 and e3 the sums of
     squares of the 5th- and 3rd-order error estimates, each slot divided
-    by ``_ABS_TOL + ctrl.rel_tol * max(|y|, |y_new|)``,
-    ``err = h e5 / sqrt((e5 + 0.01 e3) * 6)``.  Fresh stages per trial
+    by its block weight (see :func:`_weights`): ``_ABS_TOL +
+    ctrl.rel_tol * M``, where M is the largest max(|y_i|, |y_new,i|) over
+    the slot's block (slots 0 and 1, slots 2, 4 and 5, or slot 3 alone);
+    then ``err = h e5 / sqrt((e5 + 0.01 e3) * 6)``.  Fresh stages per trial
     mean a rejected retry can never see stages of the trial it replaces.
     """
     y_new, K, e5, e3 = _stages(rhs, args, y, k1, h)
@@ -818,8 +842,7 @@ def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     if not (_finite(y_new) and _finite(f_new)):
         return y_new, K, None, math.nan
     abs_new = _moduli(y_new)
-    atol, rtol = _ABS_TOL, ctrl.rel_tol
-    w = [atol + rtol * (a if a > b else b) for a, b in zip(abs_y, abs_new)]
+    w = _weights(abs_y, abs_new, ctrl.rel_tol)
     e5, e3 = _sum_squares(e5, w), _sum_squares(e3, w)
     if e5 == 0.0 and e3 == 0.0:
         return y_new, K, abs_new, 0.0

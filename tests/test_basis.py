@@ -14,7 +14,7 @@ from filmsr import (BrightDarkState, DensityState, TraceViolation,
                     integrate, make_params, rhs_bright_dark, rhs_original,
                     to_bright_dark)
 from filmsr.basis import _bare_to_bd, _bd_to_bare
-from filmsr.dynamics import _pack
+from filmsr.dynamics import _moduli, _pack, _scalars, _weights
 from filmsr.params import ParameterError
 from conftest import random_pure_state
 
@@ -163,6 +163,40 @@ class TestValidate:
 
     def test_accepts_balanced_coherent_doublet(self):
         BrightDarkState(0j, 0j, 0.5 + 0j, 0.0, 0.5, 0.5).validate()
+
+
+def _random_valid_state(rng):
+    """A mixture of two random pure states with seed-like optical
+    coherences: scaling R31 and R21 by a factor in (0, 1] dephases level 1
+    from the doublet, which keeps the state valid."""
+    a, b = random_pure_state(rng), random_pure_state(rng)
+    p = rng.uniform(0.0, 1.0)
+    y = p * _pack(a) + (1.0 - p) * _pack(b)
+    y[:2] *= 10.0 ** rng.uniform(-9.0, 0.0)
+    state = DensityState(*y[:3], *y[3:].real)
+    return state.validate()
+
+
+class TestErrorWeights:
+    def test_block_weights_do_not_depend_on_the_frame(self):
+        """The stepper's error weights of two random valid states (the
+        start and end of a step) and of their bright/dark images agree to
+        within a factor 2, slot by slot: the rotation maps each block into
+        itself, and moves its largest modulus by at most that factor."""
+        def weights(states, rel_tol):
+            return np.array(_weights(*(_moduli(_scalars(_pack(s)))
+                                       for s in states), rel_tol))
+
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            mu21 = rng.uniform(0.2, 1.35)
+            params = make_params(rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
+                                 mu21, np.sqrt(2.0 - mu21 ** 2))
+            rel_tol = 10.0 ** rng.uniform(-13.0, -9.0)
+            step = [_random_valid_state(rng), _random_valid_state(rng)]
+            ratio = (weights([to_bright_dark(s, params) for s in step],
+                             rel_tol) / weights(step, rel_tol))
+            assert np.all((0.5 <= ratio) & (ratio <= 2.0)), ratio
 
 
 class TestDarkChannelSilence:
