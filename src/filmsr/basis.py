@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .dynamics import (IntegratorControl, Trajectory, _drive, _pack,
-                       _physical, _scalars, _unpack)
+                       _packed, _physical, _scalars, _unpack)
 from .params import DensityState, SystemParams, _check_states
 
 __all__ = [
@@ -114,33 +114,56 @@ def _constants_bd(omega32, delta_L, mu21, mu31) -> tuple:
     built once per run, in the manner of :func:`dynamics._constants`."""
     b2 = mu21 ** 2 - mu31 ** 2
     a = mu21 * mu31
-    return (-0.25j * omega32, -b2, b2, 2.0 * a, 2.0 * complex(1.0, -delta_L),
-            0.5j * omega32, a, 2.0 * (-1.0 + 1j * delta_L), omega32 * a)
+    quarter, half = 0.25 * omega32, 0.5 * omega32
+    return (quarter, -quarter, -b2, b2, 2.0 * a, -2.0 * delta_L, half, -half,
+            a, omega32 * a)
 
 
-def _rhs_bd(y, q, nb2, b2, two_a, two_g, w, a, two_c, wa):
+def _rhs_bd(y, quarter, nquarter, nb2, b2, two_a, n2dl, half, nhalf, a, wa):
     """Bright/dark vector field: [R+1, R-1, rho_pm, rho11, rho_pp, rho_mm].
 
-    The same contract as :func:`dynamics._rhs`: ``y`` is six Python
-    numbers, R+1, R-1 and rho_pm complex, then the populations float, the
+    The same contract as :func:`dynamics._rhs`: ``y`` is nine Python
+    floats, the parts of R+1, R-1 and rho_pm, then the populations, the
     other arguments are ``_constants_bd(omega32, delta_L, mu21, mu31)``,
-    and a new list of the six derivatives in the form of ``y`` comes back.
+    and a new list of the nine derivatives in the form of ``y`` comes
+    back.  With b2 = mu21^2 - mu31^2, a = mu21 mu31 and g = 1 - i delta_L
+    the field is
+
+        dR+1/dt  = -i (omega32/4) (-b2 R+1 + 2a R-1) + 2g (rho_pp - rho11) R+1
+        dR-1/dt  = -i (omega32/4) (b2 R-1 + 2a R+1) + 2g R+1 conj(rho_pm)
+        drho_pm/dt = i (omega32/2) (b2 rho_pm + a (rho_pp - rho_mm))
+                     - 2g R+1 conj(R-1)
+        drho11/dt = 4 |R+1|^2,  drho_mm/dt = omega32 a Im(rho_pm)
+
+    and drho_pp/dt takes the rest; the complex products are written on
+    the parts as in :func:`dynamics._rhs`, with the same bits.
     """
-    Rp, Rm, rpm, r11, rpp, rmm = y
-    dRp = q * (nb2 * Rp + two_a * Rm) + two_g * (rpp - r11) * Rp
-    dRm = q * (b2 * Rm + two_a * Rp) + two_g * Rp * rpm.conjugate()
-    drpm = w * (b2 * rpm + a * (rpp - rmm)) + two_c * Rp * Rm.conjugate()
-    pump = 4.0 * (Rp * Rp.conjugate()).real      # d(rho11)/dt
-    mix = wa * rpm.imag                          # doublet-splitting exchange
-    drpp = -mix - pump
-    drmm = mix
-    dr11 = pump
-    return [dRp, dRm, drpm, dr11, drpp, drmm]
+    Rpr, Rpi, Rmr, Rmi, rpmr, rpmi, r11, rpp, rmm = y
+    Xr = nb2 * Rpr + two_a * Rmr
+    Xi = nb2 * Rpi + two_a * Rmi
+    d = rpp - r11
+    Gr, Gi = 2.0 * d, n2dl * d           # 2g (rho_pp - rho11)
+    Yr = b2 * Rmr + two_a * Rpr
+    Yi = b2 * Rmi + two_a * Rpi
+    Hr = 2.0 * Rpr - n2dl * Rpi          # 2g R+1
+    Hi = 2.0 * Rpi + n2dl * Rpr
+    e = rpp - rmm
+    Zr = b2 * rpmr + a * e
+    Zi = b2 * rpmi
+    pump = 4.0 * (Rpr * Rpr + Rpi * Rpi)     # d(rho11)/dt
+    mix = wa * rpmi                          # doublet-splitting exchange
+    return [quarter * Xi + (Gr * Rpr - Gi * Rpi),
+            nquarter * Xr + (Gr * Rpi + Gi * Rpr),
+            quarter * Yi + (Hr * rpmr + Hi * rpmi),
+            nquarter * Yr + (Hi * rpmr - Hr * rpmi),
+            nhalf * Zi - (Hr * Rmr + Hi * Rmi),
+            half * Zr + (Hr * Rmi - Hi * Rmr),
+            pump, -mix - pump, mix]
 
 
 def _rate_bd(y, *_):
     """d(rho11)/dt of each row of an (m, 6) block of packed bright/dark
-    states, as an array: slot 3 of :func:`_rhs_bd` bit for bit, as
+    states, as an array: the rho11 part of :func:`_rhs_bd` bit for bit, as
     ``re*re + im*im`` of the row's R+1 (see :func:`dynamics._rate`)."""
     re, im = y.real[:, 0], y.imag[:, 0]
     return 4.0 * (re * re + im * im)
@@ -156,8 +179,8 @@ def rhs_bright_dark(bd: BrightDarkState,
     unbalanced moments) the coherence rho_pm.  This is the pushforward of
     the bare-basis vector field under the basis rotation.
     """
-    return _unpack(_rhs_bd(_scalars(_pack(bd)),
-                           *_constants_bd(*_physical(params))),
+    return _unpack(_packed(_rhs_bd(_scalars(_pack(bd)),
+                                   *_constants_bd(*_physical(params)))),
                    BrightDarkState)
 
 

@@ -7,26 +7,29 @@ the order
 
 as a complex array, with the populations in the real parts of the last
 three slots; a trajectory is a (6, N) array of such columns.  The
-stepper carries the same six amplitudes as Python numbers: the three
-coherences complex, the three populations float, which they stay because
-the population derivatives are written as explicit real parts.
+stepper carries the same amplitudes as nine Python floats (see
+:func:`_scalars`): the real and imaginary parts of R31, R21 and rho32,
+then rho11, rho22 and rho33.  Its field writes each complex product out
+on the parts, so a trial step runs on float arithmetic alone, which
+CPython evaluates much faster than complex arithmetic; every nonzero part
+has the bits the complex products give.
 
 Time is in units of tau_R throughout (tau_R = 1).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import astuple, dataclass
 from itertools import chain
-from math import sqrt
-from operator import itemgetter
+from math import isfinite, sqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._dop853 import _extra_stages, _stages
 from .params import (_BARE, DensityState, ParameterError, SystemParams,
                      _check_states, _det)
 
@@ -86,7 +89,11 @@ class IntegratorControl:
                          (see _weights), so that the weights hardly
                          depend on the frame.  rel_tol must lie in
                          [1e-13, 1e-9]; looser values let the quadratic
-                         invariant drift past _INVARIANT_TOL
+                         invariant drift past _INVARIANT_TOL.  The
+                         tests' accuracy gates hold only up to 1e-10:
+                         at 1e-9 R31 and R21 are off by up to 7.5e-9
+                         (bare) and 1.2e-8 (bright/dark) relative in
+                         the linear stage, against a 2e-9 gate
     dt                   output grid spacing (time units of tau_R); error
                          control alone sets the steps, and samples inside
                          a step come from its continuous extension
@@ -117,43 +124,72 @@ class IntegratorControl:
 
 def _constants(omega32, delta_L, mu21, mu31) -> tuple:
     """The arguments of :func:`_rhs` and :func:`_rate` after ``y``: the
-    field's parameter-only factors, built once per run.  Each is the left
-    operand of the product it stands for, so the field keeps the bits of
-    the expanded expressions."""
-    g = complex(1.0, -delta_L)           # 1/tau_R - i*delta_L
-    return (mu21, mu31, g, -0.5j * omega32, 0.5j * omega32, -1j * omega32,
-            g.conjugate() * mu21, g * mu31, -1.0 + 1j * delta_L,
-            2.0 * mu31, 2.0 * mu21)
+    field's parameter-only factors, built once per run.  A sign a complex
+    product would apply to a part is folded into its factor here, which
+    keeps the bits: IEEE rounding is symmetric in sign."""
+    half = 0.5 * omega32
+    return (mu21, mu31, delta_L, half, -half, omega32, -omega32,
+            delta_L * mu21, delta_L * mu31, -mu31, -2.0 * mu31, -2.0 * mu21)
 
 
-def _rhs(y, mu21, mu31, g, wm, wp, w, gc21, g31, c, two31, two21):
-    """Vector field of a bare state, as a new list of six numbers.
+def _rhs(y, mu21, mu31, dl, half, nhalf, w, nw, dl21, dl31, nmu31, n31,
+         n21):
+    """Vector field of a bare state, as a new list of nine floats.
 
     ``y`` is the stepper's form of the packed state (see :func:`_scalars`):
-    any sequence of six Python numbers, R31, R21 and rho32 complex, then
-    rho11, rho22 and rho33 float; the other arguments are
-    ``_constants(omega32, delta_L, mu21, mu31)``.  The result has the
+    any sequence of nine Python floats, the real and imaginary parts of
+    R31, R21 and rho32, then rho11, rho22 and rho33; the other arguments
+    are ``_constants(omega32, delta_L, mu21, mu31)``.  The result has the
     same form as ``y``, and it is a fresh list that callers may modify.
     This is the stepper's hot path, about 15 calls per step, so it runs
-    on Python numbers alone.
+    on Python floats alone.
+
+    With g = 1 - i delta_L and S = mu21 R21 + mu31 R31 the field is
+
+        dR31/dt  = -i (omega32/2) R31 + g (mu31 (rho33 - rho11) + mu21 rho32) S
+        dR21/dt  =  i (omega32/2) R21 + g (mu21 (rho22 - rho11)
+                                           + mu31 conj(rho32)) S
+        drho32/dt = -i omega32 rho32 - (conj(g) mu21 R31 conj(S)
+                                        + g mu31 conj(R21) S)
+        drho33/dt = -2 mu31 Re(g S conj(R31)),  likewise rho22 with mu21, R21
+        drho11/dt = 2 |S|^2
+
+    Each complex product a*b is written on the parts as
+    (ar*br - ai*bi, ar*bi + ai*br) in the order of the complex
+    expression, and a product with a real factor as two float products.
+    Python's complex arithmetic also forms the products of a zero part,
+    which change nothing but the sign of a zero result: every nonzero part
+    keeps the bits of the complex expression.
     """
-    R31, R21, r32, r11, r22, r33 = y
-    S = mu21 * R21 + mu31 * R31          # emitted-field envelope
-    Sc = S.conjugate()
-    cS = c * S
-    dR31 = wm * R31 + g * (mu31 * (r33 - r11) + mu21 * r32) * S
-    dR21 = wp * R21 + g * (mu21 * (r22 - r11) + mu31 * r32.conjugate()) * S
-    dr32 = w * r32 - (gc21 * R31 * Sc + g31 * R21.conjugate() * S)
-    dr33 = two31 * (cS * R31.conjugate()).real
-    dr22 = two21 * (cS * R21.conjugate()).real
-    dr11 = 2.0 * (S * Sc).real
-    return [dR31, dR21, dr32, dr11, dr22, dr33]
+    R31r, R31i, R21r, R21i, r32r, r32i, r11, r22, r33 = y
+    Sr = mu21 * R21r + mu31 * R31r       # emitted-field envelope S
+    Si = mu21 * R21i + mu31 * R31i
+    Br = mu31 * (r33 - r11) + mu21 * r32r
+    Bi = mu21 * r32i
+    gr, gi = Br + dl * Bi, Bi - dl * Br
+    dR31r = half * R31i + (gr * Sr - gi * Si)
+    dR31i = nhalf * R31r + (gr * Si + gi * Sr)
+    Br = mu21 * (r22 - r11) + mu31 * r32r
+    Bi = nmu31 * r32i
+    gr, gi = Br + dl * Bi, Bi - dl * Br
+    dR21r = nhalf * R21i + (gr * Sr - gi * Si)
+    dR21i = half * R21r + (gr * Si + gi * Sr)
+    Tr = mu21 * R31r - dl21 * R31i       # conj(g) mu21 R31
+    Ti = mu21 * R31i + dl21 * R31r
+    Ur = mu31 * R21r - dl31 * R21i       # g mu31 conj(R21) = Ur - i Wi
+    Wi = mu31 * R21i + dl31 * R21r
+    dr32r = w * r32i - ((Tr * Sr + Ti * Si) + (Ur * Sr + Wi * Si))
+    dr32i = nw * r32r - ((Ti * Sr - Tr * Si) + (Ur * Si - Wi * Sr))
+    gr, gi = Sr + dl * Si, Si - dl * Sr  # g S
+    return [dR31r, dR31i, dR21r, dR21i, dr32r, dr32i,
+            2.0 * (Sr * Sr + Si * Si),
+            n21 * (gr * R21r + gi * R21i),
+            n31 * (gr * R31r + gi * R31i)]
 
 
 def _rate(y, mu21, mu31, *_):
     """d(rho11)/dt of each row of an (m, 6) block of packed bare states,
-    as an array: slot 3 of :func:`_rhs` bit for bit, on split parts (the
-    field's complex products differ at most in the sign of a zero)."""
+    as an array: the rho11 part of :func:`_rhs` bit for bit."""
     re, im = y.real, y.imag
     Sr = mu21 * re[:, 1] + mu31 * re[:, 0]
     Si = mu21 * im[:, 1] + mu31 * im[:, 0]
@@ -165,10 +201,24 @@ def _pack(state) -> np.ndarray:
     return np.array(astuple(state), dtype=complex)
 
 
+# the columns of a packed row's split parts that the stepper's nine floats
+# fill: the three coherences' parts, then the populations' real parts
+_SPLIT = [0, 1, 2, 3, 4, 5, 6, 8, 10]
+
+
 def _scalars(y) -> list:
-    """The stepper's form of a packed (6,) state: the three coherences as
-    Python complex numbers, then the three populations as Python floats."""
-    return y[:3].tolist() + y[3:].real.tolist()
+    """The stepper's form of a packed (6,) state: nine Python floats, the
+    real and imaginary parts of the three coherences, then the three
+    populations."""
+    return np.ascontiguousarray(y, complex).view(float)[_SPLIT].tolist()
+
+
+def _packed(v) -> np.ndarray:
+    """The packed (6,) state of the stepper's nine floats ``v``, the
+    inverse of :func:`_scalars`: the populations' imaginary parts are +0."""
+    y = np.zeros(6, dtype=complex)
+    y.view(float)[_SPLIT] = v
+    return y
 
 
 def _unpack(y, cls=DensityState):
@@ -217,8 +267,8 @@ def rhs_original(state: DensityState, params: SystemParams) -> DensityState:
     d(rho11)/dt = 2 |mu21 R21 + mu31 R31|**2 >= 0, so rho11 never
     decreases; the population derivatives add to zero exactly.
     """
-    return _unpack(_rhs(_scalars(_pack(state)),
-                        *_constants(*_physical(params))))
+    return _unpack(_packed(_rhs(_scalars(_pack(state)),
+                                *_constants(*_physical(params)))))
 
 
 def field_of(state: DensityState,
@@ -306,13 +356,14 @@ class Trajectory:
 
 
 # Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
-# section II.10).  A trial step runs on six Python numbers, and its stage
-# sums, new state and error estimates are straight-line arithmetic over the
-# nonzero coefficients of each row of the table, slot by slot, in ascending
-# stage order: the generated block below, written from scipy's copy of the
-# table.  So a trial step makes no array call, and its bits depend on no
-# BLAS kernel or SIMD level.  The equations are autonomous, so the stage
-# nodes c_i are not needed.
+# section II.10).  A trial step runs on the stepper's nine floats, and its
+# stage sums, new state and error estimates are straight-line arithmetic
+# over the nonzero coefficients of each row of the table, float by float,
+# in ascending stage order: the functions of _dop853, which
+# tests/dop853_source.py writes from scipy's copy of the table.  So a trial
+# step makes no array call, and its bits depend on no BLAS kernel or SIMD
+# level.  The equations are autonomous, so the stage nodes c_i are not
+# needed.
 #
 # Continuous extension of order 7: inside an accepted step the state at
 # t + theta*h is y + h * (p_0 Q_0 + ... + p_6 Q_6), with p(theta) =
@@ -320,9 +371,9 @@ class Trajectory:
 # weighed by row r of _DENSE: y_new - y, h k1 - (y_new - y) and
 # 2 (y_new - y) - h (k1 + k13), with _B the weights of y_new, then the
 # published table, kept on the twelve stages some row weighs (_WEIGHED).
-# _dense_chunk sums them for many steps at once, on split real and
-# imaginary parts in an order fixed here, so like a trial step the
-# samples depend on no BLAS kernel or SIMD level:
+# _dense_chunk sums them for many steps at once, on the nine floats in an
+# order fixed here, so like a trial step the samples depend on no BLAS
+# kernel or SIMD level:
 _B = np.array([
     5.42937341165687622380535766363e-2, 0, 0, 0, 0,
     4.45031289275240888144113950566, 1.89151789931450038304281599044,
@@ -364,6 +415,7 @@ _DENSE = np.vstack((_B, _UNIT[0] - _B, 2.0 * _B - _UNIT[0] - _UNIT[12], _D))
 del _UNIT
 _WEIGHED = np.flatnonzero(_DENSE.any(axis=0))     # stages 1 and 6 to 16
 _DENSE = _DENSE[:, _WEIGHED]
+_PACK_WEIGHED = struct.Struct(f"{9 * _WEIGHED.size}d").pack
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -382,19 +434,16 @@ def _factor(err: float) -> float:
 
 
 def _finite(y) -> bool:
-    """Whether every number of a state or stage is finite."""
-    return all(map(cmath.isfinite, y))
+    """Whether every float of a state or stage is finite."""
+    return all(map(isfinite, y))
 
 
 def _moduli(y):
-    """|y| of the stepper's six numbers, by + x and sqrt alone: libm
-    ``hypot``, which Python's complex ``abs`` uses, can round
-    differently per host."""
-    z0, z1, z2, x3, x4, x5 = y
-    return [sqrt(z0.real * z0.real + z0.imag * z0.imag),
-            sqrt(z1.real * z1.real + z1.imag * z1.imag),
-            sqrt(z2.real * z2.real + z2.imag * z2.imag),
-            abs(x3), abs(x4), abs(x5)]
+    """The moduli of the six amplitudes of the stepper's nine floats, by
+    + x and sqrt alone: libm ``hypot`` can round differently per host."""
+    a0, b0, a1, b1, a2, b2, x3, x4, x5 = y
+    return [sqrt(a0 * a0 + b0 * b0), sqrt(a1 * a1 + b1 * b1),
+            sqrt(a2 * a2 + b2 * b2), abs(x3), abs(x4), abs(x5)]
 
 
 def _weights(abs_y, abs_new, rel_tol) -> list:
@@ -416,418 +465,29 @@ def _weights(abs_y, abs_new, rel_tol) -> list:
 
 
 def _sum_squares(e, w) -> float:
-    """|e_0 / w_0|^2 + ... + |e_5 / w_5|^2 of an error estimate ``e`` and
-    the weights ``w``, left to right in slot order."""
-    z0, z1, z2, x3, x4, x5 = [a / b for a, b in zip(e, w)]
-    return ((z0.real * z0.real + z0.imag * z0.imag)
-            + (z1.real * z1.real + z1.imag * z1.imag)
-            + (z2.real * z2.real + z2.imag * z2.imag)
+    """|e_0 / w_0|^2 + ... + |e_5 / w_5|^2 of an error estimate ``e``, in
+    the stepper's nine floats, and the six slots' weights ``w``, left to
+    right in slot order."""
+    a0, b0, a1, b1, a2, b2, x3, x4, x5 = e
+    w0, w1, w2, w3, w4, w5 = w
+    a0, b0, a1, b1 = a0 / w0, b0 / w0, a1 / w1, b1 / w1
+    a2, b2, x3, x4, x5 = a2 / w2, b2 / w2, x3 / w3, x4 / w4, x5 / w5
+    return ((a0 * a0 + b0 * b0) + (a1 * a1 + b1 * b1) + (a2 * a2 + b2 * b2)
             + x3 * x3 + x4 * x4 + x5 * x5)
-
-
-# -- begin generated by tests/dop853_source.py; do not edit --
-def _stages(rhs, args, y, k1, h):
-    """Stages 2 to 12, the new state and the unscaled 5th- and
-    3rd-order error estimates of a DOP853 trial step of size h from
-    y, where k1 = f(y); returns (y_new, [k1, ..., k12], e5, e3)."""
-    y0, y1, y2, y3, y4, y5 = y
-    k1_0, k1_1, k1_2, k1_3, k1_4, k1_5 = k1
-    k2 = rhs([
-        y0 + (k1_0 * 0.05260015195876773) * h,
-        y1 + (k1_1 * 0.05260015195876773) * h,
-        y2 + (k1_2 * 0.05260015195876773) * h,
-        y3 + (k1_3 * 0.05260015195876773) * h,
-        y4 + (k1_4 * 0.05260015195876773) * h,
-        y5 + (k1_5 * 0.05260015195876773) * h
-    ], *args)
-    k2_0, k2_1, k2_2, k2_3, k2_4, k2_5 = k2
-    k3 = rhs([
-        y0 + (k1_0 * 0.0197250569845379 + k2_0 * 0.0591751709536137) * h,
-        y1 + (k1_1 * 0.0197250569845379 + k2_1 * 0.0591751709536137) * h,
-        y2 + (k1_2 * 0.0197250569845379 + k2_2 * 0.0591751709536137) * h,
-        y3 + (k1_3 * 0.0197250569845379 + k2_3 * 0.0591751709536137) * h,
-        y4 + (k1_4 * 0.0197250569845379 + k2_4 * 0.0591751709536137) * h,
-        y5 + (k1_5 * 0.0197250569845379 + k2_5 * 0.0591751709536137) * h
-    ], *args)
-    k3_0, k3_1, k3_2, k3_3, k3_4, k3_5 = k3
-    k4 = rhs([
-        y0 + (k1_0 * 0.02958758547680685 + k3_0 * 0.08876275643042054) * h,
-        y1 + (k1_1 * 0.02958758547680685 + k3_1 * 0.08876275643042054) * h,
-        y2 + (k1_2 * 0.02958758547680685 + k3_2 * 0.08876275643042054) * h,
-        y3 + (k1_3 * 0.02958758547680685 + k3_3 * 0.08876275643042054) * h,
-        y4 + (k1_4 * 0.02958758547680685 + k3_4 * 0.08876275643042054) * h,
-        y5 + (k1_5 * 0.02958758547680685 + k3_5 * 0.08876275643042054) * h
-    ], *args)
-    k4_0, k4_1, k4_2, k4_3, k4_4, k4_5 = k4
-    k5 = rhs([
-        y0 + (k1_0 * 0.2413651341592667 - k3_0 * 0.8845494793282861
-              + k4_0 * 0.924834003261792) * h,
-        y1 + (k1_1 * 0.2413651341592667 - k3_1 * 0.8845494793282861
-              + k4_1 * 0.924834003261792) * h,
-        y2 + (k1_2 * 0.2413651341592667 - k3_2 * 0.8845494793282861
-              + k4_2 * 0.924834003261792) * h,
-        y3 + (k1_3 * 0.2413651341592667 - k3_3 * 0.8845494793282861
-              + k4_3 * 0.924834003261792) * h,
-        y4 + (k1_4 * 0.2413651341592667 - k3_4 * 0.8845494793282861
-              + k4_4 * 0.924834003261792) * h,
-        y5 + (k1_5 * 0.2413651341592667 - k3_5 * 0.8845494793282861
-              + k4_5 * 0.924834003261792) * h
-    ], *args)
-    k5_0, k5_1, k5_2, k5_3, k5_4, k5_5 = k5
-    k6 = rhs([
-        y0 + (k1_0 * 0.037037037037037035 + k4_0 * 0.17082860872947386
-              + k5_0 * 0.12546768756682242) * h,
-        y1 + (k1_1 * 0.037037037037037035 + k4_1 * 0.17082860872947386
-              + k5_1 * 0.12546768756682242) * h,
-        y2 + (k1_2 * 0.037037037037037035 + k4_2 * 0.17082860872947386
-              + k5_2 * 0.12546768756682242) * h,
-        y3 + (k1_3 * 0.037037037037037035 + k4_3 * 0.17082860872947386
-              + k5_3 * 0.12546768756682242) * h,
-        y4 + (k1_4 * 0.037037037037037035 + k4_4 * 0.17082860872947386
-              + k5_4 * 0.12546768756682242) * h,
-        y5 + (k1_5 * 0.037037037037037035 + k4_5 * 0.17082860872947386
-              + k5_5 * 0.12546768756682242) * h
-    ], *args)
-    k6_0, k6_1, k6_2, k6_3, k6_4, k6_5 = k6
-    k7 = rhs([
-        y0 + (k1_0 * 0.037109375 + k4_0 * 0.17025221101954405
-              + k5_0 * 0.06021653898045596 - k6_0 * 0.017578125) * h,
-        y1 + (k1_1 * 0.037109375 + k4_1 * 0.17025221101954405
-              + k5_1 * 0.06021653898045596 - k6_1 * 0.017578125) * h,
-        y2 + (k1_2 * 0.037109375 + k4_2 * 0.17025221101954405
-              + k5_2 * 0.06021653898045596 - k6_2 * 0.017578125) * h,
-        y3 + (k1_3 * 0.037109375 + k4_3 * 0.17025221101954405
-              + k5_3 * 0.06021653898045596 - k6_3 * 0.017578125) * h,
-        y4 + (k1_4 * 0.037109375 + k4_4 * 0.17025221101954405
-              + k5_4 * 0.06021653898045596 - k6_4 * 0.017578125) * h,
-        y5 + (k1_5 * 0.037109375 + k4_5 * 0.17025221101954405
-              + k5_5 * 0.06021653898045596 - k6_5 * 0.017578125) * h
-    ], *args)
-    k7_0, k7_1, k7_2, k7_3, k7_4, k7_5 = k7
-    k8 = rhs([
-        y0 + (k1_0 * 0.03709200011850479 + k4_0 * 0.17038392571223998
-              + k5_0 * 0.10726203044637328 - k6_0 * 0.015319437748624402
-              + k7_0 * 0.008273789163814023) * h,
-        y1 + (k1_1 * 0.03709200011850479 + k4_1 * 0.17038392571223998
-              + k5_1 * 0.10726203044637328 - k6_1 * 0.015319437748624402
-              + k7_1 * 0.008273789163814023) * h,
-        y2 + (k1_2 * 0.03709200011850479 + k4_2 * 0.17038392571223998
-              + k5_2 * 0.10726203044637328 - k6_2 * 0.015319437748624402
-              + k7_2 * 0.008273789163814023) * h,
-        y3 + (k1_3 * 0.03709200011850479 + k4_3 * 0.17038392571223998
-              + k5_3 * 0.10726203044637328 - k6_3 * 0.015319437748624402
-              + k7_3 * 0.008273789163814023) * h,
-        y4 + (k1_4 * 0.03709200011850479 + k4_4 * 0.17038392571223998
-              + k5_4 * 0.10726203044637328 - k6_4 * 0.015319437748624402
-              + k7_4 * 0.008273789163814023) * h,
-        y5 + (k1_5 * 0.03709200011850479 + k4_5 * 0.17038392571223998
-              + k5_5 * 0.10726203044637328 - k6_5 * 0.015319437748624402
-              + k7_5 * 0.008273789163814023) * h
-    ], *args)
-    k8_0, k8_1, k8_2, k8_3, k8_4, k8_5 = k8
-    k9 = rhs([
-        y0 + (k1_0 * 0.6241109587160757 - k4_0 * 3.3608926294469414
-              - k5_0 * 0.868219346841726 + k6_0 * 27.59209969944671
-              + k7_0 * 20.154067550477894 - k8_0 * 43.48988418106996) * h,
-        y1 + (k1_1 * 0.6241109587160757 - k4_1 * 3.3608926294469414
-              - k5_1 * 0.868219346841726 + k6_1 * 27.59209969944671
-              + k7_1 * 20.154067550477894 - k8_1 * 43.48988418106996) * h,
-        y2 + (k1_2 * 0.6241109587160757 - k4_2 * 3.3608926294469414
-              - k5_2 * 0.868219346841726 + k6_2 * 27.59209969944671
-              + k7_2 * 20.154067550477894 - k8_2 * 43.48988418106996) * h,
-        y3 + (k1_3 * 0.6241109587160757 - k4_3 * 3.3608926294469414
-              - k5_3 * 0.868219346841726 + k6_3 * 27.59209969944671
-              + k7_3 * 20.154067550477894 - k8_3 * 43.48988418106996) * h,
-        y4 + (k1_4 * 0.6241109587160757 - k4_4 * 3.3608926294469414
-              - k5_4 * 0.868219346841726 + k6_4 * 27.59209969944671
-              + k7_4 * 20.154067550477894 - k8_4 * 43.48988418106996) * h,
-        y5 + (k1_5 * 0.6241109587160757 - k4_5 * 3.3608926294469414
-              - k5_5 * 0.868219346841726 + k6_5 * 27.59209969944671
-              + k7_5 * 20.154067550477894 - k8_5 * 43.48988418106996) * h
-    ], *args)
-    k9_0, k9_1, k9_2, k9_3, k9_4, k9_5 = k9
-    k10 = rhs([
-        y0 + (k1_0 * 0.47766253643826434 - k4_0 * 2.4881146199716677
-              - k5_0 * 0.590290826836843 + k6_0 * 21.230051448181193
-              + k7_0 * 15.279233632882423 - k8_0 * 33.28821096898486
-              - k9_0 * 0.020331201708508627) * h,
-        y1 + (k1_1 * 0.47766253643826434 - k4_1 * 2.4881146199716677
-              - k5_1 * 0.590290826836843 + k6_1 * 21.230051448181193
-              + k7_1 * 15.279233632882423 - k8_1 * 33.28821096898486
-              - k9_1 * 0.020331201708508627) * h,
-        y2 + (k1_2 * 0.47766253643826434 - k4_2 * 2.4881146199716677
-              - k5_2 * 0.590290826836843 + k6_2 * 21.230051448181193
-              + k7_2 * 15.279233632882423 - k8_2 * 33.28821096898486
-              - k9_2 * 0.020331201708508627) * h,
-        y3 + (k1_3 * 0.47766253643826434 - k4_3 * 2.4881146199716677
-              - k5_3 * 0.590290826836843 + k6_3 * 21.230051448181193
-              + k7_3 * 15.279233632882423 - k8_3 * 33.28821096898486
-              - k9_3 * 0.020331201708508627) * h,
-        y4 + (k1_4 * 0.47766253643826434 - k4_4 * 2.4881146199716677
-              - k5_4 * 0.590290826836843 + k6_4 * 21.230051448181193
-              + k7_4 * 15.279233632882423 - k8_4 * 33.28821096898486
-              - k9_4 * 0.020331201708508627) * h,
-        y5 + (k1_5 * 0.47766253643826434 - k4_5 * 2.4881146199716677
-              - k5_5 * 0.590290826836843 + k6_5 * 21.230051448181193
-              + k7_5 * 15.279233632882423 - k8_5 * 33.28821096898486
-              - k9_5 * 0.020331201708508627) * h
-    ], *args)
-    k10_0, k10_1, k10_2, k10_3, k10_4, k10_5 = k10
-    k11 = rhs([
-        y0 + (k1_0 * -0.9371424300859873 + k4_0 * 5.186372428844064
-              + k5_0 * 1.0914373489967295 - k6_0 * 8.149787010746927
-              - k7_0 * 18.52006565999696 + k8_0 * 22.739487099350505
-              + k9_0 * 2.4936055526796523 - k10_0 * 3.0467644718982196) * h,
-        y1 + (k1_1 * -0.9371424300859873 + k4_1 * 5.186372428844064
-              + k5_1 * 1.0914373489967295 - k6_1 * 8.149787010746927
-              - k7_1 * 18.52006565999696 + k8_1 * 22.739487099350505
-              + k9_1 * 2.4936055526796523 - k10_1 * 3.0467644718982196) * h,
-        y2 + (k1_2 * -0.9371424300859873 + k4_2 * 5.186372428844064
-              + k5_2 * 1.0914373489967295 - k6_2 * 8.149787010746927
-              - k7_2 * 18.52006565999696 + k8_2 * 22.739487099350505
-              + k9_2 * 2.4936055526796523 - k10_2 * 3.0467644718982196) * h,
-        y3 + (k1_3 * -0.9371424300859873 + k4_3 * 5.186372428844064
-              + k5_3 * 1.0914373489967295 - k6_3 * 8.149787010746927
-              - k7_3 * 18.52006565999696 + k8_3 * 22.739487099350505
-              + k9_3 * 2.4936055526796523 - k10_3 * 3.0467644718982196) * h,
-        y4 + (k1_4 * -0.9371424300859873 + k4_4 * 5.186372428844064
-              + k5_4 * 1.0914373489967295 - k6_4 * 8.149787010746927
-              - k7_4 * 18.52006565999696 + k8_4 * 22.739487099350505
-              + k9_4 * 2.4936055526796523 - k10_4 * 3.0467644718982196) * h,
-        y5 + (k1_5 * -0.9371424300859873 + k4_5 * 5.186372428844064
-              + k5_5 * 1.0914373489967295 - k6_5 * 8.149787010746927
-              - k7_5 * 18.52006565999696 + k8_5 * 22.739487099350505
-              + k9_5 * 2.4936055526796523 - k10_5 * 3.0467644718982196) * h
-    ], *args)
-    k11_0, k11_1, k11_2, k11_3, k11_4, k11_5 = k11
-    k12 = rhs([
-        y0 + (k1_0 * 2.273310147516538 - k4_0 * 10.53449546673725
-              - k5_0 * 2.0008720582248625 - k6_0 * 17.9589318631188
-              + k7_0 * 27.94888452941996 - k8_0 * 2.8589982771350235
-              - k9_0 * 8.87285693353063 + k10_0 * 12.360567175794303
-              + k11_0 * 0.6433927460157636) * h,
-        y1 + (k1_1 * 2.273310147516538 - k4_1 * 10.53449546673725
-              - k5_1 * 2.0008720582248625 - k6_1 * 17.9589318631188
-              + k7_1 * 27.94888452941996 - k8_1 * 2.8589982771350235
-              - k9_1 * 8.87285693353063 + k10_1 * 12.360567175794303
-              + k11_1 * 0.6433927460157636) * h,
-        y2 + (k1_2 * 2.273310147516538 - k4_2 * 10.53449546673725
-              - k5_2 * 2.0008720582248625 - k6_2 * 17.9589318631188
-              + k7_2 * 27.94888452941996 - k8_2 * 2.8589982771350235
-              - k9_2 * 8.87285693353063 + k10_2 * 12.360567175794303
-              + k11_2 * 0.6433927460157636) * h,
-        y3 + (k1_3 * 2.273310147516538 - k4_3 * 10.53449546673725
-              - k5_3 * 2.0008720582248625 - k6_3 * 17.9589318631188
-              + k7_3 * 27.94888452941996 - k8_3 * 2.8589982771350235
-              - k9_3 * 8.87285693353063 + k10_3 * 12.360567175794303
-              + k11_3 * 0.6433927460157636) * h,
-        y4 + (k1_4 * 2.273310147516538 - k4_4 * 10.53449546673725
-              - k5_4 * 2.0008720582248625 - k6_4 * 17.9589318631188
-              + k7_4 * 27.94888452941996 - k8_4 * 2.8589982771350235
-              - k9_4 * 8.87285693353063 + k10_4 * 12.360567175794303
-              + k11_4 * 0.6433927460157636) * h,
-        y5 + (k1_5 * 2.273310147516538 - k4_5 * 10.53449546673725
-              - k5_5 * 2.0008720582248625 - k6_5 * 17.9589318631188
-              + k7_5 * 27.94888452941996 - k8_5 * 2.8589982771350235
-              - k9_5 * 8.87285693353063 + k10_5 * 12.360567175794303
-              + k11_5 * 0.6433927460157636) * h
-    ], *args)
-    k12_0, k12_1, k12_2, k12_3, k12_4, k12_5 = k12
-    y_new = [
-        y0 + (k1_0 * 0.054293734116568765 + k6_0 * 4.450312892752409
-              + k7_0 * 1.8915178993145003 - k8_0 * 5.801203960010585
-              + k9_0 * 0.3111643669578199 - k10_0 * 0.1521609496625161
-              + k11_0 * 0.20136540080403034 + k12_0 * 0.04471061572777259) * h,
-        y1 + (k1_1 * 0.054293734116568765 + k6_1 * 4.450312892752409
-              + k7_1 * 1.8915178993145003 - k8_1 * 5.801203960010585
-              + k9_1 * 0.3111643669578199 - k10_1 * 0.1521609496625161
-              + k11_1 * 0.20136540080403034 + k12_1 * 0.04471061572777259) * h,
-        y2 + (k1_2 * 0.054293734116568765 + k6_2 * 4.450312892752409
-              + k7_2 * 1.8915178993145003 - k8_2 * 5.801203960010585
-              + k9_2 * 0.3111643669578199 - k10_2 * 0.1521609496625161
-              + k11_2 * 0.20136540080403034 + k12_2 * 0.04471061572777259) * h,
-        y3 + (k1_3 * 0.054293734116568765 + k6_3 * 4.450312892752409
-              + k7_3 * 1.8915178993145003 - k8_3 * 5.801203960010585
-              + k9_3 * 0.3111643669578199 - k10_3 * 0.1521609496625161
-              + k11_3 * 0.20136540080403034 + k12_3 * 0.04471061572777259) * h,
-        y4 + (k1_4 * 0.054293734116568765 + k6_4 * 4.450312892752409
-              + k7_4 * 1.8915178993145003 - k8_4 * 5.801203960010585
-              + k9_4 * 0.3111643669578199 - k10_4 * 0.1521609496625161
-              + k11_4 * 0.20136540080403034 + k12_4 * 0.04471061572777259) * h,
-        y5 + (k1_5 * 0.054293734116568765 + k6_5 * 4.450312892752409
-              + k7_5 * 1.8915178993145003 - k8_5 * 5.801203960010585
-              + k9_5 * 0.3111643669578199 - k10_5 * 0.1521609496625161
-              + k11_5 * 0.20136540080403034 + k12_5 * 0.04471061572777259) * h
-    ]
-    e5 = [
-        k1_0 * 0.01312004499419488 - k6_0 * 1.2251564463762044
-        - k7_0 * 0.4957589496572502 + k8_0 * 1.6643771824549864
-        - k9_0 * 0.35032884874997366 + k10_0 * 0.3341791187130175
-        + k11_0 * 0.08192320648511571 - k12_0 * 0.022355307863886294,
-        k1_1 * 0.01312004499419488 - k6_1 * 1.2251564463762044
-        - k7_1 * 0.4957589496572502 + k8_1 * 1.6643771824549864
-        - k9_1 * 0.35032884874997366 + k10_1 * 0.3341791187130175
-        + k11_1 * 0.08192320648511571 - k12_1 * 0.022355307863886294,
-        k1_2 * 0.01312004499419488 - k6_2 * 1.2251564463762044
-        - k7_2 * 0.4957589496572502 + k8_2 * 1.6643771824549864
-        - k9_2 * 0.35032884874997366 + k10_2 * 0.3341791187130175
-        + k11_2 * 0.08192320648511571 - k12_2 * 0.022355307863886294,
-        k1_3 * 0.01312004499419488 - k6_3 * 1.2251564463762044
-        - k7_3 * 0.4957589496572502 + k8_3 * 1.6643771824549864
-        - k9_3 * 0.35032884874997366 + k10_3 * 0.3341791187130175
-        + k11_3 * 0.08192320648511571 - k12_3 * 0.022355307863886294,
-        k1_4 * 0.01312004499419488 - k6_4 * 1.2251564463762044
-        - k7_4 * 0.4957589496572502 + k8_4 * 1.6643771824549864
-        - k9_4 * 0.35032884874997366 + k10_4 * 0.3341791187130175
-        + k11_4 * 0.08192320648511571 - k12_4 * 0.022355307863886294,
-        k1_5 * 0.01312004499419488 - k6_5 * 1.2251564463762044
-        - k7_5 * 0.4957589496572502 + k8_5 * 1.6643771824549864
-        - k9_5 * 0.35032884874997366 + k10_5 * 0.3341791187130175
-        + k11_5 * 0.08192320648511571 - k12_5 * 0.022355307863886294
-    ]
-    e3 = [
-        k1_0 * -0.18980075407240762 + k6_0 * 4.450312892752409
-        + k7_0 * 1.8915178993145003 - k8_0 * 5.801203960010585
-        - k9_0 * 0.4226823213237919 - k10_0 * 0.1521609496625161
-        + k11_0 * 0.20136540080403034 + k12_0 * 0.02265179219836082,
-        k1_1 * -0.18980075407240762 + k6_1 * 4.450312892752409
-        + k7_1 * 1.8915178993145003 - k8_1 * 5.801203960010585
-        - k9_1 * 0.4226823213237919 - k10_1 * 0.1521609496625161
-        + k11_1 * 0.20136540080403034 + k12_1 * 0.02265179219836082,
-        k1_2 * -0.18980075407240762 + k6_2 * 4.450312892752409
-        + k7_2 * 1.8915178993145003 - k8_2 * 5.801203960010585
-        - k9_2 * 0.4226823213237919 - k10_2 * 0.1521609496625161
-        + k11_2 * 0.20136540080403034 + k12_2 * 0.02265179219836082,
-        k1_3 * -0.18980075407240762 + k6_3 * 4.450312892752409
-        + k7_3 * 1.8915178993145003 - k8_3 * 5.801203960010585
-        - k9_3 * 0.4226823213237919 - k10_3 * 0.1521609496625161
-        + k11_3 * 0.20136540080403034 + k12_3 * 0.02265179219836082,
-        k1_4 * -0.18980075407240762 + k6_4 * 4.450312892752409
-        + k7_4 * 1.8915178993145003 - k8_4 * 5.801203960010585
-        - k9_4 * 0.4226823213237919 - k10_4 * 0.1521609496625161
-        + k11_4 * 0.20136540080403034 + k12_4 * 0.02265179219836082,
-        k1_5 * -0.18980075407240762 + k6_5 * 4.450312892752409
-        + k7_5 * 1.8915178993145003 - k8_5 * 5.801203960010585
-        - k9_5 * 0.4226823213237919 - k10_5 * 0.1521609496625161
-        + k11_5 * 0.20136540080403034 + k12_5 * 0.02265179219836082
-    ]
-    return (y_new, [k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12], e5, e3)
-
-
-def _extra_stages(rhs, args, y, K, h):
-    """Append stages 14 to 16 of the continuous extension to the
-    13 stages K of an accepted step of size h from y."""
-    y0, y1, y2, y3, y4, y5 = y
-    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12, k13 = K
-    k1_0, k1_1, k1_2, k1_3, k1_4, k1_5 = k1
-    k6_0, k6_1, k6_2, k6_3, k6_4, k6_5 = k6
-    k7_0, k7_1, k7_2, k7_3, k7_4, k7_5 = k7
-    k8_0, k8_1, k8_2, k8_3, k8_4, k8_5 = k8
-    k9_0, k9_1, k9_2, k9_3, k9_4, k9_5 = k9
-    k10_0, k10_1, k10_2, k10_3, k10_4, k10_5 = k10
-    k11_0, k11_1, k11_2, k11_3, k11_4, k11_5 = k11
-    k12_0, k12_1, k12_2, k12_3, k12_4, k12_5 = k12
-    k13_0, k13_1, k13_2, k13_3, k13_4, k13_5 = k13
-    k14 = rhs([
-        y0 + (k1_0 * 0.056167502283047954 + k7_0 * 0.25350021021662483
-              - k8_0 * 0.2462390374708025 - k9_0 * 0.12419142326381637
-              + k10_0 * 0.15329179827876568 + k11_0 * 0.00820105229563469
-              + k12_0 * 0.007567897660545699 - k13_0 * 0.008298) * h,
-        y1 + (k1_1 * 0.056167502283047954 + k7_1 * 0.25350021021662483
-              - k8_1 * 0.2462390374708025 - k9_1 * 0.12419142326381637
-              + k10_1 * 0.15329179827876568 + k11_1 * 0.00820105229563469
-              + k12_1 * 0.007567897660545699 - k13_1 * 0.008298) * h,
-        y2 + (k1_2 * 0.056167502283047954 + k7_2 * 0.25350021021662483
-              - k8_2 * 0.2462390374708025 - k9_2 * 0.12419142326381637
-              + k10_2 * 0.15329179827876568 + k11_2 * 0.00820105229563469
-              + k12_2 * 0.007567897660545699 - k13_2 * 0.008298) * h,
-        y3 + (k1_3 * 0.056167502283047954 + k7_3 * 0.25350021021662483
-              - k8_3 * 0.2462390374708025 - k9_3 * 0.12419142326381637
-              + k10_3 * 0.15329179827876568 + k11_3 * 0.00820105229563469
-              + k12_3 * 0.007567897660545699 - k13_3 * 0.008298) * h,
-        y4 + (k1_4 * 0.056167502283047954 + k7_4 * 0.25350021021662483
-              - k8_4 * 0.2462390374708025 - k9_4 * 0.12419142326381637
-              + k10_4 * 0.15329179827876568 + k11_4 * 0.00820105229563469
-              + k12_4 * 0.007567897660545699 - k13_4 * 0.008298) * h,
-        y5 + (k1_5 * 0.056167502283047954 + k7_5 * 0.25350021021662483
-              - k8_5 * 0.2462390374708025 - k9_5 * 0.12419142326381637
-              + k10_5 * 0.15329179827876568 + k11_5 * 0.00820105229563469
-              + k12_5 * 0.007567897660545699 - k13_5 * 0.008298) * h
-    ], *args)
-    k14_0, k14_1, k14_2, k14_3, k14_4, k14_5 = k14
-    k15 = rhs([
-        y0 + (k1_0 * 0.03183464816350214 + k6_0 * 0.028300909672366776
-              + k7_0 * 0.053541988307438566 - k8_0 * 0.05492374857139099
-              - k11_0 * 0.00010834732869724932 + k12_0 * 0.0003825710908356584
-              - k13_0 * 0.00034046500868740456
-              + k14_0 * 0.1413124436746325) * h,
-        y1 + (k1_1 * 0.03183464816350214 + k6_1 * 0.028300909672366776
-              + k7_1 * 0.053541988307438566 - k8_1 * 0.05492374857139099
-              - k11_1 * 0.00010834732869724932 + k12_1 * 0.0003825710908356584
-              - k13_1 * 0.00034046500868740456
-              + k14_1 * 0.1413124436746325) * h,
-        y2 + (k1_2 * 0.03183464816350214 + k6_2 * 0.028300909672366776
-              + k7_2 * 0.053541988307438566 - k8_2 * 0.05492374857139099
-              - k11_2 * 0.00010834732869724932 + k12_2 * 0.0003825710908356584
-              - k13_2 * 0.00034046500868740456
-              + k14_2 * 0.1413124436746325) * h,
-        y3 + (k1_3 * 0.03183464816350214 + k6_3 * 0.028300909672366776
-              + k7_3 * 0.053541988307438566 - k8_3 * 0.05492374857139099
-              - k11_3 * 0.00010834732869724932 + k12_3 * 0.0003825710908356584
-              - k13_3 * 0.00034046500868740456
-              + k14_3 * 0.1413124436746325) * h,
-        y4 + (k1_4 * 0.03183464816350214 + k6_4 * 0.028300909672366776
-              + k7_4 * 0.053541988307438566 - k8_4 * 0.05492374857139099
-              - k11_4 * 0.00010834732869724932 + k12_4 * 0.0003825710908356584
-              - k13_4 * 0.00034046500868740456
-              + k14_4 * 0.1413124436746325) * h,
-        y5 + (k1_5 * 0.03183464816350214 + k6_5 * 0.028300909672366776
-              + k7_5 * 0.053541988307438566 - k8_5 * 0.05492374857139099
-              - k11_5 * 0.00010834732869724932 + k12_5 * 0.0003825710908356584
-              - k13_5 * 0.00034046500868740456
-              + k14_5 * 0.1413124436746325) * h
-    ], *args)
-    k15_0, k15_1, k15_2, k15_3, k15_4, k15_5 = k15
-    k16 = rhs([
-        y0 + (k1_0 * -0.42889630158379194 - k6_0 * 4.697621415361164
-              + k7_0 * 7.683421196062599 + k8_0 * 4.06898981839711
-              + k9_0 * 0.3567271874552811 - k13_0 * 0.0013990241651590145
-              + k14_0 * 2.9475147891527724 - k15_0 * 9.15095847217987) * h,
-        y1 + (k1_1 * -0.42889630158379194 - k6_1 * 4.697621415361164
-              + k7_1 * 7.683421196062599 + k8_1 * 4.06898981839711
-              + k9_1 * 0.3567271874552811 - k13_1 * 0.0013990241651590145
-              + k14_1 * 2.9475147891527724 - k15_1 * 9.15095847217987) * h,
-        y2 + (k1_2 * -0.42889630158379194 - k6_2 * 4.697621415361164
-              + k7_2 * 7.683421196062599 + k8_2 * 4.06898981839711
-              + k9_2 * 0.3567271874552811 - k13_2 * 0.0013990241651590145
-              + k14_2 * 2.9475147891527724 - k15_2 * 9.15095847217987) * h,
-        y3 + (k1_3 * -0.42889630158379194 - k6_3 * 4.697621415361164
-              + k7_3 * 7.683421196062599 + k8_3 * 4.06898981839711
-              + k9_3 * 0.3567271874552811 - k13_3 * 0.0013990241651590145
-              + k14_3 * 2.9475147891527724 - k15_3 * 9.15095847217987) * h,
-        y4 + (k1_4 * -0.42889630158379194 - k6_4 * 4.697621415361164
-              + k7_4 * 7.683421196062599 + k8_4 * 4.06898981839711
-              + k9_4 * 0.3567271874552811 - k13_4 * 0.0013990241651590145
-              + k14_4 * 2.9475147891527724 - k15_4 * 9.15095847217987) * h,
-        y5 + (k1_5 * -0.42889630158379194 - k6_5 * 4.697621415361164
-              + k7_5 * 7.683421196062599 + k8_5 * 4.06898981839711
-              + k9_5 * 0.3567271874552811 - k13_5 * 0.0013990241651590145
-              + k14_5 * 2.9475147891527724 - k15_5 * 9.15095847217987) * h
-    ], *args)
-    K += (k14, k15, k16)
-# -- end generated by tests/dop853_source.py --
 
 
 def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     """One DOP853 trial step of size ``h`` from ``y``, where ``k1 = f(y)``
-    and ``abs_y = |y|``; states, stages and moduli are the stepper's six
-    Python numbers (see :func:`_scalars`).
+    and ``abs_y`` holds the moduli of y's six amplitudes (see
+    :func:`_moduli`); states and stages are the stepper's nine floats (see
+    :func:`_scalars`), so a trial step uses only float + - x / and sqrt.
 
     Returns ``(y_new, K, abs_new, err)``.  ``K`` is a fresh list of the 13
     stages k1 to k12 and ``f(y_new)``, the first stage of the next step
     (FSAL); :func:`_extra_stages` appends the three extra stages.
-    ``abs_new = |y_new|`` is the next ``abs_y``.  When ``y_new`` or
-    ``f(y_new)`` is not finite, ``abs_new`` is None and ``err`` nan.
+    ``abs_new``, the moduli of ``y_new``, is the next ``abs_y``.  When
+    ``y_new`` or ``f(y_new)`` is not finite, ``abs_new`` is None and
+    ``err`` nan.
     Otherwise ``err`` is the DOP853 error norm: with e5 and e3 the sums of
     squares of the 5th- and 3rd-order error estimates, each slot divided
     by its block weight (see :func:`_weights`): ``_ABS_TOL +
@@ -849,13 +509,22 @@ def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     return y_new, K, abs_new, h * e5 / sqrt((e5 + 0.01 * e3) * 6)
 
 
+def _weighed(K) -> bytes:
+    """The stages ``_WEIGHED`` (1 and 6 to 16) of a step's 16 stages
+    ``K``, as the native doubles of their floats, stage by stage: packing
+    them with ``struct`` costs about half of ``np.fromiter`` per float."""
+    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16 = K
+    return _PACK_WEIGHED(*k1, *k6, *k7, *k8, *k9, *k10, *k11, *k12, *k13,
+                         *k14, *k15, *k16)
+
+
 def _dense_chunk(steps, grid):
     """The samples inside queued accepted steps, evaluated at once.
 
     ``steps`` holds ``(t, h, y, K, first, count)`` per step: its start,
     size, state and stages, and its samples' range in ``grid``.  Returns
-    the samples' indices into ``grid`` and their packed states as an
-    (M, 12) float array of split parts.  Q_r sums the twelve weighed
+    the samples' indices into ``grid`` and their states as an (M, 9)
+    array of the stepper's nine floats.  Q_r sums the twelve weighed
     stages in stage order.  Rows 0 to 2 weigh zero only after their last
     nonzero weight, so on finite stages that can only turn a Q_r of -0
     into +0 where stage 1 is zero, and there rows 3 and 4 weigh stage 1
@@ -869,24 +538,22 @@ def _dense_chunk(steps, grid):
         np.array(first) - np.cumsum(count) + count, count)
     h = np.array(h)[step]
     theta = (grid[at] - np.array(t)[step]) / h
-    K = zip(*map(itemgetter(*_WEIGHED), K))     # stage by stage
-    K = np.fromiter(chain.from_iterable(chain.from_iterable(K)), complex,
-                    6 * _WEIGHED.size * count.size)
-    K = K.view(float).reshape(_WEIGHED.size, -1, 12)    # (stage, step, 12)
-    terms = _DENSE[:, :, None, None] * K        # (row, stage, step, 12)
+    K = np.frombuffer(b"".join(map(_weighed, K)))
+    # stage-major, so the products run over contiguous (step, 9) planes
+    K = K.reshape(-1, _WEIGHED.size, 9).transpose(1, 0, 2).copy()
+    terms = _DENSE[:, :, None, None] * K        # (row, stage, step, 9)
     Q = terms[:, 0]
     for j in range(1, _WEIGHED.size):
         Q += terms[:, j]
-    Q = Q[:, step]
+    Q = np.take(Q, step, axis=1)        # a third of the time of Q[:, step]
     u = 1.0 - theta
     p = theta
     s = p[:, None] * Q[0]
     for r in range(1, 7):
         p = p * (u if r % 2 else theta)
         s += p[:, None] * Q[r]
-    y = np.fromiter(chain.from_iterable(y), complex,
-                    6 * count.size).view(float).reshape(-1, 12)
-    return at, y[step] + h[:, None] * s
+    y = np.fromiter(chain.from_iterable(y), float, 9 * count.size)
+    return at, y.reshape(-1, 9)[step] + h[:, None] * s
 
 
 def _sample_count(t_end: float, dt: float) -> tuple[int, bool]:
@@ -976,9 +643,9 @@ def _drive(state0: DensityState | BrightDarkState, params: SystemParams,
     one driver of both integration paths.
 
     ``rhs(y, *args)`` is the autonomous vector field the stepper
-    advances, on its six Python numbers (see :func:`_scalars`), where
+    advances, on its nine floats (see :func:`_scalars`), where
     ``args = constants(omega32, delta_L, mu21, mu31)`` is built once per
-    run; ``rate(block, *args)`` is its slot 3, d(rho11)/dt, as an array
+    run; ``rate(block, *args)`` is its rho11 part, d(rho11)/dt, as an array
     over the rows of an (m, 6) block of packed states, which the
     quiescence detector, a :class:`_Monitors`, reads.  ``state0``, the
     samples and the checks of the invariants are in the frame of ``rhs``,
@@ -1024,7 +691,7 @@ def _drive(state0: DensityState | BrightDarkState, params: SystemParams,
     times = grid.tolist()
     t_last = times[-1]
 
-    ys = np.empty((grid.size + 1, 6), dtype=complex)
+    ys = np.zeros((grid.size + 1, 6), dtype=complex)    # +0 imag parts
     ys[0] = y0
     t, y = 0.0, _scalars(ys[0])
     abs_y = _moduli(y)
@@ -1049,7 +716,7 @@ def _drive(state0: DensityState | BrightDarkState, params: SystemParams,
         steps, queue[:] = queue[:], []
         with np.errstate(over="ignore", invalid="ignore"):  # raised below
             at, block = _dense_chunk(steps, grid)
-        ys[1:].view(float)[at] = block
+        ys[1:].view(float)[at[:, None], _SPLIT] = block
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             bad = at[np.argmin(finite)]
@@ -1104,7 +771,7 @@ def _drive(state0: DensityState | BrightDarkState, params: SystemParams,
             if inner:
                 queue.append((t, h, y, K, n, inner))
             if end > n + inner:
-                ys[end] = y_new
+                ys[end].view(float)[_SPLIT] = y_new
             t, y, k1, abs_y = t_new, y_new, K[12], abs_new
             factor = (_MAX_FACTOR if err == 0.0
                       else min(_MAX_FACTOR, _factor(err)))

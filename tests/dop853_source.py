@@ -1,15 +1,19 @@
-"""Source of the straight-line DOP853 stage sums in ``filmsr.dynamics``.
+"""Source of ``filmsr._dop853``, the straight-line DOP853 stage sums.
 
 The stepper's stage sums, new state and error estimates, and the three
 extra stages of its continuous extension, are written out as plain
 Python arithmetic over the nonzero coefficients of each row of scipy's
-DOP853 table, slot by slot in ascending stage order, so that no array
-call sits in a trial step.  This script writes that code; the text between
-the two marker lines of ``src/filmsr/dynamics.py`` is its output, which
-``tests/test_dynamics.py::TestDop853Table`` checks.
+DOP853 table, slot by slot in ascending stage order, on the stepper's
+nine floats (the parts of the three coherences, then the three
+populations), so that no array call and no complex number sits in a
+trial step.  This script writes that code; ``src/filmsr/_dop853.py`` is
+its output, which ``tests/test_dynamics.py::TestDop853Table`` checks.
+The code has a module of its own because CPython compiles a module in
+one piece: in ``dynamics.py`` it raised the peak memory of an
+interpreter that compiles the package from source.
 
-    python tests/dop853_source.py            # print the generated block
-    python tests/dop853_source.py --write    # replace it in dynamics.py
+    python tests/dop853_source.py            # print the generated module
+    python tests/dop853_source.py --write    # write src/filmsr/_dop853.py
 """
 
 from __future__ import annotations
@@ -17,11 +21,17 @@ from __future__ import annotations
 import pathlib
 import sys
 
-BEGIN = "# -- begin generated by tests/dop853_source.py; do not edit --\n"
-END = "# -- end generated by tests/dop853_source.py --\n"
-DYNAMICS = (pathlib.Path(__file__).resolve().parent.parent
-            / "src" / "filmsr" / "dynamics.py")
+MODULE = (pathlib.Path(__file__).resolve().parent.parent
+          / "src" / "filmsr" / "_dop853.py")
+HEADER = [
+    '"""DOP853 stage sums on the stepper\'s nine floats, for',
+    ":mod:`filmsr.dynamics`: generated by tests/dop853_source.py from",
+    'scipy\'s coefficient table; do not edit."""',
+    "",
+    "",
+]
 WIDTH = 79
+SLOTS = 9       # the stepper's floats: see dynamics._scalars
 
 
 def _table():
@@ -51,10 +61,11 @@ def _nonzero(row) -> list[int]:
 def _slot_sum(head: str, row, slot: int, tail: str) -> list[str]:
     """``head`` + the sum of ``row`` over the stages in slot ``slot``
     + ``tail``: the terms ``k<j>_<slot> * c`` in ascending stage order,
-    a negative coefficient written as a subtraction.  The stage value
-    comes first: a complex times a float then goes straight to complex
-    multiplication, where float first would try float multiplication
-    first, and the product's bits are the same either way."""
+    a negative coefficient written as a subtraction.  Every operand is a
+    float, so each slot sums one part of a coherence, or a population,
+    with the rounding of the same part of the complex sum: a complex
+    times a float also forms the products of the float's zero imaginary
+    part, which change at most the sign of a zero part."""
     terms = []
     for j in _nonzero(row):
         c = float(row[j - 1])
@@ -69,12 +80,12 @@ def _slot_sum(head: str, row, slot: int, tail: str) -> list[str]:
 def _stage(target: str, row, call: bool, unpack: bool = True) -> list[str]:
     """``target = [y<s> + (row . stages) * h for each slot s]``, through
     ``rhs`` when ``call``, and then unpacked into ``<target>_0`` to
-    ``<target>_5`` when ``unpack``."""
+    ``<target>_8`` when ``unpack``."""
     open_, close = ("rhs([", "], *args)") if call else ("[", "]")
     lines = [f"    {target} = {open_}"]
-    for s in range(6):
+    for s in range(SLOTS):
         lines += _slot_sum(f"        y{s} + (", row, s,
-                           ") * h," if s < 5 else ") * h")
+                           ") * h," if s < SLOTS - 1 else ") * h")
     lines.append("    " + close)
     if call and unpack:
         lines += _unpack([target])
@@ -84,27 +95,31 @@ def _stage(target: str, row, call: bool, unpack: bool = True) -> list[str]:
 def _estimate(target: str, row) -> list[str]:
     """``target = [row . stages for each slot]``."""
     lines = [f"    {target} = ["]
-    for s in range(6):
-        lines += _slot_sum("        ", row, s, "," if s < 5 else "")
+    for s in range(SLOTS):
+        lines += _slot_sum("        ", row, s, "," if s < SLOTS - 1 else "")
     return lines + ["    ]"]
 
 
 def _unpack(names) -> list[str]:
-    """``<name>_0, ..., <name>_5 = <name>`` for each of ``names``."""
-    return ["    " + ", ".join(f"{name}_{s}" for s in range(6)) + f" = {name}"
-            for name in names]
+    """``<name>_0, ..., <name>_8 = <name>`` for each of ``names``."""
+    return ["    " + ", ".join(f"{name}_{s}" for s in range(SLOTS))
+            + f" = {name}" for name in names]
+
+
+def _state() -> str:
+    """``y0, ..., y8 = y``."""
+    return "    " + ", ".join(f"y{s}" for s in range(SLOTS)) + " = y"
 
 
 def source() -> str:
-    """The generated block, marker lines included."""
+    """The text of the generated module."""
     ref = _table()
-    out = [
-        BEGIN.rstrip("\n"),
+    out = HEADER + [
         "def _stages(rhs, args, y, k1, h):",
         '    """Stages 2 to 12, the new state and the unscaled 5th- and',
         '    3rd-order error estimates of a DOP853 trial step of size h from',
         '    y, where k1 = f(y); returns (y_new, [k1, ..., k12], e5, e3)."""',
-        "    y0, y1, y2, y3, y4, y5 = y",
+        _state(),
     ]
     out += _unpack(["k1"])
     for i in range(1, 12):
@@ -121,29 +136,21 @@ def source() -> str:
         "def _extra_stages(rhs, args, y, K, h):",
         '    """Append stages 14 to 16 of the continuous extension to the',
         '    13 stages K of an accepted step of size h from y."""',
-        "    y0, y1, y2, y3, y4, y5 = y",
+        _state(),
         "    " + ", ".join(f"k{j}" if j in used else "_"
                            for j in range(1, 14)) + " = K",
     ]
     out += _unpack([f"k{j}" for j in used])
     for i in range(13, 16):
         out += _stage(f"k{i + 1}", ref.A[i, :i], True, i < 15)
-    out += ["    K += (k14, k15, k16)", END.rstrip("\n")]
+    out.append("    K += (k14, k15, k16)")
     return "\n".join(out) + "\n"
-
-
-def committed(text: str) -> str:
-    """The generated block of a dynamics.py text, marker lines included."""
-    start = text.index(BEGIN)
-    return text[start:text.index(END, start) + len(END)]
 
 
 def main(argv) -> int:
     new = source()
     if argv[1:] == ["--write"]:
-        text = DYNAMICS.read_text(encoding="utf-8")
-        DYNAMICS.write_text(text.replace(committed(text), new),
-                            encoding="utf-8")
+        MODULE.write_text(new, encoding="utf-8")
     elif argv[1:]:
         print(__doc__)
         return 2

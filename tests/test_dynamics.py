@@ -29,6 +29,12 @@ from conftest import poison_rhs, random_pure_state
 RNG = np.random.default_rng(3)
 
 
+def _field(rhs, y, args):
+    """The field ``rhs`` with constants ``args`` at the packed (6,) state
+    ``y``, as a packed (6,) array."""
+    return dynamics._packed(rhs(dynamics._scalars(y), *args))
+
+
 def derivative_norm(d):
     return max(abs(d.R31), abs(d.R21), abs(d.rho32),
                abs(d.rho11), abs(d.rho22), abs(d.rho33))
@@ -62,6 +68,25 @@ class TestRhs:
         for _ in range(100):
             assert rhs_original(random_pure_state(RNG), params).rho11 >= 0.0
 
+    def test_stepper_form_round_trips(self):
+        """_scalars gives nine Python floats, the parts of the coherences
+        and then the populations, and _packed gives the packed state
+        back bit for bit, signed zeros included, with +0 imaginary parts
+        of the populations."""
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            y = rng.normal(size=6) + 1j * rng.normal(size=6)
+            y[rng.random(6) < 0.3] = 0.0
+            y.real[rng.random(6) < 0.5] *= -1.0
+            y.imag[rng.random(6) < 0.5] *= -1.0
+            y.imag[3:] = 0.0
+            v = dynamics._scalars(y)
+            assert [type(x) for x in v] == [float] * 9
+            assert ([x.hex() for x in v]
+                    == [x.hex() for z in y[:3] for x in (z.real, z.imag)]
+                    + [x.hex() for x in y[3:].real])
+            assert dynamics._packed(v).tobytes() == y.tobytes()
+
     def test_matches_mean_field_commutator(self):
         """The packed field is -i[H(rho), rho] for the 3x3 density matrix,
         H = diag(0, -omega32/2, omega32/2) plus the acting field
@@ -79,9 +104,9 @@ class TestRhs:
             H[1, 0], H[2, 0] = m21 * E, m31 * E
             H[0, 1], H[0, 2] = np.conj(H[1, 0]), np.conj(H[2, 0])
             drho = -1j * (H @ rho - rho @ H)
-            d = dynamics._rhs(
+            d = dynamics._packed(dynamics._rhs(
                 dynamics._scalars(np.array([rho[k] for k in slots])),
-                *dynamics._constants(om, dl, m21, m31))
+                *dynamics._constants(om, dl, m21, m31)))
             expected = np.array([drho[k] for k in slots])
             assert np.max(np.abs(d - expected)) < 1e-14
 
@@ -428,8 +453,8 @@ class TestIntegrate:
                                                     rhs, module, rate):
         """The d(rho11)/dt the quiescence detector reads at each sample of
         fig5, at its dt 0.01 and at dt 0.002, and the rate function on 200
-        random states with seed-scale coherences, equal slot 3 of the
-        vector field bit for bit.  The detector reads one block of samples
+        random states with seed-scale coherences, equal the rho11 part of
+        the vector field bit for bit.  The detector reads one block of samples
         per flush of the queued samples; the blocks cover every sample up
         to the stop, and the last one holds the stop."""
         real_rate = getattr(module, rate)
@@ -440,7 +465,7 @@ class TestIntegrate:
             sizes.append(len(y))
             for row, value in zip(y, r):
                 same.append(value.hex()
-                            == rhs(dynamics._scalars(row), *args)[3].hex())
+                            == _field(rhs, row, args).real[3].hex())
             return r
 
         monkeypatch.setattr(module, rate, checked)
@@ -466,13 +491,13 @@ class TestIntegrate:
             args = constants(rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
                              mu21, math.sqrt(2.0 - mu21 ** 2))
             assert (real_rate(y[None], *args)[0].hex()
-                    == rhs(dynamics._scalars(y), *args)[3].hex())
+                    == _field(rhs, y, args).real[3].hex())
 
 
 def _monitor_reference(ctrl, y0, times, ys, rhs, args):
     """The monitor one sample at a time, in Python arithmetic: trace, then
-    the quadratic invariant, then the quiescence detector fed slot 3 of
-    the field.  Returns (outcome, time): outcome is "stop", "trace" or
+    the quadratic invariant, then the quiescence detector fed the rho11
+    part of the field.  Returns (outcome, time): outcome is "stop", "trace" or
     "quadratic invariant", or None when every sample passes."""
 
     def invariants(y):
@@ -492,7 +517,7 @@ def _monitor_reference(ctrl, y0, times, ys, rhs, args):
             return "quadratic invariant", t
         if not ctrl.stop_on_quiescence:
             continue
-        if rhs(dynamics._scalars(y), *args)[3] >= 1e-8:
+        if _field(rhs, y, args).real[3] >= 1e-8:
             armed, last_loud = True, t
         elif armed and t - last_loud >= 10.0:
             return "stop", t
@@ -627,7 +652,7 @@ class TestRejectedSteps:
         def huge(y, *args):
             calls[0] += 1
             d = real(y, *args)
-            return [0j] * 3 + [3e306, 0.0, 0.0] if calls[0] == 16 else d
+            return [0.0] * 6 + [3e306, 0.0, 0.0] if calls[0] == 16 else d
 
         monkeypatch.setattr(dynamics, "_rhs", huge)
         ctrl = IntegratorControl(dt=3e-4)
@@ -769,7 +794,7 @@ class TestDriftBeforeFailure:
     @staticmethod
     def lose_trace(monkeypatch, from_call):
         """From call ``from_call`` on, ``dynamics._rhs`` adds 1e-3 to
-        d(rho22)/dt, so the trace of the solution grows."""
+        d(rho22)/dt, its float 7, so the trace of the solution grows."""
         real = dynamics._rhs
         calls = [0]
 
@@ -777,7 +802,7 @@ class TestDriftBeforeFailure:
             calls[0] += 1
             d = real(y, *args)
             if calls[0] >= from_call:
-                d[4] += 1e-3
+                d[7] += 1e-3
             return d
 
         monkeypatch.setattr(dynamics, "_rhs", drifting)
@@ -937,16 +962,16 @@ def _dense_rows():
 class TestDop853Table:
     def test_transcription_matches_scipy(self):
         """Every coefficient the stepper uses is scipy's bit for bit.  The
-        straight-line stage sums, new state and error estimates in
-        dynamics.py are the text tests/dop853_source.py writes from
-        scipy's table, with shortest round-trip literals; the rows it
+        straight-line stage sums, new state and error estimates,
+        src/filmsr/_dop853.py, are the text tests/dop853_source.py writes
+        from scipy's table, with shortest round-trip literals; the rows it
         reads have no weight on or above the diagonal, the new state is
         the FSAL row, and the error estimators' 13th weight, which the
         stepper drops, is zero.  The dense-output weights equal scipy's,
         and the dense table keeps exactly the stages some row weighs."""
         ref = _scipy_table()
-        text = pathlib.Path(dynamics.__file__).read_text(encoding="utf-8")
-        assert dop853_source.committed(text) == dop853_source.source()
+        assert (dop853_source.MODULE.read_text(encoding="utf-8")
+                == dop853_source.source())
         for i in range(1, ref.N_STAGES_EXTENDED):
             assert not np.any(ref.A[i, i:]), i
         assert np.array_equal(ref.A[12, :12], ref.B)
@@ -982,11 +1007,10 @@ class TestDop853Table:
             dynamics._extra_stages(dynamics._rhs, args, y, K, h)
             at, got = dynamics._dense_chunk([(0.0, h, y, K, 0, 7)],
                                             theta * h)
-            got = got.view(complex)
             assert len(K) == 16 and at.tolist() == list(range(7))
-            y, y_new, K = (np.array(v, dtype=complex) for v in (y, y_new, K))
+            y, y_new, K = (np.array(v) for v in (y, y_new, K))
             dy = y_new - y
-            F = np.empty((7, y.size), dtype=complex)
+            F = np.empty((7, y.size))
             F[0] = dy
             F[1] = h * K[0] - dy
             F[2] = 2.0 * dy - h * (K[12] + K[0])
@@ -1093,6 +1117,29 @@ def _bits(v):
     return [(type(x).__name__, x.real.hex(), x.imag.hex()) for x in v]
 
 
+def _six(values):
+    """Six amplitudes in the references' form: the coherences as Python
+    complex numbers, then the populations as Python floats."""
+    y = np.array(values, dtype=complex)
+    return y[:3].tolist() + y[3:].real.tolist()
+
+
+def _split(v):
+    """The stepper's nine floats of six numbers in the references' form
+    (see :func:`_rhs_reference`): the real and imaginary parts of the
+    three complex coherences, then the three float populations."""
+    return [part for z in v[:3] for part in (z.real, z.imag)] + list(v[3:])
+
+
+def _assert_bits(got, want, zero_sign=False):
+    """Every number of ``got`` is a float with the bits of the same float
+    of ``want``; with ``zero_sign``, a zero may instead be a zero of the
+    other sign."""
+    assert [type(x) for x in got] == [float] * len(want)
+    for g, w in zip(got, want):
+        assert g.hex() == w.hex() or zero_sign and g == w == 0.0, (g, w)
+
+
 class TestTrialStepBitIdentity:
     @pytest.mark.parametrize("constants, rhs, reference", [
         (dynamics._constants, dynamics._rhs, _rhs_reference),
@@ -1100,8 +1147,8 @@ class TestTrialStepBitIdentity:
     ], ids=["bare", "bright_dark"])
     def test_matches_reference_arithmetic(self, constants, rhs, reference):
         """On random states, parameters and step sizes, the fields, one
-        trial step and its three extra stages equal the reference bit for
-        bit, with three complex slots and three float slots throughout:
+        trial step and its three extra stages equal the complex reference
+        bit for bit, on nine floats throughout (the reference's parts):
         every stage, the new state, its moduli and the error norm.  The
         field takes its per-run constants, the reference the physical
         parameters.  After 200 random draws come 80 at the presets' edge
@@ -1109,7 +1156,10 @@ class TestTrialStepBitIdentity:
         (degenerate), delta_L = 0 (fig2, fig3), mu21 = mu31 = 1, and all
         three at once; the last 40 of them without optical coherences, so
         that exact zeros reach the stages (at omega32 = 0 the state is at
-        rest and the error norm is 0)."""
+        rest and the error norm is 0).  On these 80 a zero part of a stage
+        or of the new state may have the other sign: complex arithmetic
+        also forms the products of a real factor's zero imaginary part,
+        which add a zero of either sign."""
         edges = [{0: 0.0}, {1: 0.0}, {2: 1.0, 3: 1.0},
                  {0: 0.0, 1: 0.0, 2: 1.0, 3: 1.0}]
         rng = np.random.default_rng(5)
@@ -1124,46 +1174,43 @@ class TestTrialStepBitIdentity:
                     args[slot] = value
                 if i >= 240:    # zero optical coherences: exact zeros
                     seed = 0.0
-            y = dynamics._scalars(np.array(
-                [s.R31 * seed, s.R21 * seed, s.rho32,
-                 s.rho11, s.rho22, s.rho33], dtype=complex))
+            y6 = _six([s.R31 * seed, s.R21 * seed, s.rho32,
+                       s.rho11, s.rho22, s.rho33])
+            y = _split(y6)
             h = 10.0 ** rng.uniform(-4.0, -0.5)
             ctrl = IntegratorControl(rel_tol=10.0 ** rng.uniform(-13, -9))
             ref_K, ref_y, ref_abs, ref_err = _reference_trial(
-                reference, args, y, h, ctrl)
+                reference, args, y6, h, ctrl)
             consts = constants(*args)
             k1 = rhs(y, *consts)
             y_new, K, abs_new, err = dynamics._dop853_step(
                 rhs, consts, y, k1, dynamics._moduli(y), h, ctrl)
             dynamics._extra_stages(rhs, consts, y, K, h)
-            assert [_bits(k) for k in K] == [_bits(k) for k in ref_K]
-            assert _bits(y_new) == _bits(ref_y)
-            assert [type(x) for x in y_new] == [complex] * 3 + [float] * 3
+            assert len(K) == len(ref_K) == 16
+            for k, ref_k in zip(K, ref_K):
+                _assert_bits(k, _split(ref_k), i >= 200)
+            _assert_bits(y_new, _split(ref_y), i >= 200)
+            assert len(y_new) == 9
             assert _bits(abs_new) == _bits(ref_abs)
             assert err.hex() == ref_err.hex()
 
 
 def _reference_chunk(steps, grid):
     """The samples of queued steps in plain Python over scipy's table, as
-    ``(index, split parts)`` pairs in the form of ``_dense_chunk``: the
-    real and imaginary part of each slot apart.  Q_r sums the stages
+    ``(index, nine floats)`` pairs in the form of ``_dense_chunk``, each
+    float apart.  Q_r sums the stages
     weighed by row r of :func:`_dense_rows` over the row's nonzero
     weights in stage order.  Each sample is then
     y + h * (p_0 Q_0 + ... + p_6 Q_6), summed in row order, with
     theta = (t_sample - t) / h and p_r = p_{r-1} times 1 - theta for odd
     r and theta for even r."""
     table = _dense_rows()
-
-    def split(v):
-        return [part for x in v for part in (x.real, x.imag)]
-
     out = []
     for t, h, y, K, first, count in steps:
-        K = [split(k) for k in K]
         Q = []
         for row in table:
             q = []
-            for slot in range(12):
+            for slot in range(9):
                 total = None
                 for j, w in enumerate(row):
                     if w:
@@ -1177,7 +1224,7 @@ def _reference_chunk(steps, grid):
             for r in range(1, 7):
                 p.append(p[-1] * ((1.0 - theta) if r % 2 else theta))
             sample = []
-            for slot, start in enumerate(split(y)):
+            for slot, start in enumerate(y):
                 s = p[0] * Q[0][slot]
                 for r in range(1, 7):
                     s = s + p[r] * Q[r][slot]
@@ -1187,13 +1234,12 @@ def _reference_chunk(steps, grid):
 
 
 def _random_state(rng):
-    """A random pure state with seed-like coherences, in the stepper's
+    """A random pure state with seed-like coherences, in the references'
     form."""
     s = random_pure_state(rng)
     seed = 10.0 ** rng.uniform(-9.0, 0.0)
-    return dynamics._scalars(np.array(
-        [s.R31 * seed, s.R21 * seed, s.rho32, s.rho11, s.rho22, s.rho33],
-        dtype=complex))
+    return _six([s.R31 * seed, s.R21 * seed, s.rho32,
+                 s.rho11, s.rho22, s.rho33])
 
 
 def _state_at_rest(rng):
@@ -1206,27 +1252,33 @@ def _state_at_rest(rng):
     return coherences + [next(zero), 0.5, 0.5]
 
 
-_both_fields = pytest.mark.parametrize("constants, rhs", [
-    (dynamics._constants, dynamics._rhs),
-    (basis._constants_bd, _rhs_bd),
+_both_fields = pytest.mark.parametrize("constants, rhs, reference", [
+    (dynamics._constants, dynamics._rhs, _rhs_reference),
+    (basis._constants_bd, _rhs_bd, _rhs_bd_reference),
 ], ids=["bare", "bright_dark"])
 
 
 class TestChunkBitIdentity:
     @staticmethod
-    def check_chunks(constants, rhs, state, args=None, unweighed=None):
+    def check_chunks(constants, rhs, reference, state, args=None,
+                     unweighed=None):
         """Chunks of one to five accepted steps from ``state(rng)``, each
         with two to six samples, theta from 1e-9 to 1 - 1e-9, and a grid
         point outside the queue (nan) before each step's samples: the
-        states _dense_chunk evaluates at once equal the plain-Python
-        reference bit for bit, and come in grid order.  ``args(rng)``
-        draws the physical parameters; ``unweighed``, when given,
-        overwrites stages 2 to 5 of every queued step after the step."""
+        states _dense_chunk evaluates at once from the stepper's trial
+        steps equal the plain-Python reference bit for bit, on the same
+        trial steps and on the complex reference's, and come in grid
+        order.  ``args(rng)`` draws the physical parameters;
+        ``unweighed``, when given, overwrites stages 2 to 5 of every
+        queued step after the step."""
         rng = np.random.default_rng(23)
+        ctrl = IntegratorControl()
         for _ in range(40):
-            steps, grid, t = [], [], rng.uniform(0.0, 50.0)
+            steps, ref_steps, grid = [], [], []
+            t = rng.uniform(0.0, 50.0)
             for _ in range(int(rng.integers(1, 6))):
-                y = state(rng)
+                y6 = state(rng)
+                y = _split(y6)
                 mu21 = rng.uniform(0.2, 1.35)
                 physical = (args(rng) if args else
                             (rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0),
@@ -1235,29 +1287,37 @@ class TestChunkBitIdentity:
                 h = 10.0 ** rng.uniform(-4.0, -0.5)
                 _, K, _, _ = dynamics._dop853_step(
                     rhs, consts, y, rhs(y, *consts), dynamics._moduli(y), h,
-                    IntegratorControl())
+                    ctrl)
                 dynamics._extra_stages(rhs, consts, y, K, h)
+                ref_K = _reference_trial(reference, physical, y6, h, ctrl)[0]
                 if unweighed is not None:
-                    K[1:5] = [unweighed] * 4
+                    K[1:5] = [_split(unweighed)] * 4
+                    ref_K[1:5] = [unweighed] * 4
                 theta = [1e-9] + sorted(rng.uniform(0.0, 1.0, int(
                     rng.integers(0, 5)))) + [1.0 - 1e-9]
                 grid.append(math.nan)
                 steps.append((t, h, y, K, len(grid), len(theta)))
+                ref_steps.append((t, h, y, [_split(k) for k in ref_K],
+                                  len(grid), len(theta)))
                 grid.extend(t + x * h for x in theta)
                 t += h
             at, got = dynamics._dense_chunk(steps, np.array(grid))
             want = _reference_chunk(steps, grid)
             assert at.tolist() == [i for i, _ in want]
-            assert ([[v.hex() for v in row] for row in got.tolist()]
-                    == [[v.hex() for v in row] for _, row in want])
+            assert got.shape == (len(want), 9)
+            for row, (_, same), (_, ref) in zip(
+                    got.tolist(), want, _reference_chunk(ref_steps, grid)):
+                _assert_bits(row, same)
+                _assert_bits(row, ref)
 
     @_both_fields
-    def test_matches_reference_arithmetic(self, constants, rhs):
+    def test_matches_reference_arithmetic(self, constants, rhs, reference):
         """Random states and parameters."""
-        self.check_chunks(constants, rhs, _random_state)
+        self.check_chunks(constants, rhs, reference, _random_state)
 
     @_both_fields
-    def test_states_at_rest_keep_signed_zeros(self, constants, rhs):
+    def test_states_at_rest_keep_signed_zeros(self, constants, rhs,
+                                              reference):
         """Steps at rest, with zero parts of either sign and parameters
         that include the presets' edge values (omega32 = 0, delta_L = 0,
         mu21 = mu31 = 1), where the stages hold zeros of either sign: the
@@ -1266,14 +1326,15 @@ class TestChunkBitIdentity:
             return [float(rng.choice([0.0, rng.uniform(0.0, 10.0)])),
                     float(rng.choice([0.0, rng.uniform(0.0, 2.0)])), 1.0, 1.0]
 
-        self.check_chunks(constants, rhs, _state_at_rest, args)
+        self.check_chunks(constants, rhs, reference, _state_at_rest, args)
 
     @_both_fields
-    def test_unweighed_stages_never_reach_a_sample(self, constants, rhs):
+    def test_unweighed_stages_never_reach_a_sample(self, constants, rhs,
+                                                   reference):
         """No row weighs stages 2 to 5: NaN there leaves every sample
         finite and equal to the reference."""
         nan = math.nan
-        self.check_chunks(constants, rhs, _random_state,
+        self.check_chunks(constants, rhs, reference, _random_state,
                           unweighed=[complex(nan, nan)] * 3 + [nan] * 3)
 
 
@@ -1312,8 +1373,7 @@ def dop853_reference(preset_runs):
     for name, traj in preset_runs.items():
         p = traj.params
         args = dynamics._constants(p.omega32, p.delta_L, p.mu21, p.mu31)
-        ref = solve_ivp(lambda t, y: dynamics._rhs(dynamics._scalars(y),
-                                                   *args),
+        ref = solve_ivp(lambda t, y: _field(dynamics._rhs, y, args),
                         (0.0, traj.t[-1]), traj.y[:, 0], method="DOP853",
                         rtol=1e-13, atol=1e-20, t_eval=traj.t)
         assert ref.success
@@ -1367,8 +1427,7 @@ class TestBlockedRunAccuracy:
                 for run in (integrate, integrate_bright_dark)}
         t = runs["integrate"].t
         args = dynamics._constants(*dynamics._physical(params))
-        ref = solve_ivp(lambda _, y: dynamics._rhs(dynamics._scalars(y),
-                                                   *args),
+        ref = solve_ivp(lambda _, y: _field(dynamics._rhs, y, args),
                         (0.0, t[-1]), dynamics._pack(state), method="DOP853",
                         rtol=1e-13, atol=1e-20, t_eval=t)
         assert ref.success
