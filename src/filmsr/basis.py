@@ -189,12 +189,13 @@ def integrate_bright_dark(state0: DensityState, params: SystemParams,
                           ctrl: IntegratorControl | None = None) -> Trajectory:
     """Advance the motion in the bright/dark basis; return bare-basis samples.
 
-    The bare ``state0`` is validated first, so its errors name bare
-    fields.  The stepping driver of :func:`dynamics.integrate`, ``_drive``,
-    then advances its rotation, so the two paths are directly comparable
-    sample by sample, and the samples are rotated back to the bare basis.
+    The bare ``state0`` is validated, once, before it is rotated, so its
+    errors name bare fields.  The stepping driver of
+    :func:`dynamics.integrate`, ``_drive``, then advances its rotation, so
+    the two paths are directly comparable sample by sample, and the
+    samples are rotated back to the bare basis.
     """
-    bd = to_bright_dark(state0.validate(), params)
-    traj = _drive(bd, params, t_end, ctrl, _constants_bd, _rhs_bd, _rate_bd,
+    y0 = _bare_to_bd(_pack(state0.validate()), params)
+    traj = _drive(y0, params, t_end, ctrl, _constants_bd, _rhs_bd, _rate_bd,
                   _BRIGHT_DARK[1])
     return replace(traj, y=_bd_to_bare(traj.y, params))

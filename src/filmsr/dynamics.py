@@ -20,21 +20,16 @@ Time is in units of tau_R throughout (tau_R = 1).
 from __future__ import annotations
 
 import math
-import struct
 from bisect import bisect_right
 from dataclasses import astuple, dataclass
-from itertools import chain
 from math import isfinite, sqrt
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._dop853 import _extra_stages, _stages
+from . import _dop853
+from ._dop853 import _extra_stages, _gather, _stages
 from .params import (_BARE, DensityState, ParameterError, SystemParams,
                      _check_states, _det)
-
-if TYPE_CHECKING:
-    from .basis import BrightDarkState
 
 __all__ = [
     "IntegrationError",
@@ -369,53 +364,16 @@ class Trajectory:
 # t + theta*h is y + h * (p_0 Q_0 + ... + p_6 Q_6), with p(theta) =
 # (theta, theta(1-theta), ..., theta^4(1-theta)^3) and Q_r the stages K
 # weighed by row r of _DENSE: y_new - y, h k1 - (y_new - y) and
-# 2 (y_new - y) - h (k1 + k13), with _B the weights of y_new, then the
-# published table, kept on the twelve stages some row weighs (_WEIGHED).
+# 2 (y_new - y) - h (k1 + k13), each over scipy's weights B of y_new,
+# then the published table D, kept on the twelve stages some row weighs
+# (_dop853._WEIGHED).  tests/dop853_source.py writes these rows too.
 # _dense_chunk sums them for many steps at once, on the nine floats in an
 # order fixed here, so like a trial step the samples depend on no BLAS
 # kernel or SIMD level:
-_B = np.array([
-    5.42937341165687622380535766363e-2, 0, 0, 0, 0,
-    4.45031289275240888144113950566, 1.89151789931450038304281599044,
-    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
-    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-    4.47106157277725905176885569043e-2, 0, 0, 0, 0])
-_D = np.array([
-    [-0.84289382761090128651353491142e+1, 0, 0, 0, 0,
-     0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
-     0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
-     -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
-     0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
-     0.18148505520854727256656404962e+2, -0.91946323924783554000451984436e+1,
-     -0.44360363875948939664310572000e+1],
-    [0.10427508642579134603413151009e+2, 0, 0, 0, 0,
-     0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
-     -0.37454675472269020279518312152e+3, -0.22113666853125306036270938578e+2,
-     0.77334326684722638389603898808e+1, -0.30674084731089398182061213626e+2,
-     -0.93321305264302278729567221706e+1, 0.15697238121770843886131091075e+2,
-     -0.31139403219565177677282850411e+2, -0.93529243588444783865713862664e+1,
-     0.35816841486394083752465898540e+2],
-    [0.19985053242002433820987653617e+2, 0, 0, 0, 0,
-     -0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
-     0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
-     0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
-     0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
-     -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
-     0.11992291136182789328035130030e+2],
-    [-0.25693933462703749003312586129e+2, 0, 0, 0, 0,
-     -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
-     0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
-     -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
-     0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
-     0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
-     -0.14972683625798562581422125276e+3],
-])
-_UNIT = np.eye(16)
-_DENSE = np.vstack((_B, _UNIT[0] - _B, 2.0 * _B - _UNIT[0] - _UNIT[12], _D))
-del _UNIT
-_WEIGHED = np.flatnonzero(_DENSE.any(axis=0))     # stages 1 and 6 to 16
-_DENSE = _DENSE[:, _WEIGHED]
-_PACK_WEIGHED = struct.Struct(f"{9 * _WEIGHED.size}d").pack
+# (row, weighed stage), column-major: the products in _dense_chunk then
+# lie stage by stage, so that each stage's terms are one contiguous block
+# (row-major, a flush took about 15 % longer)
+_DENSE = np.asfortranarray(_dop853._DENSE)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -509,27 +467,20 @@ def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
     return y_new, K, abs_new, h * e5 / sqrt((e5 + 0.01 * e3) * 6)
 
 
-def _weighed(K) -> bytes:
-    """The stages ``_WEIGHED`` (1 and 6 to 16) of a step's 16 stages
-    ``K``, as the native doubles of their floats, stage by stage: packing
-    them with ``struct`` costs about half of ``np.fromiter`` per float."""
-    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16 = K
-    return _PACK_WEIGHED(*k1, *k6, *k7, *k8, *k9, *k10, *k11, *k12, *k13,
-                         *k14, *k15, *k16)
-
-
 def _dense_chunk(steps, grid):
     """The samples inside queued accepted steps, evaluated at once.
 
     ``steps`` holds ``(t, h, y, K, first, count)`` per step: its start,
     size, state and stages, and its samples' range in ``grid``.  Returns
     the samples' indices into ``grid`` and their states as an (M, 9)
-    array of the stepper's nine floats.  Q_r sums the twelve weighed
-    stages in stage order.  Rows 0 to 2 weigh zero only after their last
-    nonzero weight, so on finite stages that can only turn a Q_r of -0
-    into +0 where stage 1 is zero, and there rows 3 and 4 weigh stage 1
-    with opposite signs: the samples keep the bits of the nonzero-only
-    sums.  p_r = p_{r-1} * theta or * (1 - theta) as ``cumprod`` forms it.
+    array of the stepper's nine floats.  :func:`_dop853._gather` packs
+    each step's state and weighed stages, so a flush reads one buffer.
+    Q_r sums the twelve weighed stages in stage order.  Rows 0 to 2 weigh
+    zero only after their last nonzero weight, so on finite stages that
+    can only turn a Q_r of -0 into +0 where stage 1 is zero, and there
+    rows 3 and 4 weigh stage 1 with opposite signs: the samples keep the
+    bits of the nonzero-only sums.  p_r = p_{r-1} * theta or
+    * (1 - theta) as ``cumprod`` forms it.
     """
     t, h, y, K, first, count = zip(*steps)
     count = np.array(count)
@@ -538,12 +489,14 @@ def _dense_chunk(steps, grid):
         np.array(first) - np.cumsum(count) + count, count)
     h = np.array(h)[step]
     theta = (grid[at] - np.array(t)[step]) / h
-    K = np.frombuffer(b"".join(map(_weighed, K)))
+    # per step: its state, then its weighed stages, nine floats each
+    rows = np.frombuffer(b"".join(map(_gather, y, K))).reshape(
+        count.size, -1, 9)
     # stage-major, so the products run over contiguous (step, 9) planes
-    K = K.reshape(-1, _WEIGHED.size, 9).transpose(1, 0, 2).copy()
+    K = rows[:, 1:].transpose(1, 0, 2).copy()
     terms = _DENSE[:, :, None, None] * K        # (row, stage, step, 9)
     Q = terms[:, 0]
-    for j in range(1, _WEIGHED.size):
+    for j in range(1, len(K)):
         Q += terms[:, j]
     Q = np.take(Q, step, axis=1)        # a third of the time of Q[:, step]
     u = 1.0 - theta
@@ -552,8 +505,7 @@ def _dense_chunk(steps, grid):
     for r in range(1, 7):
         p = p * (u if r % 2 else theta)
         s += p[:, None] * Q[r]
-    y = np.fromiter(chain.from_iterable(y), float, 9 * count.size)
-    return at, y.reshape(-1, 9)[step] + h[:, None] * s
+    return at, rows[:, 0][step] + h[:, None] * s
 
 
 def _sample_count(t_end: float, dt: float) -> tuple[int, bool]:
@@ -636,18 +588,19 @@ class _Monitors:
         return None
 
 
-def _drive(state0: DensityState | BrightDarkState, params: SystemParams,
-           t_end: float, ctrl: IntegratorControl | None, constants, rhs, rate,
-           pairs, on_final=None) -> Trajectory:
-    """Validate, step with DOP853 and sample on the regular dt grid; the
-    one driver of both integration paths.
+def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
+           ctrl: IntegratorControl | None, constants, rhs, rate, pairs,
+           on_final=None) -> Trajectory:
+    """Step with DOP853 from the packed (6,) state ``y0``, which the
+    caller has checked, and sample on the regular dt grid; the one driver
+    of both integration paths.
 
     ``rhs(y, *args)`` is the autonomous vector field the stepper
     advances, on its nine floats (see :func:`_scalars`), where
     ``args = constants(omega32, delta_L, mu21, mu31)`` is built once per
     run; ``rate(block, *args)`` is its rho11 part, d(rho11)/dt, as an array
     over the rows of an (m, 6) block of packed states, which the
-    quiescence detector, a :class:`_Monitors`, reads.  ``state0``, the
+    quiescence detector, a :class:`_Monitors`, reads.  ``y0``, the
     samples and the checks of the invariants are in the frame of ``rhs``,
     whose slot pairing (see :func:`params._check_states`) is ``pairs``.
 
@@ -682,7 +635,6 @@ def _drive(state0: DensityState | BrightDarkState, params: SystemParams,
     the run stores them.
     """
     ctrl = ctrl or IntegratorControl()
-    y0 = _pack(state0.validate())
     args = constants(*_physical(params))
     monitors = _Monitors(ctrl, lambda y: rate(y, *args))
     budget = _MAX_STEPS
@@ -825,5 +777,5 @@ def integrate(state0: DensityState, params: SystemParams, t_end: float,
     trajectory's ``y``, at the first n :func:`_sample_times`.  It is not
     called at the end; the returned trajectory holds every sample.
     """
-    return _drive(state0, params, t_end, ctrl, _constants, _rhs, _rate,
-                  _BARE[1], on_final=on_final)
+    return _drive(_pack(state0.validate()), params, t_end, ctrl, _constants,
+                  _rhs, _rate, _BARE[1], on_final=on_final)

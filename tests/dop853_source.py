@@ -1,4 +1,4 @@
-"""Source of ``filmsr._dop853``, the straight-line DOP853 stage sums.
+"""Source of ``filmsr._dop853``, the straight-line DOP853 code.
 
 The stepper's stage sums, new state and error estimates, and the three
 extra stages of its continuous extension, are written out as plain
@@ -6,11 +6,15 @@ Python arithmetic over the nonzero coefficients of each row of scipy's
 DOP853 table, slot by slot in ascending stage order, on the stepper's
 nine floats (the parts of the three coherences, then the three
 populations), so that no array call and no complex number sits in a
-trial step.  This script writes that code; ``src/filmsr/_dop853.py`` is
-its output, which ``tests/test_dynamics.py::TestDop853Table`` checks.
-The code has a module of its own because CPython compiles a module in
-one piece: in ``dynamics.py`` it raised the peak memory of an
-interpreter that compiles the package from source.
+trial step.  From the same table it writes the continuous extension's
+dense-output table ``_DENSE`` as float tuples, over the stages some row
+weighs (``_WEIGHED``), and ``_gather``, which packs a step's state and
+those stages for ``dynamics._dense_chunk``.  This script writes that
+code; ``src/filmsr/_dop853.py`` is its output, which
+``tests/test_dynamics.py::TestDop853Table`` checks.  The code has a
+module of its own because CPython compiles a module in one piece: in
+``dynamics.py`` it raised the peak memory of an interpreter that
+compiles the package from source.
 
     python tests/dop853_source.py            # print the generated module
     python tests/dop853_source.py --write    # write src/filmsr/_dop853.py
@@ -24,9 +28,12 @@ import sys
 MODULE = (pathlib.Path(__file__).resolve().parent.parent
           / "src" / "filmsr" / "_dop853.py")
 HEADER = [
-    '"""DOP853 stage sums on the stepper\'s nine floats, for',
-    ":mod:`filmsr.dynamics`: generated by tests/dop853_source.py from",
+    '"""DOP853 on the stepper\'s nine floats, for :mod:`filmsr.dynamics`:',
+    "the stage sums, the dense-output table and the gather of a step's",
+    "state and weighed stages, generated by tests/dop853_source.py from",
     'scipy\'s coefficient table; do not edit."""',
+    "",
+    "import struct",
     "",
     "",
 ]
@@ -106,6 +113,16 @@ def _unpack(names) -> list[str]:
             + f" = {name}" for name in names]
 
 
+def _dense(ref) -> list[list[float]]:
+    """The seven rows of the dense-output table over all 16 stages: the
+    weights of y_new, e_1 minus them, twice them minus e_1 and e_13, then
+    scipy's D (see the continuous-extension note in ``dynamics.py``)."""
+    b = ref.B.tolist() + [0.0] * 4
+    return ([b, [(j == 0) - w for j, w in enumerate(b)],
+             [2.0 * w - (j == 0) - (j == 12) for j, w in enumerate(b)]]
+            + ref.D.tolist())
+
+
 def _state() -> str:
     """``y0, ..., y8 = y``."""
     return "    " + ", ".join(f"y{s}" for s in range(SLOTS)) + " = y"
@@ -143,7 +160,32 @@ def source() -> str:
     out += _unpack([f"k{j}" for j in used])
     for i in range(13, 16):
         out += _stage(f"k{i + 1}", ref.A[i, :i], True, i < 15)
-    out.append("    K += (k14, k15, k16)")
+    out += ["    K += (k14, k15, k16)", "", ""]
+
+    rows = _dense(ref)
+    weighed = [j for j in range(len(rows[0])) if any(r[j] for r in rows)]
+    out += ["# the stages (0-based) that some row of _DENSE weighs",
+            f"_WEIGHED = {tuple(weighed)!r}",
+            "# the rows of the continuous extension over the stages _WEIGHED",
+            "_DENSE = ("]
+    for row in rows:
+        out += _wrap("    (", [f"{row[j]!r}," for j in weighed[:-1]]
+                     + [f"{row[weighed[-1]]!r}),"], 5)
+    stages = [f"k{j + 1}" for j in weighed]
+    out += [
+        ")",
+        f"_PACK = struct.Struct(\"{SLOTS * (1 + len(weighed))}d\").pack",
+        "",
+        "",
+        "def _gather(y, K):",
+        '    """The nine floats of y, then those of the stages _WEIGHED of',
+        "    the 16 stages K of an accepted step from y, stage by stage, as",
+        '    native doubles, for dynamics._dense_chunk."""',
+        "    " + ", ".join(f"k{j}" if j - 1 in weighed else "_"
+                           for j in range(1, 17)) + " = K",
+    ]
+    out += _wrap("    return _PACK(", [f"*{k}," for k in ["y"] + stages[:-1]]
+                 + [f"*{stages[-1]})"], 17)
     return "\n".join(out) + "\n"
 
 

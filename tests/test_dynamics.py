@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,6 +22,7 @@ from filmsr import (DensityState, IntegrationError, IntegratorControl,
                     InvariantDrift, NonFiniteStep, PositivityViolation,
                     TraceViolation, basis, dynamics, field_of, initial_state,
                     integrate, make_params, rhs_original)
+from filmsr import _dop853
 from filmsr.basis import _rhs_bd, integrate_bright_dark
 from filmsr.params import ParameterError
 import dop853_source
@@ -231,6 +233,24 @@ class TestIntegrate:
                 integrator(state, make_params(5.0, 0.5), t_end, ctrl)
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("integrator", [integrate, integrate_bright_dark])
+    def test_checks_the_initial_state_once(self, integrator, monkeypatch):
+        """Each path checks the bare initial state once and hands the
+        driver its packed form, in the driver's frame, without a second
+        check: the bright/dark path builds no BrightDarkState to check."""
+        from filmsr import params
+        state = initial_state(0.5, 0.5, 0.0)
+        real, calls = params._check_states, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        for module in (params, basis, dynamics):
+            monkeypatch.setattr(module, "_check_states", counted)
+        integrator(state, make_params(5.0, 0.5), 1.0)
+        assert calls[0] == 1
 
     @pytest.mark.parametrize("integrator", [integrate, integrate_bright_dark])
     def test_rejects_grid_too_large_to_store(self, integrator):
@@ -967,8 +987,10 @@ class TestDop853Table:
         from scipy's table, with shortest round-trip literals; the rows it
         reads have no weight on or above the diagonal, the new state is
         the FSAL row, and the error estimators' 13th weight, which the
-        stepper drops, is zero.  The dense-output weights equal scipy's,
-        and the dense table keeps exactly the stages some row weighs."""
+        stepper drops, is zero.  The dense-output table the script writes
+        there, as plain floats, and the array the stepper sums with equal
+        the rows of scipy's B and D, on exactly the stages some row
+        weighs."""
         ref = _scipy_table()
         assert (dop853_source.MODULE.read_text(encoding="utf-8")
                 == dop853_source.source())
@@ -976,13 +998,27 @@ class TestDop853Table:
             assert not np.any(ref.A[i, i:]), i
         assert np.array_equal(ref.A[12, :12], ref.B)
         assert ref.E5[12] == ref.E3[12] == 0.0
-        assert np.array_equal(dynamics._B, np.append(ref.B, np.zeros(4)))
-        assert np.array_equal(dynamics._D, ref.D)
         rows = np.array(_dense_rows())
         weighed = sorted(set().union(*map(np.flatnonzero, rows)))
-        assert dynamics._WEIGHED.tolist() == weighed == [0, *range(5, 16)]
+        assert list(_dop853._WEIGHED) == weighed == [0, *range(5, 16)]
+        assert all(type(w) is float for row in _dop853._DENSE for w in row)
+        assert (np.array(_dop853._DENSE).tobytes()
+                == rows[:, weighed].tobytes())
         assert dynamics._DENSE.shape == (7, 12)
         assert dynamics._DENSE.tobytes() == rows[:, weighed].tobytes()
+
+    def test_gather_packs_the_state_then_the_weighed_stages(self):
+        """_gather gives a step's nine state floats, then the nine of
+        stages 1 and 6 to 16 in stage order, as native doubles; on random
+        floats, so that a wrong or missing index fails."""
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            y = rng.normal(size=9).tolist()
+            K = [k.tolist() for k in rng.normal(size=(16, 9))]
+            expected = y + [x for j in (0, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                        14, 15) for x in K[j]]
+            assert (_dop853._gather(y, K)
+                    == struct.pack(f"{len(expected)}d", *expected))
 
     def test_continuous_extension_matches_scipy_interpolant(self):
         """Samples inside a step agree with scipy's DOP853 interpolant
