@@ -396,75 +396,71 @@ def _finite(y) -> bool:
     return all(map(isfinite, y))
 
 
-def _moduli(y):
-    """The moduli of the six amplitudes of the stepper's nine floats, by
-    + x and sqrt alone: libm ``hypot`` can round differently per host."""
+def _moduli(y) -> tuple:
+    """The largest modulus in each block of the stepper's nine floats: the
+    optical coherences R31 and R21, the upper doublet rho32, rho22 and
+    rho33, and rho11 alone, by + x and sqrt: libm ``hypot`` can round
+    differently per host.  sqrt is correctly rounded and monotone, so the
+    square root of the larger square is the larger modulus."""
     a0, b0, a1, b1, a2, b2, x3, x4, x5 = y
-    return [sqrt(a0 * a0 + b0 * b0), sqrt(a1 * a1 + b1 * b1),
-            sqrt(a2 * a2 + b2 * b2), abs(x3), abs(x4), abs(x5)]
+    q0, q1 = a0 * a0 + b0 * b0, a1 * a1 + b1 * b1
+    m2, x4, x5 = sqrt(a2 * a2 + b2 * b2), abs(x4), abs(x5)
+    m24 = m2 if m2 > x4 else x4
+    return (sqrt(q0 if q0 > q1 else q1), m24 if m24 > x5 else x5, abs(x3))
 
 
-def _weights(abs_y, abs_new, rel_tol) -> list:
-    """The error weight of each slot, from the moduli of a step's two
-    states, by block: with m_i = max(|y_i|, |y_new,i|), slots 0 and 1 (the
-    optical coherences) share ``_ABS_TOL + rel_tol * max(m0, m1)``, slots
-    2, 4 and 5 (the upper doublet) share ``_ABS_TOL + rel_tol *
-    max(m2, m4, m5)``, and slot 3 (rho11) keeps its own.  The bright/dark
-    rotation maps each block into itself and moves its largest modulus by
-    at most a factor 2, so the weights hardly depend on the frame, and a
-    slot near zero in one frame does not force short steps there."""
-    m0, m1, m2, m3, m4, m5 = [a if a > b else b
-                              for a, b in zip(abs_y, abs_new)]
-    m24 = m2 if m2 > m4 else m4
-    optical = _ABS_TOL + rel_tol * (m0 if m0 > m1 else m1)
-    doublet = _ABS_TOL + rel_tol * (m24 if m24 > m5 else m5)
-    return [optical, optical, doublet, _ABS_TOL + rel_tol * m3,
-            doublet, doublet]
+def _weights(m_y, m_new, rel_tol) -> list:
+    """The error weight of each block, ``_ABS_TOL + rel_tol * M``, where M
+    is the block's largest modulus over a step's two states (see
+    :func:`_moduli`).  The bright/dark rotation maps each block into
+    itself and moves its largest modulus by at most a factor 2, so the
+    weights hardly depend on the frame, and a slot near zero in one frame
+    does not force short steps there."""
+    return [_ABS_TOL + rel_tol * (a if a > b else b)
+            for a, b in zip(m_y, m_new)]
 
 
 def _sum_squares(e, w) -> float:
     """|e_0 / w_0|^2 + ... + |e_5 / w_5|^2 of an error estimate ``e``, in
-    the stepper's nine floats, and the six slots' weights ``w``, left to
-    right in slot order."""
+    the stepper's nine floats, each slot divided by the weight of its
+    block in ``w`` (see :func:`_weights`), left to right in slot order."""
     a0, b0, a1, b1, a2, b2, x3, x4, x5 = e
-    w0, w1, w2, w3, w4, w5 = w
-    a0, b0, a1, b1 = a0 / w0, b0 / w0, a1 / w1, b1 / w1
-    a2, b2, x3, x4, x5 = a2 / w2, b2 / w2, x3 / w3, x4 / w4, x5 / w5
+    optical, doublet, w3 = w
+    a0, b0, a1, b1 = a0 / optical, b0 / optical, a1 / optical, b1 / optical
+    a2, b2, x3 = a2 / doublet, b2 / doublet, x3 / w3
+    x4, x5 = x4 / doublet, x5 / doublet
     return ((a0 * a0 + b0 * b0) + (a1 * a1 + b1 * b1) + (a2 * a2 + b2 * b2)
             + x3 * x3 + x4 * x4 + x5 * x5)
 
 
-def _dop853_step(rhs, args, y, k1, abs_y, h, ctrl: IntegratorControl):
+def _dop853_step(rhs, args, y, k1, m_y, h, ctrl: IntegratorControl):
     """One DOP853 trial step of size ``h`` from ``y``, where ``k1 = f(y)``
-    and ``abs_y`` holds the moduli of y's six amplitudes (see
-    :func:`_moduli`); states and stages are the stepper's nine floats (see
-    :func:`_scalars`), so a trial step uses only float + - x / and sqrt.
+    and ``m_y`` holds y's block moduli (see :func:`_moduli`); states and
+    stages are the stepper's nine floats (see :func:`_scalars`), so a
+    trial step uses only float + - x / and sqrt.
 
-    Returns ``(y_new, K, abs_new, err)``.  ``K`` is a fresh list of the 13
+    Returns ``(y_new, K, m_new, err)``.  ``K`` is a fresh list of the 13
     stages k1 to k12 and ``f(y_new)``, the first stage of the next step
     (FSAL); :func:`_extra_stages` appends the three extra stages.
-    ``abs_new``, the moduli of ``y_new``, is the next ``abs_y``.  When
-    ``y_new`` or ``f(y_new)`` is not finite, ``abs_new`` is None and
-    ``err`` nan.
-    Otherwise ``err`` is the DOP853 error norm: with e5 and e3 the sums of
-    squares of the 5th- and 3rd-order error estimates, each slot divided
-    by its block weight (see :func:`_weights`): ``_ABS_TOL +
-    ctrl.rel_tol * M``, where M is the largest max(|y_i|, |y_new,i|) over
-    the slot's block (slots 0 and 1, slots 2, 4 and 5, or slot 3 alone);
-    then ``err = h e5 / sqrt((e5 + 0.01 e3) * 6)``.  Fresh stages per trial
-    mean a rejected retry can never see stages of the trial it replaces.
+    ``m_new``, the block moduli of ``y_new``, is the next ``m_y``.  When
+    ``y_new`` or ``f(y_new)`` is not finite, ``m_new`` is None and ``err``
+    nan.  Otherwise ``err`` is the DOP853 error norm
+    ``h e5 / sqrt((e5 + 0.01 e3) * 6)``, where e5 and e3 are the sums of
+    squares of the 5th- and 3rd-order error estimates over the weights of
+    :func:`_weights`, and 0 where that denominator is 0.  Fresh stages per
+    trial mean a rejected retry can never see stages of the trial it
+    replaces.
     """
     y_new, K, e5, e3 = _stages(rhs, args, y, k1, h)
     f_new = rhs(y_new, *args)
     K.append(f_new)
     if not (_finite(y_new) and _finite(f_new)):
         return y_new, K, None, math.nan
-    abs_new = _moduli(y_new)
-    w = _weights(abs_y, abs_new, ctrl.rel_tol)
-    e5, e3 = _sum_squares(e5, w), _sum_squares(e3, w)
-    if e5 == 0.0 and e3 == 0.0:
-        return y_new, K, abs_new, 0.0
-    return y_new, K, abs_new, h * e5 / sqrt((e5 + 0.01 * e3) * 6)
+    m_new = _moduli(y_new)
+    w = _weights(m_y, m_new, ctrl.rel_tol)
+    e5 = _sum_squares(e5, w)
+    norm = (e5 + 0.01 * _sum_squares(e3, w)) * 6
+    return y_new, K, m_new, h * e5 / sqrt(norm) if norm else 0.0
 
 
 def _dense_chunk(steps, grid):
@@ -646,7 +642,7 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
     ys = np.zeros((grid.size + 1, 6), dtype=complex)    # +0 imag parts
     ys[0] = y0
     t, y = 0.0, _scalars(ys[0])
-    abs_y = _moduli(y)
+    m_y = _moduli(y)
     k1 = rhs(y, *args)
     evals = 1
     h = _initial_step(params.omega32)
@@ -690,8 +686,8 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
                     f"step budget of {budget} trial steps exhausted "
                     f"at t={t:.6g}")
 
-            y_new, K, abs_new, err = _dop853_step(rhs, args, y, k1, abs_y,
-                                                  h, ctrl)
+            y_new, K, m_new, err = _dop853_step(rhs, args, y, k1, m_y, h,
+                                                ctrl)
             evals += 12
             if err <= 1.0:
                 t_new = t_last if last else t + h
@@ -724,7 +720,7 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
                 queue.append((t, h, y, K, n, inner))
             if end > n + inner:
                 ys[end].view(float)[_SPLIT] = y_new
-            t, y, k1, abs_y = t_new, y_new, K[12], abs_new
+            t, y, k1, m_y = t_new, y_new, K[12], m_new
             factor = (_MAX_FACTOR if err == 0.0
                       else min(_MAX_FACTOR, _factor(err)))
             # no growth straight after a rejection

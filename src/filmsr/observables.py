@@ -132,14 +132,15 @@ def smoothed_envelope(traj: Trajectory) -> np.ndarray:
 
     Moving average of width one beat period 2*pi/omega32 (reflect-padded,
     so the array keeps the grid's length and the edges are unbiased); the
-    raw magnitude when omega32 = 0.
+    raw magnitude when the period spans the grid, as at omega32 = 0.
     """
     dt = traj.control.dt
     abs_s = np.abs(traj.emitted_amp[:_grid_size(traj.t, dt)])
     om = abs(traj.params.omega32)
-    if om == 0.0:
+    period = (2.0 * np.pi / om) / dt if om else np.inf    # in samples
+    if not period < abs_s.size:     # before int(), which inf would fail
         return abs_s
-    w = max(1, int(round((2.0 * np.pi / om) / dt)))
+    w = max(1, int(round(period)))
     if w % 2 == 0:
         w += 1
     if w <= 1 or w >= abs_s.size:

@@ -8,6 +8,9 @@ Each figure is the minimum over 7 runs, in this process:
 - ``trial_us``: one DOP853 trial step from that state with the three
   extra stages of its continuous extension (``_dop853_step`` and
   ``_extra_stages``), at step 0.05;
+- ``trial_ops``: the Python opcodes that the same trial step executes,
+  in every frame it runs, counted from ``sys.settrace`` opcode events;
+  unlike the timings it does not depend on the host;
 - ``chunk_us@<dt>``: one call of ``_dense_chunk``, the evaluation of a
   flush, averaged over the chunks a fig5 run at dt 0.01 and 0.002
   flushes (each chunk's own minimum, then the mean);
@@ -49,6 +52,25 @@ def best(call, number: int) -> float:
     return min(timeit.repeat(call, number=number, repeat=REPEAT)) / number
 
 
+def opcodes(call) -> int:
+    """The Python opcodes one call of ``call`` executes, in every frame."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
 def costs() -> dict[str, float]:
     from filmsr import basis, dynamics, integrate
     from filmsr.config import PRESET_NAMES, load_preset
@@ -77,6 +99,7 @@ def costs() -> dict[str, float]:
         dynamics._extra_stages(rhs, args, y, K, 0.05)
 
     out["trial_us"] = 1e6 * best(trial, 200)
+    out["trial_ops"] = opcodes(trial)
 
     real = dynamics._dense_chunk
     for dt in (0.01, 0.002):

@@ -179,10 +179,11 @@ def _random_valid_state(rng):
 
 class TestErrorWeights:
     def test_block_weights_do_not_depend_on_the_frame(self):
-        """The stepper's error weights of two random valid states (the
-        start and end of a step) and of their bright/dark images agree to
-        within a factor 2, slot by slot: the rotation maps each block into
-        itself, and moves its largest modulus by at most that factor."""
+        """The stepper's three block error weights of two random valid
+        states (the start and end of a step) and of their bright/dark
+        images agree to within a factor 2, block by block: the rotation
+        maps each block into itself, and moves its largest modulus by at
+        most that factor."""
         def weights(states, rel_tol):
             return np.array(_weights(*(_moduli(_scalars(_pack(s)))
                                        for s in states), rel_tol))
@@ -196,6 +197,7 @@ class TestErrorWeights:
             step = [_random_valid_state(rng), _random_valid_state(rng)]
             ratio = (weights([to_bright_dark(s, params) for s in step],
                              rel_tol) / weights(step, rel_tol))
+            assert ratio.shape == (3,)
             assert np.all((0.5 <= ratio) & (ratio <= 2.0)), ratio
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from filmsr import config, dynamics
+from filmsr import config, dynamics, integrate_bright_dark
 from filmsr.cli import (EXIT_INTEGRATION, EXIT_OK, EXIT_VALIDATION,
                         _apply_overrides, build_parser, main)
 from filmsr.config import load_preset
@@ -22,6 +22,21 @@ init.rho22 = 0.5
 init.rho33 = 0.5
 init.rho32 = 0.5
 run.t_end = 25.0
+"""
+
+# valid, with rho33 = 0 and tiny seeds: its first trial step's
+# 3rd-order error estimate is subnormal and the 5th-order one is 0
+SUBNORMAL_ERROR = """\
+params.omega32 = 0.0
+params.delta_L = 0.0
+params.mu21 = 0.7520233889327563
+params.mu31 = 1.19768978558644
+init.rho22 = 0.2606864244128987
+init.rho33 = 0.0
+init.rho32 = 0.0
+init.R21 = 1.2033283439203376e-169-9.278138476620684e-169j
+init.R31 = -6.750262056746777e-188-2.742392810576483e-187j
+run.t_end = 6.259884028450927
 """
 
 PHYSICAL = """\
@@ -97,6 +112,25 @@ class TestRun:
                                           "--t-end", "1"])
         cfg = _apply_overrides(load_preset("fig4"), args)
         assert (cfg.t_end, cfg.control.dt) == (1.0, 1e-6)
+
+    def test_error_norm_of_a_subnormal_estimate(self, tmp_path):
+        """A config whose first trial step has e5 = 0 and a subnormal e3,
+        so that the norm's denominator (e5 + 0.01 e3) * 6 underflows to 0:
+        the step's error is 0, and the run ends with NoPulse (exit 0).
+        Both integration paths take the same steps."""
+        p = tmp_path / "subnormal.cfg"
+        p.write_text(SUBNORMAL_ERROR, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out-dir", str(out)]) == EXIT_OK
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["error"].startswith("NoPulse: ")
+        counts = (metrics["steps_accepted"], metrics["steps_rejected"],
+                  metrics["rhs_evals"])
+        assert counts == (5, 0, 73)
+        cfg = config.load_scenario(p)
+        bd = integrate_bright_dark(cfg.initial_state(), cfg.params,
+                                   cfg.t_end, cfg.control)
+        assert (bd.steps_accepted, bd.steps_rejected, bd.rhs_evals) == counts
 
     def test_preset_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "deg"

@@ -72,6 +72,23 @@ class TestPulseMetricsDegenerate:
         m = pulse_metrics(preset_runs["degenerate"])
         assert m.peak_amp == pytest.approx(np.sqrt(2.0) * 0.5, rel=0.01)
 
+    @pytest.mark.parametrize("omega32", [5e-324, 1e-306])
+    def test_vanishing_splitting_is_degenerate(self, preset_configs,
+                                               preset_runs, omega32):
+        """A splitting whose beat period, in grid steps, overflows to inf
+        leaves the envelope raw, as omega32 = 0 does: the run takes the
+        degenerate preset's steps and gives its t_peak, fwhm and final
+        populations."""
+        cfg, ref = preset_configs["degenerate"], preset_runs["degenerate"]
+        traj = integrate(cfg.initial_state(),
+                         make_params(omega32, cfg.params.delta_L),
+                         cfg.t_end, cfg.control)
+        assert ((traj.steps_accepted, traj.steps_rejected, traj.rhs_evals)
+                == (ref.steps_accepted, ref.steps_rejected, ref.rhs_evals))
+        got, want = pulse_metrics(traj), pulse_metrics(ref)
+        assert ((got.t_peak, got.fwhm, got.final_pops)
+                == (want.t_peak, want.fwhm, want.final_pops))
+
     def test_no_modulation_line(self, preset_runs):
         assert pulse_metrics(preset_runs["degenerate"]).oscillation_freq is None
 
