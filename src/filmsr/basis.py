@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .dynamics import (IntegratorControl, Trajectory, _drive, _pack,
-                       _packed, _physical, _scalars, _unpack)
+                       _packed, _scalars, _unpack)
 from .params import DensityState, SystemParams, _check_states
 
 __all__ = [
@@ -180,7 +180,7 @@ def rhs_bright_dark(bd: BrightDarkState,
     the bare-basis vector field under the basis rotation.
     """
     return _unpack(_packed(_rhs_bd(_scalars(_pack(bd)),
-                                   *_constants_bd(*_physical(params)))),
+                                   *_constants_bd(*astuple(params)))),
                    BrightDarkState)
 
 

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from importlib import resources
 
 from .analytics import _inversion
 from .dynamics import IntegratorControl, _sample_count
 from .params import (DensityState, ParameterError, PhysicalInputs,
-                     SystemParams, initial_state, make_params)
+                     SystemParams, initial_state)
 
 __all__ = [
     "ConfigError",
@@ -201,7 +201,7 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
         return {arg: take(key, kind) for arg, key in keys.items() if key in m}
 
     with _config_errors():
-        params = make_params(
+        params = SystemParams(
             take("params.omega32", "float", required=True),
             take("params.delta_L", "float", required=True),
             **given("float", mu21="params.mu21", mu31="params.mu31"))
@@ -225,16 +225,10 @@ def physical_from_mapping(mapping: dict[str, str]) -> PhysicalInputs:
     """Build :class:`PhysicalInputs` (CGS units) from parsed keys."""
     m = dict(mapping)
     take = partial(_take, m)
+    values = [take(f"physical.{f.name}", "float", required=True)
+              for f in fields(PhysicalInputs)]
     with _config_errors():
-        phys = PhysicalInputs(
-            wavelength_c=take("physical.wavelength_c", "float", required=True),
-            thickness=take("physical.thickness", "float", required=True),
-            dipole21=take("physical.dipole21", "float", required=True),
-            dipole31=take("physical.dipole31", "float", required=True),
-            concentration=take("physical.concentration", "float",
-                               required=True),
-            tau0=take("physical.tau0", "float", required=True),
-        )
+        phys = PhysicalInputs(*values)
     if m:
         raise ConfigError(f"unknown config keys: {sorted(m)}")
     return phys

@@ -59,7 +59,8 @@ class NonFiniteStep(IntegrationError):
 
 class InvariantDrift(IntegrationError):
     """Trace, quadratic invariant or determinant drifted beyond
-    ``_INVARIANT_TOL``."""
+    ``_INVARIANT_TOL``; the message names the run's rel_tol and the
+    remedy."""
 
 
 # emission is over once d(rho11)/dt stays below this rate for this long
@@ -242,12 +243,6 @@ def _quadratic(y):
                      + (re[1] * re[1] + im[1] * im[1])))
 
 
-def _physical(params: SystemParams) -> tuple:
-    """``(omega32, delta_L, mu21, mu31)``, the arguments of the constants
-    functions."""
-    return params.omega32, params.delta_L, params.mu21, params.mu31
-
-
 def _emitted(y, params: SystemParams):
     """Emitted-field envelope mu21*R21 + mu31*R31 of packed bare states."""
     return params.mu21 * y[1] + params.mu31 * y[0]
@@ -263,7 +258,7 @@ def rhs_original(state: DensityState, params: SystemParams) -> DensityState:
     decreases; the population derivatives add to zero exactly.
     """
     return _unpack(_packed(_rhs(_scalars(_pack(state)),
-                                *_constants(*_physical(params)))))
+                                *_constants(*astuple(params)))))
 
 
 def field_of(state: DensityState,
@@ -533,12 +528,15 @@ def _sample_times(t_end: float, dt: float) -> np.ndarray:
     return np.append(t, t_end) if partial else t
 
 
-def _check_invariants(t, y, y0, pairs) -> None:
+def _check_invariants(t, y, y0, pairs, rel_tol) -> None:
     """Raise :class:`InvariantDrift` at the first of the packed (6, N)
     samples ``y`` at times ``t`` whose trace, quadratic invariant or
     determinant, all basis independent, is off that of ``y0`` by more
     than ``_INVARIANT_TOL``; ``pairs`` pairs the slots for
-    :func:`params._det`."""
+    :func:`params._det`.  The drift grows with the steps taken, each
+    step's error with the run's ``rel_tol``, so the message names the
+    remedy: a smaller rel_tol, or at the smallest, 1e-13, a shorter
+    run."""
     tol = _INVARIANT_TOL
     drifts = (("trace", abs(_trace(y) - _trace(y0))),
               ("quadratic invariant", abs(_quadratic(y) - _quadratic(y0))),
@@ -547,8 +545,11 @@ def _check_invariants(t, y, y0, pairs) -> None:
     if drifted.size:
         i = drifted[0]
         what, by = next((w, d[i]) for w, d in drifts if d[i] > tol)
-        raise InvariantDrift(f"{what} drifted by {by:.3e} at "
-                             f"t={t[i]:.4g} (limit {tol:g})")
+        remedy = ("a smaller run.rel_tol or --rel-tol lowers the drift "
+                  "per step" if rel_tol > 1e-13 else "rel_tol is at its "
+                  "smallest, so only a shorter run stays within the limit")
+        raise InvariantDrift(f"{what} drifted by {by:.3e} at t={t[i]:.4g} "
+                             f"(limit {tol:g}, rel_tol {rel_tol:g}): {remedy}")
 
 
 class _Monitors:
@@ -593,8 +594,8 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
 
     ``rhs(y, *args)`` is the autonomous vector field the stepper
     advances, on its nine floats (see :func:`_scalars`), where
-    ``args = constants(omega32, delta_L, mu21, mu31)`` is built once per
-    run; ``rate(block, *args)`` is its rho11 part, d(rho11)/dt, as an array
+    ``args = constants(*astuple(params))`` is built once per run;
+    ``rate(block, *args)`` is its rho11 part, d(rho11)/dt, as an array
     over the rows of an (m, 6) block of packed states, which the
     quiescence detector, a :class:`_Monitors`, reads.  ``y0``, the
     samples and the checks of the invariants are in the frame of ``rhs``,
@@ -602,11 +603,15 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
 
     The samples lie at :func:`_sample_times`.  Error control alone sets
     the step, from :func:`_initial_step` on; only the last step is
-    shortened to end on the last sample.  A sample inside an accepted
-    step is read from the step's continuous extension, so only steps
-    that contain a sample before their end pay for its three extra
-    stages.  At most ``_MAX_STEPS`` trial steps (accepted plus rejected)
-    are taken.
+    changed, to end on the last sample, where it would end past it or
+    within 1e-12 * t_last before it.  A step below
+    1e-14 * max(min(1, t_last), t) raises :class:`StepSizeUnderflow`.
+    Below t = 1 both scale with the run, so a rejected last step can
+    shrink and a run shorter than 1e-14 can take its one step.  A sample
+    inside an accepted step is read from the step's continuous
+    extension, so only steps that contain a sample before their end pay
+    for its three extra stages.  At most ``_MAX_STEPS`` trial steps
+    (accepted plus rejected) are taken.
 
     A trial step is rejected when anything it produced is not finite: the
     new state, the field there or an extra stage.  It is retried once,
@@ -631,13 +636,14 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
     the run stores them.
     """
     ctrl = ctrl or IntegratorControl()
-    args = constants(*_physical(params))
+    args = constants(*astuple(params))
     monitors = _Monitors(ctrl, lambda y: rate(y, *args))
     budget = _MAX_STEPS
     t_out = _sample_times(t_end, ctrl.dt)
     grid = t_out[1:]
     times = grid.tolist()
     t_last = times[-1]
+    unit = min(1.0, t_last)     # the step floor scales with a run below 1
 
     ys = np.zeros((grid.size + 1, 6), dtype=complex)    # +0 imag parts
     ys[0] = y0
@@ -655,7 +661,7 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
         nonlocal checked
         lo, checked = checked, upto
         _check_invariants(grid[lo:upto], ys[lo + 1:upto + 1].T, ys[0],
-                          pairs)
+                          pairs, ctrl.rel_tol)
 
     def flush():
         nonlocal n
@@ -675,10 +681,10 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
 
     try:
         while n < grid.size:
-            last = t + h >= t_last - 1e-12 * max(1.0, t_last)
+            last = t + h >= t_last - 1e-12 * t_last
             if last:
                 h = t_last - t
-            if h < 1e-14 * max(1.0, t):
+            if h < 1e-14 * max(unit, t):
                 raise StepSizeUnderflow(
                     f"step {h:.3e} underflowed at t={t:.6g}")
             if accepted + rejected >= budget:

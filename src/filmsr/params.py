@@ -84,7 +84,9 @@ class SystemParams:
     mu21**2 + mu31**2 = 2.  Construction, ``dataclasses.replace`` included,
     checks the values as given: finite (else ParameterError), delta_L >= 0
     (NegativeLfc), dipole ratios >= 0 and within 1e-9 of that norm
-    (NormalizationViolation).  It then stores them as floats.
+    (NormalizationViolation).  It then stores them as floats.  The field
+    order is the argument order of the field's constants functions, which
+    take ``*astuple(params)``.
     """
 
     omega32: float
@@ -109,10 +111,8 @@ class SystemParams:
             object.__setattr__(self, name, float(value))
 
 
-def make_params(omega32, delta_L, mu21=1.0, mu31=1.0) -> SystemParams:
-    """A :class:`SystemParams` of these values as floats; raises what its
-    construction raises."""
-    return SystemParams(omega32, delta_L, mu21, mu31)
+#: The constructor of :class:`SystemParams` under its older name.
+make_params = SystemParams
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,8 @@ def derive_dimensionless(phys: PhysicalInputs, omega32_rad_s: float = 0.0):
     tau_R = HBAR_CGS / (2.0 * math.pi * kcl * d2 * phys.concentration)
     delta_L = 2.0 / (3.0 * kcl)  # Delta_L in units of 1/tau_R, exact
     d = phys.mean_dipole
-    params = make_params(omega32_rad_s * tau_R, delta_L,
-                         phys.dipole21 / d, phys.dipole31 / d)
+    params = SystemParams(omega32_rad_s * tau_R, delta_L,
+                          phys.dipole21 / d, phys.dipole31 / d)
     return params, tau_R
 
 

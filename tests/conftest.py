@@ -7,6 +7,7 @@ default integrator settings.
 """
 
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -26,6 +27,21 @@ def no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"a child process was left: waitpid(-1, WNOHANG) gave {left}")
+
+
+@pytest.fixture
+def alarm():
+    """Turn a test that does not end within 30 s, such as a wait on a
+    child that never exits or a run that never ends, into a failure
+    rather than a hang."""
+    def hung(signum, frame):
+        raise AssertionError("the test did not end within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

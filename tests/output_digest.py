@@ -27,6 +27,9 @@ interpreter with ``PYTHONPATH=SRC``.  It prints both listings, then every
 line found in only one of them, and exits 1 on any difference, else 0:
 
     PYTHONPATH=src python tests/output_digest.py --against ../parent/src
+
+It also prints the hand-written lines of both packages: the lines of
+``filmsr/*.py`` without the generated ``_dop853.py``.
 """
 
 from __future__ import annotations
@@ -97,6 +100,13 @@ def digest() -> list[str]:
         return digest_lines(root) + bright_dark_lines()
 
 
+def hand_written_lines(package: pathlib.Path) -> int:
+    """Lines of the package's modules, the generated ``_dop853.py`` left
+    out."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in package.glob("*.py") if path.name != "_dop853.py")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="SRC",
@@ -111,6 +121,11 @@ def main(argv: list[str] | None = None) -> int:
         check=True, env=dict(os.environ, PYTHONPATH=args.against),
     ).stdout.splitlines()
     print("# this checkout", *mine, f"# {args.against}", *theirs, sep="\n")
+    import filmsr
+    here = hand_written_lines(pathlib.Path(filmsr.__file__).parent)
+    there = hand_written_lines(pathlib.Path(args.against) / "filmsr")
+    print(f"# hand-written lines: {here} in this checkout, {there} in "
+          f"{args.against}")
     differ = sorted(set(mine) ^ set(theirs),
                     key=lambda line: (line.split("  ", 1)[-1],
                                       line not in mine))

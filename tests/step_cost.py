@@ -41,7 +41,7 @@ import os
 import subprocess
 import sys
 import timeit
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 REPEAT = 7
 ROUNDS = 3
@@ -78,7 +78,7 @@ def costs() -> dict[str, float]:
     out = {}
     cfg = load_preset("fig5")
     params = cfg.params
-    physical = dynamics._physical(params)
+    physical = astuple(params)
     traj = integrate(cfg.initial_state(), params, cfg.t_end, cfg.control)
     at = int(round(20.0 / cfg.control.dt))
     fields = {

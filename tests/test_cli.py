@@ -39,6 +39,17 @@ init.R31 = -6.750262056746777e-188-2.742392810576483e-187j
 run.t_end = 6.259884028450927
 """
 
+# valid runs far shorter than 1: the step floor and the snap of the last
+# step to the end must scale with the run
+TINY = """\
+params.omega32 = {omega32}
+params.delta_L = {delta_L}
+init.rho22 = 0.5
+init.rho33 = 0.5
+run.t_end = {t_end}
+run.dt = {dt}
+"""
+
 PHYSICAL = """\
 physical.wavelength_c = 5e-5
 physical.thickness = 5e-6
@@ -139,6 +150,28 @@ class TestRun:
         assert code == EXIT_OK
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["t_peak"] == pytest.approx(9.037, abs=0.05)
+
+
+class TestTinyTimeScales:
+    @pytest.mark.parametrize("omega32, delta_L, t_end, dt", [
+        (6e11, 0.0, 1e-11, 1e-14), (5.0, 1e12, 2e-11, 5e-14),
+        (5.0, 1.0, 2e-310, 0.01), (1e12, 0.0, 1e-11, 1e-14),
+    ], ids=["snap_at_large_splitting", "snap_at_large_lfc",
+            "t_end_below_floor", "first_step_below_floor"])
+    def test_run_ends_at_t_end(self, tmp_path, alarm, omega32, delta_L,
+                               t_end, dt):
+        """Runs whose last step, once rejected, used to be snapped back to
+        its rejected length for ever (the first two), or whose one step or
+        first step lay below a step floor absolute below t = 1 (exit 3
+        naming the floor): each completes with its last sample at t_end."""
+        p = tmp_path / "tiny.cfg"
+        p.write_text(TINY.format(omega32=omega32, delta_L=delta_L,
+                                 t_end=t_end, dt=dt), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out-dir", str(out)]) == EXIT_OK
+        json.loads((out / "metrics.json").read_text())
+        last = (out / "trajectory.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(t_end, rel=1e-12)
 
 
 class TestValidationFailures:

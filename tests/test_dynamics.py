@@ -13,7 +13,7 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -371,9 +371,23 @@ class TestIntegrate:
         with pytest.raises(InvariantDrift) as exc:
             integrate(initial_state(0.5, 0.5, 0.5), make_params(5.0, 0.0),
                       14.0)
-        assert str(exc.value) == ("quadratic invariant drifted by 4.371e-12 "
-                                  "at t=0.02 (limit 1e-15)")
+        assert str(exc.value) == (
+            "quadratic invariant drifted by 4.371e-12 at t=0.02 (limit "
+            "1e-15, rel_tol 1e-10): a smaller run.rel_tol or --rel-tol "
+            "lowers the drift per step")
         assert calls[0] < 3133 / 2
+
+    def test_drift_at_the_smallest_rel_tol_names_a_shorter_run(
+            self, monkeypatch):
+        """At rel_tol 1e-13, the smallest allowed, only a shorter run
+        helps; the message says so in place of a smaller rel_tol."""
+        monkeypatch.setattr(dynamics, "_INVARIANT_TOL", 1e-15)
+        with pytest.raises(InvariantDrift) as exc:
+            integrate(initial_state(0.5, 0.5, 0.5), make_params(5.0, 0.0),
+                      14.0, IntegratorControl(rel_tol=1e-13))
+        assert str(exc.value).endswith(
+            "(limit 1e-15, rel_tol 1e-13): rel_tol is at its smallest, so "
+            "only a shorter run stays within the limit")
 
     def test_determinant_drift_is_named(self, monkeypatch):
         """Turning the phase of R31 by pi/2 in the samples after t = 10
@@ -390,7 +404,9 @@ class TestIntegrate:
 
         monkeypatch.setattr(dynamics, "_dense_chunk", chunk)
         with pytest.raises(InvariantDrift, match=r"^determinant drifted by "
-                           r"\S+ at t=10.01 \(limit 1e-08\)$"):
+                           r"\S+ at t=10.01 \(limit 1e-08, rel_tol 1e-10\): "
+                           r"a smaller run.rel_tol or --rel-tol lowers the "
+                           r"drift per step$"):
             integrate(initial_state(0.5, 0.5, 0.5), make_params(5.0, 1.0),
                       14.0)
 
@@ -560,7 +576,7 @@ def _monitor_in_blocks(monitors, y0, pairs, times, ys, cuts):
     assert monitors.end_time == (None if index is None else times[index])
     n = len(times) if index is None else index + 1
     try:
-        dynamics._check_invariants(times[:n], ys[:n].T, y0, pairs)
+        dynamics._check_invariants(times[:n], ys[:n].T, y0, pairs, 1e-10)
     except InvariantDrift as exc:
         kind, t = re.match(r"(trace|quadratic invariant) drifted by "
                            r"\S+ at t=(\S+) ", str(exc)).groups()
@@ -809,7 +825,9 @@ class TestDriftBeforeFailure:
 
     STATE = initial_state(0.5, 0.5, 0.5)
     PARAMS = make_params(5.0, 1.0)
-    DRIFT = "trace drifted by 1.932e-06 at t=0.26 (limit 1e-08)"
+    DRIFT = ("trace drifted by 1.932e-06 at t=0.26 (limit 1e-08, rel_tol "
+             "1e-10): a smaller run.rel_tol or --rel-tol lowers the drift "
+             "per step")
 
     @staticmethod
     def lose_trace(monkeypatch, from_call):
@@ -1465,7 +1483,7 @@ class TestBlockedRunAccuracy:
         runs = {run.__name__: run(state, params, 40.0)
                 for run in (integrate, integrate_bright_dark)}
         t = runs["integrate"].t
-        args = dynamics._constants(*dynamics._physical(params))
+        args = dynamics._constants(*astuple(params))
         ref = solve_ivp(lambda _, y: _field(dynamics._rhs, y, args),
                         (0.0, t[-1]), dynamics._pack(state), method="DOP853",
                         rtol=1e-13, atol=1e-20, t_eval=t)

@@ -1,7 +1,7 @@
 """Seeded fuzz of the CLI: every valid config completes or fails as
 documented, and every config text gets a documented exit code.
 
-Both tests run ``cli.main`` in process on config files written from a
+The tests run ``cli.main`` in process on config files written from a
 fixed seed, so a failure names a reproducible input.  A failure class
 they find is mended or recorded in ROADMAP's "Known failures", never
 filtered out of the inputs.
@@ -33,7 +33,7 @@ def _mixed_state(rng, empty_level3):
             complex(rho[1, 0]), complex(rho[2, 0]))
 
 
-def _valid_config(rng) -> str:
+def _valid_config(rng, extreme=False) -> str:
     """A random scenario that passes validation by construction.
 
     - dipoles on the normalization circle mu21^2 + mu31^2 = 2;
@@ -46,12 +46,21 @@ def _valid_config(rng) -> str:
     - rel_tol log-uniform over [1e-13, 1e-9], dt from half the phase
       bound to the bound, with the inversion Z0 <= 1/2 bounding the chirp
       4 Z0 delta_L, and t_end log-uniform over [0.1, 30].
+
+    With ``extreme``, |omega32| and delta_L are log-uniform over
+    [1e-2, 1e13], dt is at the bound, and t_end is log-uniform from
+    1e-300 dt to 2000 dt.
     """
     phi = rng.uniform(0.0, math.pi / 2)
     mu21, mu31 = math.sqrt(2.0) * math.cos(phi), math.sqrt(2.0) * math.sin(phi)
-    omega32 = (float(rng.choice([0.0, 5e-324, -5e-324]))
-               if rng.random() < 0.25 else rng.uniform(-10.0, 10.0))
-    delta_L = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 3.0)
+    if extreme:
+        omega32 = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(
+            -2.0, 13.0)
+        delta_L = 10.0 ** rng.uniform(-2.0, 13.0)
+    else:
+        omega32 = (float(rng.choice([0.0, 5e-324, -5e-324]))
+                   if rng.random() < 0.25 else rng.uniform(-10.0, 10.0))
+        delta_L = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 3.0)
     empty_level3 = rng.random() < 0.25
     rho22, rho33, rho32, R21, R31 = _mixed_state(rng, empty_level3)
     seed = 10.0 ** rng.uniform(-300.0, -1.0)
@@ -61,13 +70,18 @@ def _valid_config(rng) -> str:
         R31 = 10.0 ** rng.uniform(-300.0, -6.0) * np.exp(
             2j * math.pi * rng.random())
     fastest = max(abs(omega32), 2.0 * delta_L, 1.0)
-    dt = 0.01 * 2.0 * math.pi / fastest * rng.uniform(0.5, 1.0)
+    dt = 0.01 * 2.0 * math.pi / fastest
+    if extreme:
+        t_end = dt * 10.0 ** rng.uniform(-300.0, math.log10(2000.0))
+    else:
+        dt *= rng.uniform(0.5, 1.0)
+        t_end = 10.0 ** rng.uniform(-1.0, math.log10(30.0))
     lines = {
         "params.omega32": omega32, "params.delta_L": delta_L,
         "params.mu21": mu21, "params.mu31": mu31,
         "init.rho22": rho22, "init.rho33": rho33, "init.rho32": rho32,
         "init.R21": R21, "init.R31": complex(R31),
-        "run.t_end": 10.0 ** rng.uniform(-1.0, math.log10(30.0)),
+        "run.t_end": t_end,
         "run.dt": dt, "run.rel_tol": 10.0 ** rng.uniform(-13.0, -9.0),
         "run.stop_on_quiescence": rng.random() < 0.5,
     }
@@ -96,6 +110,22 @@ class TestValidConfigs:
             assert code in (EXIT_OK, EXIT_INTEGRATION), (text, err)
             if code == EXIT_INTEGRATION:
                 assert err.startswith("integration failed: "), (text, err)
+            else:
+                json.loads((out / "metrics.json").read_text())
+
+    def test_extreme_scales_complete(self, tmp_path, capsys, alarm):
+        """50 valid configs at |omega32| and delta_L up to 1e13 and runs
+        from 1e-300 dt to 2000 dt: each exits 0, or 2 with an error that
+        names its cause.  An exit 3 (a step below the floor at t = 0, a
+        spent step budget) or a run that does not end fails."""
+        rng = np.random.default_rng(32)
+        for i in range(50):
+            text = _valid_config(rng, extreme=True)
+            code, out = _run(tmp_path, i, text)
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_VALIDATION), (text, err)
+            if code == EXIT_VALIDATION:
+                assert err.startswith("error: "), (text, err)
             else:
                 json.loads((out / "metrics.json").read_text())
 

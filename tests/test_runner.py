@@ -6,7 +6,6 @@ import json
 import multiprocessing
 import os
 import pathlib
-import signal
 import subprocess
 import sys
 import threading
@@ -270,20 +269,6 @@ def random_trajectory(rows):
                       params=make_params(5.0, 0.5),
                       control=IntegratorControl(dt=0.002),
                       steps_accepted=1, steps_rejected=0, rhs_evals=12)
-
-
-@pytest.fixture
-def alarm():
-    """Turn a wait on a child that never exits into a failure rather
-    than a hang."""
-    def hung(signum, frame):
-        raise AssertionError("a formatter child never exited")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def count_forks(monkeypatch):
