@@ -52,14 +52,9 @@ def inversion_condition(state0: DensityState, params: SystemParams) -> dict:
     Collective emission develops only from Z0 > 0, i.e. the bright
     superposition holds more population than the ground state.
     """
-    z0 = _inversion(state0.validate(), params)
+    bd = to_bright_dark(state0.validate(), params)
+    z0 = 0.5 * (bd.rho_pp - bd.rho_11)
     return {"Z0": z0, "superradiant": z0 > 0.0}
-
-
-def _inversion(state0: DensityState, params: SystemParams) -> float:
-    """Z0 = (rho_pp - rho_11)/2 of a state the caller has validated."""
-    bd = to_bright_dark(state0, params)
-    return 0.5 * (bd.rho_pp - bd.rho_11)
 
 
 def _ln_cosh(x):

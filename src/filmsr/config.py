@@ -24,8 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from importlib import resources
 
-from .analytics import _inversion
-from .dynamics import IntegratorControl, _sample_count
+from .dynamics import IntegratorControl, _phase_rate, _sample_count
 from .params import (DensityState, ParameterError, PhysicalInputs,
                      SystemParams, initial_state)
 
@@ -47,8 +46,8 @@ __all__ = [
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "degenerate")
 SWEEPABLE = ("delta_L", "omega32", "rho32_0")
 
-# the output grid must resolve the fastest phase evolution, whether it
-# comes from the doublet splitting or from the local-field chirp
+# the output grid must resolve the fastest phase rate of the parameters,
+# dynamics._phase_rate: dt <= _GRID_SAFETY * 2 pi / rate
 _GRID_SAFETY = 0.01
 
 
@@ -88,17 +87,14 @@ class ScenarioConfig:
 
     def validated(self) -> "ScenarioConfig":
         """Check cross-field consistency (raises ConfigError): the state,
-        t_end and the grid by the rule of :func:`dynamics._sample_count`.
-        Construction runs it; the benchmark harness calls it by name."""
+        t_end and the grid by the rule of :func:`dynamics._sample_count`,
+        and dt against the parameters' fastest phase rate, whatever the
+        state.  Construction runs it; the benchmark harness calls it by
+        name."""
         with _config_errors():
             self.init.validate()
             _sample_count(self.t_end, self.control.dt)
-        # phase-unwrap safety: the grid must beat both the doublet
-        # splitting and the maximum local-field chirp 4*Z0*delta_L
-        z0 = _inversion(self.init, self.params)
-        fastest = max(abs(self.params.omega32),
-                      4.0 * max(z0, 0.0) * self.params.delta_L, 1.0)
-        bound = _GRID_SAFETY * 2.0 * math.pi / fastest
+        bound = _GRID_SAFETY * 2.0 * math.pi / _phase_rate(self.params)
         if self.control.dt > bound * (1.0 + 1e-12):
             raise ConfigError(
                 f"run.dt = {self.control.dt:g} too coarse for the fastest "

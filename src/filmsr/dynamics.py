@@ -375,9 +375,12 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-def _initial_step(omega32: float) -> float:
-    """Conservative first step: a small fraction of the fastest period."""
-    return 1e-3 * min(2.0 * math.pi / max(abs(omega32), 1.0), 1.0)
+def _phase_rate(params: SystemParams) -> float:
+    """The fastest phase rate of a run, max(|omega32|, 2 delta_L, 1), from
+    the parameters alone: the local-field rotation 4 |Z| delta_L never
+    exceeds 2 delta_L, because every state's inversion has |Z| <= 1/2.
+    It sets the config's grid bound and the first step of :func:`_drive`."""
+    return max(abs(params.omega32), 2.0 * params.delta_L, 1.0)
 
 
 def _factor(err: float) -> float:
@@ -503,8 +506,8 @@ def _sample_count(t_end: float, dt: float) -> tuple[int, bool]:
     """Where a run to t_end on the grid dt ends, decided here only:
     ``(n_grid, partial)``, the number of grid times k*dt, k >= 1, up to
     t_end, and whether a partial last interval then ends on one more
-    sample, at t_end.  A t_end within 1e-9*max(1, t_end) of a grid time
-    k*dt, k >= 1, is that grid time.  Raises ValueError unless t_end is
+    sample, at t_end.  A t_end within 1e-9*t_end of a grid time k*dt,
+    k >= 1, is that grid time.  Raises ValueError unless t_end is
     finite and > 0, and ParameterError, before anything is allocated,
     when t_end / dt exceeds ``_MAX_SAMPLES``."""
     if not 0 < t_end < math.inf:
@@ -514,7 +517,7 @@ def _sample_count(t_end: float, dt: float) -> tuple[int, bool]:
             f"dt = {dt:g} and t_end = {t_end:g} ask for {t_end / dt:.3g} "
             f"grid samples; at most {_MAX_SAMPLES} are allowed")
     n_grid = int(round(t_end / dt))
-    if n_grid and abs(n_grid * dt - t_end) <= 1e-9 * max(1.0, t_end):
+    if n_grid and abs(n_grid * dt - t_end) <= 1e-9 * t_end:
         return n_grid, False
     return int(math.floor(t_end / dt)), True
 
@@ -602,7 +605,8 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
     whose slot pairing (see :func:`params._check_states`) is ``pairs``.
 
     The samples lie at :func:`_sample_times`.  Error control alone sets
-    the step, from :func:`_initial_step` on; only the last step is
+    the step, from a first step of 1e-3 * min(2 pi / rate, 1), where
+    rate is :func:`_phase_rate`; only the last step is
     changed, to end on the last sample, where it would end past it or
     within 1e-12 * t_last before it.  A step below
     1e-14 * max(min(1, t_last), t) raises :class:`StepSizeUnderflow`.
@@ -651,7 +655,7 @@ def _drive(y0: np.ndarray, params: SystemParams, t_end: float,
     m_y = _moduli(y)
     k1 = rhs(y, *args)
     evals = 1
-    h = _initial_step(params.omega32)
+    h = 1e-3 * min(2.0 * math.pi / _phase_rate(params), 1.0)
     n = checked = 0         # samples stored after t = 0, and checked
     accepted = rejected = 0
     nonfinite = retried = False

@@ -6,6 +6,9 @@ and compares the two listings.  The runs, each in a temporary directory:
 - the five shipped presets through ``cli.main`` (``presets/<name>/``);
 - fig4 through ``cli.main`` with ``--t-end 40.005``, whose last grid
   interval is partial, 0.005 at dt 0.01 (``off_grid/``);
+- a config without inversion through ``cli.main``: rho22 = rho33 = 0.1,
+  omega32 = 5, delta_L = 3, t_end 20, whose fastest phase rate is
+  2 delta_L and whose run ends with NoPulse (``no_inversion/``);
 - fig5 at dt 0.002 through ``integrate``, ``pulse_metrics`` and
   ``emit_outputs`` (``fine_grid/``);
 - a delta_L sweep on fig4 over 0, 0.1, 1/7 and 0.3 (``sweep/``).
@@ -45,6 +48,14 @@ import sys
 import tempfile
 from dataclasses import replace
 
+NO_INVERSION = """\
+params.omega32 = 5.0
+params.delta_L = 3.0
+init.rho22 = 0.1
+init.rho33 = 0.1
+run.t_end = 20.0
+"""
+
 
 def write_outputs(root: pathlib.Path) -> None:
     from filmsr import cli, integrate, pulse_metrics
@@ -53,11 +64,15 @@ def write_outputs(root: pathlib.Path) -> None:
 
     runs = [(["preset", name], f"presets/{name}") for name in PRESET_NAMES]
     runs.append((["preset", "fig4", "--t-end", "40.005"], "off_grid"))
+    config = root / "no_inversion.cfg"
+    config.write_text(NO_INVERSION, encoding="utf-8")
+    runs.append((["run", str(config)], "no_inversion"))
     for args, out in runs:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([*args, "--out-dir", str(root / out)])
         if code != cli.EXIT_OK:
             raise SystemExit(f"{' '.join(args)} exited with {code}")
+    config.unlink()
 
     cfg = load_preset("fig5")
     cfg = replace(cfg, control=replace(cfg.control, dt=0.002))

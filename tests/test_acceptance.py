@@ -172,10 +172,17 @@ def test_criterion_08_basis_path_equivalence(preset_runs, preset_bd_runs):
 # - Measured final rho_mm (t_end 60) for delta_L in {0.1, 0.25, 0.5,
 #   0.75, 1, 2} lies between -1e-11 and 1.1e-9, i.e. at the integrator
 #   noise floor.  With the grid-clamped DP5(4) stepper the clause failed
-#   at 0.5 (-9.9e-12).  With DOP853 the family ends at 3.2e-11 (0.25),
-#   1.5e-11 (0.5) and 2.8e-11 (1.0), so the clause passes, but only
-#   through the sign of that noise: the physics has not changed, and a
-#   different stepper or tolerance can make it fail again.
+#   at 0.5 (-9.9e-12).  With DOP853 and its block error weights the
+#   family ends at 3.25e-11 (0.25), 1.65e-11 (0.5) and 2.57e-11 (1.0),
+#   so the clause passes, but only through the sign of that noise: the
+#   physics has not changed, and a different stepper or tolerance can
+#   make it fail again.
+# - A Taylor-series integration at 34 digits of the same three runs, to
+#   the same end times (38.42, 39.5, 42.49), gives rho_mm = -1.39e-16,
+#   +3.46e-16 and +3.2e-14.  The exact values can be negative because
+#   the 1e-8 seeds put rho(0) outside the positive semidefinite cone by
+#   about 1e-16: with rho11 = 0, |R31|^2 = 1e-16 > rho11 rho33 = 0.  The
+#   flow is unitary per emitter and carries that defect along.
 def test_criterion_09_lfc_family(lfc_family_runs):
     """Coherent-init family at local-field strengths {0.25, 0.5, 1}: the
     delay time shifts < 5%, the post-peak modulation frequency strictly

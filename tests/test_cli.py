@@ -154,7 +154,7 @@ class TestRun:
 
 class TestTinyTimeScales:
     @pytest.mark.parametrize("omega32, delta_L, t_end, dt", [
-        (6e11, 0.0, 1e-11, 1e-14), (5.0, 1e12, 2e-11, 5e-14),
+        (6e11, 0.0, 1e-11, 1e-14), (5.0, 1e12, 2e-11, 3e-14),
         (5.0, 1.0, 2e-310, 0.01), (1e12, 0.0, 1e-11, 1e-14),
     ], ids=["snap_at_large_splitting", "snap_at_large_lfc",
             "t_end_below_floor", "first_step_below_floor"])
@@ -198,6 +198,22 @@ class TestValidationFailures:
     def test_dt_override_too_coarse(self, scenario_file, tmp_path):
         assert main(["run", str(scenario_file), "--out-dir", str(tmp_path),
                      "--dt", "0.02"]) == EXIT_VALIDATION
+
+    def test_strong_local_field_bounds_dt_without_inversion(self, tmp_path,
+                                                            capsys):
+        """delta_L = 1e3 from rho22 = rho33 = 0.1, whose inversion is
+        negative: the grid must still resolve 2 delta_L, so dt 0.01 fails
+        at once, before any step, naming run.dt and the bound."""
+        p = tmp_path / "lfc.cfg"
+        p.write_text("params.omega32 = 5.0\nparams.delta_L = 1e3\n"
+                     "init.rho22 = 0.1\ninit.rho33 = 0.1\n"
+                     "run.t_end = 10.0\nrun.dt = 0.01\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: run.dt = 0.01 too coarse for the fastest phase scale; "
+            "need dt <= 3.142e-05\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("run.abs_tol", "1e-12"),
                                             ("run.invariant_tol", "1e-9")])

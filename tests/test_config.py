@@ -160,8 +160,8 @@ class TestScenarioFromMapping:
             scenario_from_mapping(mapping(run__dt="0.02"))
 
     def test_grid_must_resolve_chirp(self):
-        """omega32 = 0 but a strong local-field chirp 4 Z0 delta_L = 10
-        still forces a fine grid."""
+        """omega32 = 0 but a strong local field, 2 delta_L = 10, still
+        forces a fine grid."""
         with pytest.raises(ConfigError, match="too coarse"):
             scenario_from_mapping(mapping(
                 params__omega32="0", params__delta_L="5.0",
@@ -171,6 +171,25 @@ class TestScenarioFromMapping:
         cfg = scenario_from_mapping(mapping(
             params__omega32="0.5", run__dt="0.05"))
         assert cfg.control.dt == 0.05
+
+    def test_grid_bound_reads_the_parameters_alone(self):
+        """omega32 = 5, delta_L = 10: the bound is 0.01 * 2 pi / 20 for
+        every state, from Z0 = -1/2 (ground state) to 1/2 (pure bright),
+        since the local-field rotation 4 |Z| delta_L can reach 2 delta_L
+        in any run.  Each state takes dt at the bound and rejects 1.001
+        times it with one message."""
+        params = make_params(5.0, 10.0)
+        bound = 0.01 * 2.0 * np.pi / 20.0
+        messages = set()
+        for p in (0.0, 0.125, 0.25, 0.375, 0.5):    # Z0 = 2p - 1/2
+            state = initial_state(p, p, p)
+            ScenarioConfig(params, state, 1.0, IntegratorControl(dt=bound))
+            with pytest.raises(ConfigError) as caught:
+                ScenarioConfig(params, state, 1.0,
+                               IntegratorControl(dt=1.001 * bound))
+            messages.add(str(caught.value))
+        assert messages == {"run.dt = 0.00314473 too coarse for the fastest "
+                            "phase scale; need dt <= 0.003142"}
 
 
 class TestScenarioConfig:
@@ -222,7 +241,7 @@ class TestPresets:
 
     def test_validated_checks_the_initial_state_once(self, monkeypatch):
         """Building the initial state validates it; the grid bound reads
-        its inversion without a second check."""
+        no state, so nothing checks it a second time."""
         from filmsr import params
         cfg = load_preset("fig5")
         real, calls = params._check_states, [0]

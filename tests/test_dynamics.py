@@ -428,6 +428,24 @@ class TestIntegrate:
                 == dynamics._sample_times(last, 0.01).tobytes())
         assert traj.t[-1] == last
 
+    @pytest.mark.parametrize("t_end, times", [
+        (6e-12, [0.0, 6e-12]), (1.4e-11, [0.0, 1e-11, 1.4e-11])])
+    def test_grid_ends_at_a_t_end_far_below_one(self, t_end, times):
+        """The tolerance that snaps a t_end to a grid time is relative:
+        at dt 1e-11 a t_end of 6e-12 or 1.4e-11 is 4e-12 from one, so
+        the last interval is partial and the last sample is t_end."""
+        assert dynamics._sample_times(t_end, 1e-11).tolist() == times
+
+    def test_strong_local_field_without_inversion_completes(self):
+        """delta_L = 1e7 from rho22 = rho33 = 0.1 (Z0 = -0.35): the first
+        step is a fraction of the period 2 pi / (2 delta_L), so its stages
+        stay finite and the run ends at t_end."""
+        traj = integrate(initial_state(0.1, 0.1), make_params(5.0, 1e7),
+                         1e-4, IntegratorControl(dt=1e-6))
+        assert traj.t.size == 101 and traj.t[-1] == pytest.approx(1e-4,
+                                                                   rel=1e-12)
+        assert traj.end_of_run_time is None
+
     def test_t_end_within_the_tolerance_is_the_grid_run(self):
         """A run to 40.0 + 5e-10 at dt 0.01 is the run to 40.0: the same
         t and y bytes and the same counters."""

@@ -43,9 +43,9 @@ def _valid_config(rng, extreme=False) -> str:
     - the optical coherences scaled to a seed from 1e-300 to 1e-1, which
       dephases level 1 from the doublet and so keeps the state valid; with
       rho33 = 0, an R31 of at most 1e-6, inside the positivity tolerance;
-    - rel_tol log-uniform over [1e-13, 1e-9], dt from half the phase
-      bound to the bound, with the inversion Z0 <= 1/2 bounding the chirp
-      4 Z0 delta_L, and t_end log-uniform over [0.1, 30].
+    - rel_tol log-uniform over [1e-13, 1e-9], dt from half the grid
+      bound 0.01 * 2 pi / max(|omega32|, 2 delta_L, 1) to the bound, and
+      t_end log-uniform over [0.1, 30].
 
     With ``extreme``, |omega32| and delta_L are log-uniform over
     [1e-2, 1e13], dt is at the bound, and t_end is log-uniform from
