@@ -1,12 +1,14 @@
 """Run scenarios and sweeps, and write their outputs to flat files.
 
 All serialization is deterministic: floats are written as their shortest
-round-trip decimal (Python ``repr``), nothing depends on wall clock or
-iteration order of anything unordered.  Every trajectory.csv row is a
-row of ``_trajectory_table`` of the sample arrays written by
-``_csv_rows``, so re-running the same configuration reproduces every
-output byte, whether or not a helper process, forked before the
-stepper runs, formats part of the rows.
+round-trip decimal, the characters Python's ``repr`` writes, nothing
+depends on wall clock or iteration order of anything unordered.  Every
+trajectory.csv row is a row of ``_trajectory_table`` of the sample
+arrays written by ``_csv_rows``, which formats a block of rows at a time
+with integer arithmetic on numpy arrays (``_shortest``), so re-running
+the same configuration reproduces every output byte, whether or not a
+helper process, forked before the stepper runs, formats part of the
+rows.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._shortest import csv_text as _csv_rows
 from .config import ScenarioConfig, SweepSpec
 from .dynamics import (IntegrationError, Trajectory, _emitted,
                        _sample_times, integrate)
@@ -41,16 +44,20 @@ TRAJECTORY_COLUMNS = (
     "abs_emitted", "abs_acting", "phase_unwrapped",
 )
 
-# A forked trajectory.csv formatter costs about 5 ms (fork, exit, pipe
-# copy): a 601-row table took as long in two processes as in one, so
-# one process formats a table of fewer than _SPLIT_ROWS rows.  The
-# parent copies the helper's bytes _COPY_CHUNK at a time.  A _Formatter
-# helper reads its pipe of row counts between chunks of _CHUNK_ROWS
-# rows, so the parent waits about a millisecond for it at the end of a
-# run.
-_SPLIT_ROWS = 600
+# A forked trajectory.csv formatter costs about 4 ms (fork, exit, pipe
+# copy), a row about 3 us to format: a helper paid for itself only from
+# about 3000 rows on (fig5 cut short, 20 alternating pairs each way).
+# One process formats a table of fewer than _SPLIT_ROWS rows; at 1400,
+# TestSplitRows' 1401-row run still forks.  The parent copies the
+# helper's bytes _COPY_CHUNK at a time.  _csv_rows formats _CHUNK_ROWS
+# rows a call: over fine_grid's table 64 rows a call took 2.2 times as
+# long as 512, and 1024 was 10 % faster than 512 but needed 1.2 MB of
+# temporaries, 512 0.6 MB.  A _Formatter helper reads its pipe of row
+# counts between chunks, so the parent waits about 1.5 ms for it at the
+# end of a run.
+_SPLIT_ROWS = 1400
 _COPY_CHUNK = 1 << 16
-_CHUNK_ROWS = 64
+_CHUNK_ROWS = 512
 # set in run_sweep's workers, whose pool already holds every usable CPU;
 # measured: with helpers forked in the workers, lfc_sweep's median wall
 # time went from 0.441 to 0.532 s on 2 CPUs (5 alternating 10 s pairs)
@@ -158,13 +165,6 @@ fig.tight_layout()
 fig.savefig(here / "run.png", dpi=150)
 print("wrote", here / "run.png")
 """
-
-
-def _csv_rows(block: np.ndarray) -> str:
-    """The trajectory.csv lines of the rows of ``block``: each float as
-    its shortest round-trip decimal (``repr``)."""
-    return "".join([",".join(map(repr, row)) + "\n"
-                    for row in block.tolist()])
 
 
 def _split_rows(rows: int) -> bool:
@@ -340,7 +340,8 @@ def emit_outputs(traj: Trajectory, metrics: PulseMetrics | None, out_dir,
                  formatter: _Formatter | None = None) -> tuple[str, ...]:
     """Write trajectory.csv, metrics.json and plot.py; return their paths.
 
-    Floats are written as their shortest round-trip decimal (``repr``).
+    Floats are written as their shortest round-trip decimal, as ``repr``
+    writes them, by ``_csv_rows``, ``_CHUNK_ROWS`` rows at a time.
     ``formatter`` is a helper that may have formatted rows of ``traj``
     already, as ``run_scenario``'s does while the stepper runs.  With
     none given, one is forked once trajectory.csv is open, where

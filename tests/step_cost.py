@@ -1,4 +1,4 @@
-"""Per-layer cost of the stepper: field, trial step, chunk, integrate.
+"""Per-layer cost of the stepper and of the trajectory.csv formatter.
 
 Each figure is the minimum over 7 runs, in this process:
 
@@ -15,7 +15,10 @@ Each figure is the minimum over 7 runs, in this process:
   flush, averaged over the chunks a fig5 run at dt 0.01 and 0.002
   flushes (each chunk's own minimum, then the mean);
 - ``integrate_s/<preset>``: ``integrate`` on each shipped preset, and
-  ``integrate_s/all``, the sum of those minima.
+  ``integrate_s/all``, the sum of those minima;
+- ``csv_ns/float``: ``runner._csv_rows`` over fig5's trajectory.csv
+  table at dt 0.002, in blocks of ``runner._CHUNK_ROWS`` rows, per
+  float written.
 
 ``filmsr`` is imported from ``PYTHONPATH``, as in
 ``tests/output_digest.py``, and pytest does not collect this script:
@@ -72,7 +75,7 @@ def opcodes(call) -> int:
 
 
 def costs() -> dict[str, float]:
-    from filmsr import basis, dynamics, integrate
+    from filmsr import basis, dynamics, integrate, runner
     from filmsr.config import PRESET_NAMES, load_preset
 
     out = {}
@@ -127,6 +130,18 @@ def costs() -> dict[str, float]:
         out[f"integrate_s/{name}"] = seconds
         total += seconds
     out["integrate_s/all"] = total
+
+    cfg = load_preset("fig5")
+    traj = integrate(cfg.initial_state(), cfg.params, cfg.t_end,
+                     replace(cfg.control, dt=0.002))
+    table = runner._trajectory_table(traj.t, traj.y, traj.params)
+    rows = runner._CHUNK_ROWS
+
+    def csv():
+        for lo in range(0, len(table), rows):
+            runner._csv_rows(table[lo:lo + rows])
+
+    out["csv_ns/float"] = 1e9 * best(csv, 1) / table.size
     return out
 
 
