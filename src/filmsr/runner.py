@@ -8,7 +8,9 @@ arrays written by ``_csv_rows``, which formats a block of rows at a time
 with integer arithmetic on numpy arrays (``_shortest``), so re-running
 the same configuration reproduces every output byte, whether or not a
 helper process, forked before the stepper runs, formats part of the
-rows.
+rows.  A sweep forks its own workers, with no process pool; they claim
+the members one at a time, in value order, and each member writes only
+its own directory, so no byte depends on the worker that ran it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._shortest import csv_text as _csv_rows
+from ._shortest import _tables, csv_text as _csv_rows
 from .config import ScenarioConfig, SweepSpec
 from .dynamics import (IntegrationError, Trajectory, _emitted,
                        _sample_times, integrate)
@@ -45,20 +47,24 @@ TRAJECTORY_COLUMNS = (
 )
 
 # A forked trajectory.csv formatter costs about 4 ms (fork, exit, pipe
-# copy), a row about 3 us to format: a helper paid for itself only from
-# about 3000 rows on (fig5 cut short, 20 alternating pairs each way).
-# One process formats a table of fewer than _SPLIT_ROWS rows; at 1400,
-# TestSplitRows' 1401-row run still forks.  The parent copies the
-# helper's bytes _COPY_CHUNK at a time.  _csv_rows formats _CHUNK_ROWS
-# rows a call: over fine_grid's table 64 rows a call took 2.2 times as
-# long as 512, and 1024 was 10 % faster than 512 but needed 1.2 MB of
-# temporaries, 512 0.6 MB.  A _Formatter helper reads its pipe of row
-# counts between chunks, so the parent waits about 1.5 ms for it at the
-# end of a run.
+# copy), a row about 3 us to format.  In run_scenario on fig5 cut to
+# 2000-3000 rows the helper was faster in at most 6 of 20 alternating
+# pairs on a 2-CPU host; it broke even between 3000 and 3500 rows in
+# one set of runs and lost by 13-18 ms at every size up to 3600 in a
+# later one, on the same host.  The bound stays at 1400 all the
+# same: the 1401-row run of the tests' FAST scenario and the 2001-row
+# degenerate preset must fork a helper for TestFormatterHelper and
+# TestSplitRows to test it.  One process formats a table of fewer than
+# _SPLIT_ROWS rows.  The parent copies the helper's bytes _COPY_CHUNK at
+# a time.  _csv_rows formats _CHUNK_ROWS rows a call: over fine_grid's
+# table 64 rows a call took 2.2 times as long as 512, and 1024 was 10 %
+# faster than 512 but needed 1.2 MB of temporaries, 512 0.6 MB.  A
+# _Formatter helper reads its pipe of row counts between chunks, so the
+# parent waits about 1.5 ms for it at the end of a run.
 _SPLIT_ROWS = 1400
 _COPY_CHUNK = 1 << 16
 _CHUNK_ROWS = 512
-# set in run_sweep's workers, whose pool already holds every usable CPU;
+# set in run_sweep's workers, which already hold every usable CPU;
 # measured: with helpers forked in the workers, lfc_sweep's median wall
 # time went from 0.441 to 0.532 s on 2 CPUs (5 alternating 10 s pairs)
 _in_sweep_worker = False
@@ -329,7 +335,10 @@ class _Formatter:
                 for piece in pieces:
                     pipe.write(piece.encode())
                 pipe.flush()        # before its own rows are formatted
-                pipe.write(_csv_rows(self._table(rows)[split:]).encode())
+                table = self._table(rows)
+                pipe.write("".join(
+                    _csv_rows(table[lo:lo + _CHUNK_ROWS])
+                    for lo in range(split, rows, _CHUNK_ROWS)).encode())
             status = 0
         finally:
             os._exit(status)
@@ -444,48 +453,190 @@ def _sweep_one(cfg: ScenarioConfig, value: float, run_dir) -> SweepRow:
         return SweepRow(value, None, f"{type(exc).__name__}: {exc}")
 
 
-def _sweep_member(cfg: ScenarioConfig, value: float, run_dir) -> SweepRow:
-    # the pool pickles this function by name; _sweep_one is looked up in
-    # the worker at call time, so a worker forked from a parent that
-    # replaced it runs the replacement
-    global _in_sweep_worker
-    _in_sweep_worker = True
-    return _sweep_one(cfg, value, run_dir)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
+def _portable(exc: BaseException) -> BaseException:
+    """``exc``, if a pickled copy of it loads again, else a RuntimeError
+    naming its type and message."""
+    import pickle
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _sweep_worker(spec: SweepSpec, run_dirs, claims, token, results,
+                  inherited) -> None:
+    """A forked sweep worker: close the ``inherited`` descriptors, then
+    claim the next member index, run it with ``_sweep_one`` and send
+    ``(index, row)`` pickled down ``results``, until no member is left
+    or the parent stops the sweep.  A member that raises sends the
+    exception in place of the row and ends the loop.  The worker exits
+    with status 0 once its loop ends, and with status 1 on any exception
+    outside a member."""
+    import pickle
+    global _in_sweep_worker
+    _in_sweep_worker = True
+    take, give = token
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(results, "wb") as pipe:
+            row = None
+            while not isinstance(row, BaseException):
+                os.read(take, 1)    # the one token: claims are ours alone
+                i = int(claims[0])
+                if claims[1] or i == len(run_dirs):
+                    os.write(give, b"\0")
+                    break
+                claims[0] = i + 1
+                os.write(give, b"\0")
+                try:
+                    record = pickle.dumps((i, row := _sweep_one(
+                        spec.members[i], spec.values[i], run_dirs[i])))
+                except BaseException as exc:
+                    record = pickle.dumps((i, row := _portable(exc)))
+                pipe.write(len(record).to_bytes(8, "little") + record)
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pids: list) -> None:
+    """Wait for each child in ``pids``.  An exception while waiting, such
+    as a KeyboardInterrupt, kills the children left with SIGKILL and
+    reaps them before it propagates."""
+    try:
+        while pids:
+            os.waitpid(pids[-1], 0)
+            pids.pop()
+    except BaseException:
+        import signal
+        for pid in pids:    # the last may be reaped already
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+        raise
+
+
+def _run_forked(spec: SweepSpec, run_dirs: list) -> list[SweepRow]:
+    """The rows of the members, run by workers forked from this process,
+    one per usable CPU up to the number of members; see ``run_sweep``.
+
+    The workers claim indices from a counter in an anonymous shared
+    mmap, under a one-byte token that a pipe passes between them, so no
+    buffer bounds the number of members.  This process only reads each
+    worker's result pipe as it fills, and reaps each worker at its end
+    of file.  A failure sets the stop flag beside the counter and adds a
+    token, for workers waiting on one that a dead worker held; the
+    workers then finish the member they run and claim no other.  An
+    exception here closes the result pipes, so a worker fails at its
+    next report, and reaps every worker before it propagates."""
+    import mmap
+    import pickle
+    import select
+
+    _tables()   # the formatter's, built once here: the workers share them
+    shared = mmap.mmap(-1, 16)
+    claims = np.frombuffer(shared, np.int64)  # the next index, the stop flag
+    token = os.pipe()
+    os.write(token[1], b"\0")
+    workers = {}            # result pipe -> worker pid
+    received = {}           # result pipe -> bytes not yet loaded
+    rows = [None] * len(run_dirs)
+    failure = None
+    try:
+        for _ in range(min(len(run_dirs), _usable_cpus())):
+            fds = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fds[0])
+                os.close(fds[1])
+                raise
+            if pid == 0:
+                _sweep_worker(spec, run_dirs, claims, token, fds[1],
+                              (fds[0], *workers))
+            os.close(fds[1])
+            workers[fds[0]], received[fds[0]] = pid, bytearray()
+        while workers:
+            for fd in select.select(list(workers), [], [])[0]:
+                buf = received[fd]
+                chunk = os.read(fd, 1 << 16)
+                buf += chunk
+                while len(buf) >= 8 and len(buf) >= (
+                        end := 8 + int.from_bytes(buf[:8], "little")):
+                    i, row = pickle.loads(buf[8:end])
+                    del buf[:end]
+                    if not isinstance(row, BaseException):
+                        rows[i] = row
+                    elif failure is None:
+                        failure = row
+                if not chunk:
+                    os.close(fd)
+                    pid = workers.pop(fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if code and failure is None:
+                        failure = OSError(
+                            f"a sweep worker exited with status {code}")
+                if failure is not None and not claims[1]:
+                    claims[1] = 1
+                    os.write(token[1], b"\0")
+    finally:
+        claims[1] = 1
+        os.write(token[1], b"\0")
+        for fd in workers:      # a worker writing to one fails at once
+            os.close(fd)
+        try:
+            _reap(list(workers.values()))
+        finally:
+            os.close(token[0])
+            os.close(token[1])
+            claims = None       # no array may hold the mmap it closes
+            shared.close()
+    if failure is None and None in rows:
+        failure = OSError(f"a sweep worker exited with status 0 before it "
+                          f"reported member {rows.index(None)}")
+    if failure is not None:
+        raise failure
+    return rows
+
+
 def run_sweep(spec: SweepSpec, out_dir=".") -> list[SweepRow]:
     """Run the spec's members, one subdirectory each, plus summary.csv.
 
-    Members run in worker processes, one per usable CPU up to the number
-    of members; each writes only its own ``run_NNN/``, so every output
-    byte is what a run of the members one after another writes.  A
-    failing run is recorded in its row and does not stop the sweep.  Any
-    other exception of a member cancels the members not yet handed to a
-    worker and reaches the caller once the workers have exited; no
-    summary.csv is written then.
+    Where the platform has ``os.fork``, members run in worker processes
+    forked for the call, one per usable CPU up to the number of members.
+    Each worker inherits the spec, claims the next member in value order
+    when it is free and runs it with ``_sweep_one``, looked up when it
+    runs.  Each member writes only its own ``run_NNN/``, so every output
+    byte is what a run of the members one after another writes; without
+    fork they run so, in this process.  A failing run is recorded in its
+    row and does not stop the sweep.  Any other exception of a member,
+    or a worker that dies before it reports, stops the sweep: no member
+    not yet claimed starts, and the exception, or an ``OSError`` naming
+    the worker's exit status, reaches the caller once every worker has
+    exited.  An exception that cannot be pickled arrives as a
+    RuntimeError naming its type and message.  No summary.csv is
+    written then.  No worker outlives the call.
     """
-    # imported here: multiprocessing and concurrent.futures.process take
-    # 20-30 ms to import, which every other command would pay at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_dirs = [out / f"run_{i:03d}" for i in range(len(spec.values))]
-    # fork, where offered, lets the workers inherit the imported package
-    # instead of importing numpy and filmsr again
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(min(len(spec.values), _usable_cpus()),
-                             mp_context=context) as pool:
-        rows = list(pool.map(_sweep_member, spec.members, spec.values,
-                             run_dirs, chunksize=1))
+    if hasattr(os, "fork"):
+        rows = _run_forked(spec, run_dirs)
+    else:
+        rows = [_sweep_one(*member)
+                for member in zip(spec.members, spec.values, run_dirs)]
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_SUMMARY_COLUMNS) + "\n")

@@ -18,7 +18,10 @@ Each figure is the minimum over 7 runs, in this process:
   ``integrate_s/all``, the sum of those minima;
 - ``csv_ns/float``: ``runner._csv_rows`` over fig5's trajectory.csv
   table at dt 0.002, in blocks of ``runner._CHUNK_ROWS`` rows, per
-  float written.
+  float written;
+- ``sweep_us/member``: ``runner.run_sweep`` over 64 members with
+  ``runner._sweep_one`` patched to return a row at once, per member:
+  what handing out the members and collecting their rows costs.
 
 ``filmsr`` is imported from ``PYTHONPATH``, as in
 ``tests/output_digest.py``, and pytest does not collect this script:
@@ -43,6 +46,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import timeit
 from dataclasses import astuple, replace
 
@@ -76,7 +80,7 @@ def opcodes(call) -> int:
 
 def costs() -> dict[str, float]:
     from filmsr import basis, dynamics, integrate, runner
-    from filmsr.config import PRESET_NAMES, load_preset
+    from filmsr.config import PRESET_NAMES, SweepSpec, load_preset
 
     out = {}
     cfg = load_preset("fig5")
@@ -142,6 +146,19 @@ def costs() -> dict[str, float]:
             runner._csv_rows(table[lo:lo + rows])
 
     out["csv_ns/float"] = 1e9 * best(csv, 1) / table.size
+
+    members = 64
+    spec = SweepSpec(cfg, "delta_L", tuple(i / members
+                                           for i in range(members)))
+    real = runner._sweep_one
+    runner._sweep_one = lambda cfg, value, run_dir: runner.SweepRow(
+        value, None, None)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            out["sweep_us/member"] = 1e6 * best(
+                lambda: runner.run_sweep(spec, tmp), 1) / members
+    finally:
+        runner._sweep_one = real
     return out
 
 

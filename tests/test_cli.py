@@ -344,9 +344,9 @@ class TestImports:
     def test_cli_import_does_not_load(self, tmp_path, module):
         """The runtime needs numpy alone: scipy, a test dependency, is
         never imported by the command-line entry point, so the DOP853
-        table and every other numeric routine live in the package.  The
-        process pool is imported by ``run_sweep`` when a sweep starts,
-        so no other command pays for it at start-up."""
+        table and every other numeric routine live in the package.  No
+        command imports a process pool (see
+        ``test_sweep_does_not_load_a_pool``)."""
         root = Path(__file__).resolve().parents[1]
         path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -358,3 +358,24 @@ class TestImports:
                               cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_sweep_does_not_load_a_pool(self, tmp_path):
+        """A sweep forks its workers itself: after ``cli.main`` has run
+        a 2-member sweep, neither ``multiprocessing`` nor
+        ``concurrent.futures`` is loaded."""
+        root = Path(__file__).resolve().parents[1]
+        path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        (tmp_path / "s.cfg").write_text(SCENARIO, encoding="utf-8")
+        code = ("import sys; from filmsr import cli; "
+                "code = cli.main(['sweep', 's.cfg', '--param', 'delta_L', "
+                "'--values', '0.0,0.5', '--out-dir', 'out']); "
+                "print(code, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing' "
+                "or m.startswith('concurrent.futures')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "out" / "summary.csv").exists()

@@ -3,7 +3,6 @@
 import contextlib
 import errno
 import json
-import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -36,6 +35,13 @@ NO_PULSE = ScenarioConfig(
     init=initial_state(rho22=0.2, rho33=0.2),
     t_end=5.0,
 )
+
+
+class NeedsTwoArgs(Exception):
+    """Pickled as its class and message, which cannot make it again."""
+
+    def __init__(self, what, how):
+        super().__init__(f"{what} {how}")
 
 
 def read_csv(path):
@@ -212,7 +218,20 @@ class TestRunSweep:
         pids = {row.error for row in rows}
         assert str(os.getpid()) not in pids
         assert len(pids) <= min(len(values), len(os.sched_getaffinity(0)))
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_members_run_here_in_order(self, tmp_path,
+                                                    monkeypatch):
+        """Where os.fork is missing, the members run one after another in
+        this process, and the rows come back in value order."""
+        monkeypatch.setattr(runner, "_sweep_one", lambda cfg, value, run_dir:
+                            SweepRow(value, None, str(os.getpid())))
+        monkeypatch.delattr(os, "fork")
+        values = (0.5, 0.1, 0.3)
+        rows = run_sweep(SweepSpec(FAST, "delta_L", values), tmp_path)
+        assert rows == [SweepRow(v, None, str(os.getpid())) for v in values]
+        assert (tmp_path / "summary.csv").exists()
 
     def test_unexpected_error_reaches_the_caller(self, tmp_path,
                                                  monkeypatch):
@@ -238,11 +257,160 @@ class TestRunSweep:
             run_sweep(SweepSpec(FAST, "delta_L", values), tmp_path / "out")
         assert type(caught.value) is RuntimeError
         assert str(caught.value) == "member 0.0 broke"
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         assert not (tmp_path / "out" / "summary.csv").exists()
         ran = {float(p.name) for p in started.iterdir()}
         assert 0.0 in ran
         assert values[-1] not in ran and len(ran) < len(values)
+
+    @pytest.mark.parametrize("status", [7, 0])
+    def test_dead_worker_raises_naming_its_status(self, status, tmp_path,
+                                                  monkeypatch, alarm):
+        """A worker that dies before it reports, here by os._exit in its
+        member, makes the sweep raise OSError naming the exit status,
+        even 0, once the others have exited; no summary, no child
+        left."""
+        def member(cfg, value, run_dir):
+            if value == 0.25:
+                os._exit(status)
+            return SweepRow(value, None, None)
+
+        monkeypatch.setattr(runner, "_sweep_one", member)
+        with pytest.raises(OSError, match=f"exited with status {status}"):
+            run_sweep(SweepSpec(FAST, "delta_L", (0.0, 0.25, 0.5, 0.75)),
+                      tmp_path)
+        assert not (tmp_path / "summary.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("kind", ["local", "needs_two_args"])
+    def test_unpicklable_error_reaches_the_caller(self, kind, tmp_path,
+                                                  monkeypatch, alarm):
+        """An exception that cannot be pickled (a local class), or whose
+        pickle does not load (its __init__ takes two arguments), reaches
+        the caller as a RuntimeError naming its type and message."""
+        class Local(Exception):
+            pass
+
+        def member(cfg, value, run_dir):
+            if value == 0.5:
+                raise (Local("member broke") if kind == "local"
+                       else NeedsTwoArgs("member", "broke"))
+            return SweepRow(value, None, None)
+
+        monkeypatch.setattr(runner, "_sweep_one", member)
+        with pytest.raises(RuntimeError) as caught:
+            run_sweep(SweepSpec(FAST, "delta_L", (0.0, 0.5, 1.0)), tmp_path)
+        name = "Local" if kind == "local" else "NeedsTwoArgs"
+        assert type(caught.value) is RuntimeError
+        assert str(caught.value) == f"{name}: member broke"
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_interrupt_in_a_member_reaches_the_caller(self, tmp_path,
+                                                      monkeypatch, alarm):
+        """A KeyboardInterrupt raised inside a worker's member reaches the
+        caller, as any exception a member raises does."""
+        def member(cfg, value, run_dir):
+            if value == 0.5:
+                raise KeyboardInterrupt
+            return SweepRow(value, None, None)
+
+        monkeypatch.setattr(runner, "_sweep_one", member)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(SweepSpec(FAST, "delta_L", (0.0, 0.5, 1.0)), tmp_path)
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_interrupt_here_stops_the_sweep(self, tmp_path, monkeypatch,
+                                            alarm):
+        """A KeyboardInterrupt in this process while the workers run
+        reaches the caller once they have finished the members they run:
+        no other member starts, no summary is written, no child is
+        left."""
+        started = tmp_path / "started"
+        started.mkdir()
+
+        def member(cfg, value, run_dir):
+            (started / repr(value)).touch()
+            time.sleep(0.2)
+            return SweepRow(value, None, None)
+
+        def select(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner, "_sweep_one", member)
+        monkeypatch.setattr("select.select", select)
+        values = tuple(i / 16 for i in range(12))
+        with no_fd_leak(), pytest.raises(KeyboardInterrupt):
+            run_sweep(SweepSpec(FAST, "delta_L", values), tmp_path / "out")
+        assert not (tmp_path / "out" / "summary.csv").exists()
+        assert len(list(started.iterdir())) <= runner._usable_cpus()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_while_reaping_kills_the_workers(self, tmp_path,
+                                                       monkeypatch, alarm):
+        """A second KeyboardInterrupt, while this process waits for the
+        workers to finish their members, kills them: the call ends at
+        once, not after the members' 30 s, and leaves no child."""
+        me = os.getpid()
+        real_waitpid = os.waitpid
+        interrupts = []
+
+        def member(cfg, value, run_dir):
+            time.sleep(30)
+            return SweepRow(value, None, None)
+
+        def select(*args):
+            raise KeyboardInterrupt
+
+        def waitpid(pid, options):
+            if os.getpid() == me and options == 0 and not interrupts:
+                interrupts.append(pid)
+                raise KeyboardInterrupt
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(runner, "_sweep_one", member)
+        monkeypatch.setattr("select.select", select)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(SweepSpec(FAST, "delta_L", (0.0, 0.5, 1.0)), tmp_path)
+        assert time.monotonic() - began < 10
+        assert interrupts
+        with pytest.raises(ChildProcessError):
+            real_waitpid(-1, os.WNOHANG)
+
+    def test_many_quick_members_each_run_once_in_order(self, tmp_path,
+                                                       monkeypatch, alarm):
+        """Members claim nothing from a buffer of jobs: a worker takes the
+        next index from a shared counter under a one-byte token, so no
+        pipe bounds their number.  10 000 members, more than a 64 KiB
+        pipe holds as 8-byte job records, return at once on 8 workers,
+        more than most hosts have cores, and send more rows down each
+        worker's pipe than it holds; each member runs once, the rows
+        come back in value order, and each worker claims its members in
+        that order."""
+        log = tmp_path / "log"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def member(cfg, value, run_dir):
+            os.write(fd, f"{os.getpid()} {value!r}\n".encode())
+            return SweepRow(value, None, "x" * 64)
+
+        monkeypatch.setattr(runner, "_sweep_one", member)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 8)
+        values = tuple(i / 10000 for i in range(10000))
+        try:
+            rows = run_sweep(SweepSpec(FAST, "delta_L", values), tmp_path)
+        finally:
+            os.close(fd)
+        assert [row.value for row in rows] == list(values)
+        claims = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(float(v) for _, v in claims) == list(values)
+        for pid in {pid for pid, _ in claims}:
+            mine = [float(v) for p, v in claims if p == pid]
+            assert mine == sorted(mine)
 
     def test_failed_run_recorded_in_row(self, tmp_path, monkeypatch):
         """The forked workers inherit the tightened drift bound."""
@@ -542,7 +710,7 @@ class TestSplitRows:
     def test_sweep_workers_do_not_split(self, tmp_path, monkeypatch, alarm):
         """A sweep's workers format their rows alone, while the same
         member run in this process splits them.  Every os.fork call
-        appends its caller's pid to a file: the pool forks its workers
+        appends its caller's pid to a file: the sweep forks its workers
         from this process too, so a count kept here could not tell the
         two apart."""
         me = str(os.getpid())
